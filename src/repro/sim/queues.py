@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -566,9 +567,10 @@ class CoDelQueue(Queue):
 class _FqBucket:
     """One FQ-CoDel flow bucket: its backlog, DRR deficit, CoDel state."""
 
-    __slots__ = ("q", "byte_backlog", "deficit", "law", "active")
+    __slots__ = ("index", "q", "byte_backlog", "deficit", "law", "active")
 
-    def __init__(self, params: CoDelParams, mark):
+    def __init__(self, index: int, params: CoDelParams, mark):
+        self.index = index
         self.q: deque[tuple[Packet, float]] = deque()
         self.byte_backlog = 0
         self.deficit = 0
@@ -591,8 +593,11 @@ class FqCoDelQueue(Queue):
     ``quantum`` bytes per visit serves them, giving new (thin) flows
     scheduling priority.  On overflow the *fattest* bucket's head is
     evicted — so an aggressive flow's backlog, not the arriving packet,
-    pays for the shared buffer.  Evictions and sojourn drops both count
-    in ``dropped_head`` (they removed packets that were enqueued).
+    pays for the shared buffer.  Fattest means the largest byte backlog,
+    the lowest bucket index among equals; only the buckets on the DRR
+    lists are compared (the others are empty).  Evictions and sojourn
+    drops both count in ``dropped_head`` (they removed packets that were
+    enqueued).
     """
 
     def __init__(
@@ -611,8 +616,8 @@ class FqCoDelQueue(Queue):
         self.params = params or CoDelParams()
         self.n_buckets = int(n_buckets)
         self.quantum = int(quantum)
-        self._buckets = [_FqBucket(self.params, self._try_mark)
-                         for _ in range(self.n_buckets)]
+        self._buckets = [_FqBucket(i, self.params, self._try_mark)
+                         for i in range(self.n_buckets)]
         self._new: deque[_FqBucket] = deque()
         self._old: deque[_FqBucket] = deque()
         self._occupancy = 0
@@ -651,7 +656,13 @@ class FqCoDelQueue(Queue):
         return EnqueueResult.ENQUEUED
 
     def _evict_from_fattest(self, now: float) -> None:
-        fat = max(self._buckets, key=lambda b: b.byte_backlog)
+        # An inactive bucket is empty, so the fattest active bucket is the
+        # fattest overall; DRR list order is arbitrary, hence the index.
+        fat = None
+        for b in chain(self._new, self._old):
+            if fat is None or b.byte_backlog > fat.byte_backlog or (
+                    b.byte_backlog == fat.byte_backlog and b.index < fat.index):
+                fat = b
         item = fat.pull()
         if item is None:  # pragma: no cover - occupancy > 0 implies a head
             return

@@ -35,6 +35,7 @@ filters, gain cycle, and state machine follow the paper; minor mechanisms
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Optional
 
 from repro.tcp.pacing import PacedSender
@@ -64,20 +65,28 @@ class BbrSender(PacedSender):
     Until the model has its first bandwidth sample the sender paces at
     ``cwnd / RTT`` with the STARTUP gain, which reproduces slow start's
     exponential ramp in rate form.
+
+    The model is read on every pacing decision, so its bookkeeping is
+    amortised O(1): the btlbw filter is a monotone deque whose head is
+    the max over the last ``BTLBW_WINDOW_ROUNDS`` rounds (the window
+    slides when a sample arrives, by round count), and the delivery-rate
+    sampler's per-sequence metadata is reclaimed once, as the cumulative
+    ACK passes it.
     """
 
     variant = "bbr"
 
     def __init__(self, *args, base_rtt: Optional[float] = None, **kwargs):
         super().__init__(*args, base_rtt=base_rtt, **kwargs)
-        # Path model.
-        self._btlbw_samples: list[tuple[int, float]] = []  # (round, bps)
+        # Path model.  (round, bps), rates strictly decreasing: head = max.
+        self._btlbw_samples: deque[tuple[int, float]] = deque()
         self._rtprop: Optional[float] = None
         self._rtprop_stamp = 0.0
         # Delivery-rate sampler: cumulative delivered packets, and per-seq
         # (send_time, delivered_at_send) so each ACK yields a rate sample.
         self._delivered = 0
         self._rate_meta: dict[int, tuple[float, int]] = {}
+        self._rate_floor = 0  # every key of _rate_meta is >= this
         # Round-trip counting (one round per window's worth of ACKs).
         self.round_count = 0
         self._round_end_seq = 0
@@ -99,7 +108,7 @@ class BbrSender(PacedSender):
         """Bottleneck-bandwidth estimate: windowed max of delivery rate."""
         if not self._btlbw_samples:
             return 0.0
-        return max(rate for _, rate in self._btlbw_samples)
+        return self._btlbw_samples[0][1]
 
     def rtprop(self) -> float:
         """Round-trip propagation estimate: windowed min of RTT samples."""
@@ -117,11 +126,15 @@ class BbrSender(PacedSender):
         return bw * self.rtprop() / (self.packet_size * 8.0)
 
     def _update_btlbw(self, rate_bps: float) -> None:
-        self._btlbw_samples.append((self.round_count, rate_bps))
+        # A sample no larger than a newer one expires first and can never
+        # again be the max: drop it on insert.  The rest expire by round.
+        samples = self._btlbw_samples
+        while samples and samples[-1][1] <= rate_bps:
+            samples.pop()
+        samples.append((self.round_count, rate_bps))
         horizon = self.round_count - BTLBW_WINDOW_ROUNDS
-        self._btlbw_samples = [
-            (r, v) for r, v in self._btlbw_samples if r > horizon
-        ]
+        while samples[0][0] <= horizon:
+            samples.popleft()
 
     def _rtt_sample(self, rtt: float) -> None:
         super()._rtt_sample(rtt)
@@ -143,9 +156,11 @@ class BbrSender(PacedSender):
 
     def _sample_delivery_rate(self, ack: int) -> None:
         meta = self._rate_meta.get(ack - 1)
-        for seq in list(self._rate_meta):
-            if seq < ack:
-                del self._rate_meta[seq]
+        # highest_acked moves before on_new_ack, so nothing below ``ack``
+        # is emitted again: a floor cursor prunes each key exactly once.
+        for seq in range(self._rate_floor, ack):
+            self._rate_meta.pop(seq, None)
+        self._rate_floor = ack
         if meta is None:
             return
         send_time, delivered_at_send = meta

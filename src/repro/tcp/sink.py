@@ -21,7 +21,11 @@ class TcpSink:
     """Cumulative-ACK TCP receiver.
 
     Buffers out-of-order packets and acknowledges with the next expected
-    sequence number.  When ECN is in play the congestion-experienced mark on
+    sequence number.  The cumulative point plus the out-of-order set is
+    the whole delivered state: a packet counts in ``stats`` once, when
+    it is at or above ``next_expected`` and not already buffered.
+
+    When ECN is in play the congestion-experienced mark on
     a data packet is echoed on its ACK (a per-packet echo — the simplified
     model the paper's extension [22] builds on, rather than RFC 3168's
     sticky echo + CWR handshake).
@@ -56,7 +60,6 @@ class TcpSink:
         self.src = src  # node id the ACKs go back to
         self.next_expected = 0
         self._out_of_order: set[int] = set()
-        self._delivered: set[int] = set()  # dedupe for byte accounting
         # Raw wire arrivals (duplicates included): the receiver-side term of
         # the per-flow conservation identity sent == arrived + dropped that
         # repro.obs.invariants verifies (stats.packets_received is deduped).
@@ -85,8 +88,7 @@ class TcpSink:
         self.bytes_arrived += pkt.size
         if self.delay_trace is not None:
             self.delay_trace.record(pkt, now)
-        if pkt.seq >= self.next_expected and pkt.seq not in self._delivered:
-            self._delivered.add(pkt.seq)
+        if pkt.seq >= self.next_expected and pkt.seq not in self._out_of_order:
             self.stats.packets_received += 1
             self.stats.bytes_received += pkt.size
             if self.throughput is not None:
@@ -100,9 +102,6 @@ class TcpSink:
             while self.next_expected in self._out_of_order:
                 self._out_of_order.remove(self.next_expected)
                 self.next_expected += 1
-            # keep the delivered set small: everything below next_expected
-            # is implied by the cumulative point.
-            self._delivered = {s for s in self._delivered if s >= self.next_expected}
         elif pkt.seq > self.next_expected:
             self._out_of_order.add(pkt.seq)
 

@@ -161,13 +161,28 @@ class TestBbr:
         assert snd.pacing_gain == PROBE_BW_GAINS[0]
 
     def test_delivery_rate_sampler_prunes_meta(self):
-        h = Harness(buffer_pkts=100)
-        snd, _ = wire_flow(h, "bbr", total_packets=200)
-        snd.start()
-        h.sim.run(until=30.0)
-        assert snd.finished
-        # Every acked sequence's metadata was reclaimed.
-        assert all(seq >= snd.highest_ack for seq in snd._rate_meta)
+        """Checked after every ACK *during* the transfer (once the flow
+        has finished ``_rate_meta`` is empty and any bound holds): acked
+        sequences' metadata is reclaimed at once, so the dict never
+        outgrows the window.  The 16-packet buffer adds retransmissions."""
+        for buffer_pkts in (100, 16):
+            h = Harness(buffer_pkts=buffer_pkts)
+            snd, _ = wire_flow(h, "bbr", total_packets=2000)
+            sizes = []
+            on_new_ack = snd.on_new_ack
+
+            def checking_on_new_ack(ack, newly_acked):
+                on_new_ack(ack, newly_acked)
+                assert all(seq >= snd.highest_acked for seq in snd._rate_meta)
+                assert len(snd._rate_meta) <= snd.inflight + 1
+                sizes.append(len(snd._rate_meta))
+
+            snd.on_new_ack = checking_on_new_ack
+            snd.start()
+            h.sim.run(until=30.0)
+            assert snd.finished and not snd._rate_meta
+            assert len(sizes) > 100 and max(sizes) > 10
+            assert (snd.stats.retransmissions > 0) == (buffer_pkts == 16)
 
 
 class TestQuicPaced:
