@@ -2,13 +2,21 @@
 
 PYTHON ?= python
 
-.PHONY: install test check-invariants faults report zoo-smoke fluid-smoke fluid-convergence chaos campaign-smoke top-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-micro bench-paper figures examples clean
+.PHONY: install test import-budget check-invariants faults report zoo-smoke fluid-smoke fluid-convergence chaos campaign-smoke top-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-micro bench-paper figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
-test: check-invariants faults report zoo-smoke fluid-smoke chaos campaign-smoke top-smoke bench-smoke
+test: import-budget check-invariants faults report zoo-smoke fluid-smoke chaos campaign-smoke top-smoke bench-smoke
 	$(PYTHON) -m pytest tests/
+
+# Start-up cost lane: `import repro...` must not load scipy, networkx,
+# matplotlib or http.server, every driver must run with scipy
+# un-importable, and the on-demand KS pair must equal scipy's.  The
+# import ledger below it is informational (cumulative us; no threshold).
+import-budget:
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_import_budget.py
+	PYTHONPATH=src $(PYTHON) -X importtime -c "import repro.experiments" 2>&1 | sort -t'|' -k2 -n | tail -10
 
 # Chaos lane: SIGKILL the live campaign supervisor from outside, hang
 # and kill its shard workers from inside, resume — every scenario must

@@ -9,10 +9,10 @@ density ratio in the smallest bin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "poisson_process",
@@ -33,6 +33,19 @@ def poisson_process(
     return np.sort(rng.uniform(0.0, horizon, size=n))
 
 
+def _checked_intervals(intervals: np.ndarray) -> np.ndarray:
+    """``intervals`` as float64; ``ValueError`` if the KS test cannot take them."""
+    x = np.asarray(intervals, dtype=np.float64)
+    if len(x) < 2:
+        raise ValueError(f"need at least 2 intervals, got {len(x)}")
+    for what, bad in (("non-finite", ~np.isfinite(x)), ("negative", x < 0)):
+        if bad.any():
+            raise ValueError(
+                f"{int(bad.sum())} of {len(x)} intervals are {what}"
+            )
+    return x
+
+
 def exponential_ks_test(intervals: np.ndarray) -> tuple[float, float]:
     """KS statistic and p-value of intervals against Exp(mean=sample mean).
 
@@ -40,12 +53,14 @@ def exponential_ks_test(intervals: np.ndarray) -> tuple[float, float]:
     from the sample the test is approximate — fine for the paper's purpose
     of showing a *gross* departure.)
     """
-    x = np.asarray(intervals, dtype=np.float64)
-    if len(x) < 2:
-        raise ValueError(f"need at least 2 intervals, got {len(x)}")
+    x = _checked_intervals(intervals)
     m = x.mean()
     if m <= 0:
         return 1.0, 0.0
+    # The only scipy use in the package, and most of its cold-start cost
+    # (~0.9 s, ~65 MB): paid by whoever asks for a p-value, not on import.
+    from scipy import stats
+
     res = stats.kstest(x, "expon", args=(0, m))
     return float(res.statistic), float(res.pvalue)
 
@@ -72,12 +87,27 @@ def first_bin_excess(
 
 @dataclass
 class PoissonComparison:
-    """Result of comparing a loss process to its same-rate Poisson twin."""
+    """Result of comparing a loss process to its same-rate Poisson twin.
 
-    ks_statistic: float
-    ks_pvalue: float
+    ``ks_statistic`` / ``ks_pvalue`` are :func:`exponential_ks_test` of
+    ``intervals``, evaluated on first read and kept.
+    """
+
+    intervals: np.ndarray = field(repr=False, compare=False)
     first_bin_excess: float
     cv: float
+
+    @cached_property
+    def _ks(self) -> tuple[float, float]:
+        return exponential_ks_test(self.intervals)
+
+    @property
+    def ks_statistic(self) -> float:
+        return self._ks[0]
+
+    @property
+    def ks_pvalue(self) -> float:
+        return self._ks[1]
 
     @property
     def rejects_poisson(self) -> bool:
@@ -89,11 +119,9 @@ def compare_to_poisson(intervals_rtt: np.ndarray) -> PoissonComparison:
     """Run the full comparison battery on RTT-normalized intervals."""
     from repro.core.burstiness import coefficient_of_variation
 
-    x = np.asarray(intervals_rtt, dtype=np.float64)
-    ks, pv = exponential_ks_test(x)
+    x = _checked_intervals(intervals_rtt)
     return PoissonComparison(
-        ks_statistic=ks,
-        ks_pvalue=pv,
+        intervals=x,
         first_bin_excess=first_bin_excess(x),
         cv=coefficient_of_variation(x),
     )

@@ -26,7 +26,6 @@ import json
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Union
 
@@ -101,6 +100,10 @@ class ObsServer:
         registry=None,
         host: str = "127.0.0.1",
     ):
+        # http.server drags in http.client, email and socketserver; only a
+        # process that serves pays for them.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self.state_dir = Path(state_dir)
         self.registry = registry
         self._agg = FleetAggregator(self.state_dir)
