@@ -24,22 +24,33 @@ replaces:
 * scalar ``rng.uniform(lo, hi)`` draws become ``lo + (hi-lo) *
   rng.random()`` — the exact expression the Generator computes
   internally, fuzz-pinned bit-identical;
-* the jittered send grid ``base + c*(r-0.5)`` is built *in place* in the
-  jitter-draw buffer (ufunc-for-ufunc the same roundings), and the
-  ``maximum.accumulate`` re-sort is skipped when ``jitter < 1``
-  guarantees monotonicity (only index 0 can clamp to zero);
-* the episode mask is applied per episode window via ``searchsorted``
-  slices — the same mask as ``lost_mask``'s last-start-wins indexing,
-  including overlapping and duplicate episode starts;
+* the jittered send grid ``base + c*(r-0.5)`` is never built.  A run
+  saves the PCG64 state, ``advance(n)``-s the generator over its ``n``
+  jitter draws (one 64-bit output per double, so the stream position is
+  exact) and draws only the ``n`` loss uniforms.  A send time is
+  realized when somebody reads it — an auxiliary PCG64 restarts from the
+  saved state and jumps to the probe — with the same three ufunc
+  roundings and the same clamp of probe 0 to zero.  With ``jitter < 1``
+  the grid is strictly increasing, so ``maximum.accumulate`` has
+  nothing else to do;
+* the episode mask is applied to all episode windows in one gathered
+  ``u[idx] < drop_p`` — the same mask as ``lost_mask``'s last-start-wins
+  indexing, including overlapping and duplicate episode starts.  Where a
+  window bound falls in the jittered grid is bracketed on the
+  *unjittered* one: probe ``i`` was sent within ``c/2`` (plus a rounding
+  margin) of ``base[i]``, which with ``jitter < 1`` leaves at most one
+  probe per bound undecided (about ``jitter`` of the bounds have one),
+  and only those get their exact send time;
 * zero-size RNG requests (``uniform``/``exponential`` with ``size=0``)
-  consume no generator state, so the episode-free common case skips them
-  — and skips building the send grid entirely, because a probe run with
-  no episodes needs only ``u < random_loss_prob``.
+  consume no generator state, so the episode-free common case skips
+  them.
 
-Loss *timestamps* are only materialized for paths that pass validation
-(the shard reducer needs nothing else); the campaign worker, which
-returns full :class:`~repro.internet.probe.ProbeRun` records, asks for
-them explicitly.
+Loss *timestamps* are realized for the lost probes only (~0.15% of a
+300 s run), and only for paths that pass validation (the shard reducer
+needs nothing else); the campaign worker, which returns full
+:class:`~repro.internet.probe.ProbeRun` records, asks for them
+explicitly.  What a path still pays for is the floor the contract sets:
+its ``2n`` loss uniforms have to be drawn to stay on the stream.
 
 Set ``REPRO_ANALYTIC_PROBE=0`` to route everything through the legacy
 per-path object path; fault-injected runs (mask hooks, skew) always do.
@@ -121,40 +132,47 @@ class _Counts:
 class ProbeKernel:
     """Fused 48 B/400 B probe-pair evaluation against one path's weather.
 
-    Holds preallocated per-run buffers (jitter + loss-uniform draws in
-    one block per run, masks) sized for one :class:`ProbeConfig`, so a
-    shard's whole path loop allocates nothing per path on the common
-    no-loss-extracted route.  Single-threaded by design — one kernel per
-    worker.
+    Holds preallocated per-run buffers (loss uniforms and the loss mask)
+    sized for one :class:`ProbeConfig`, so a shard's whole path loop
+    allocates nothing n-sized per path.  The jittered send grid is never
+    materialized: a run jumps the generator over its ``n`` jitter draws,
+    keeps the state it jumped from, and realizes send times later for
+    exactly the probes somebody reads (see the module docstring).
+    Single-threaded by design — one kernel per worker.
     """
 
     def __init__(self, config: Optional[ProbeConfig] = None):
         cfg = config or ProbeConfig()
         self.cfg = cfg
-        self.n = n = int(cfg.duration / cfg.interval)
+        self.n = n = cfg.n_probes
         self.interval = cfg.interval
         self.jitter = cfg.jitter
         #: jitter amplitude: times = base + c * (r - 0.5)
         self._c = cfg.interval * cfg.jitter
         #: the unjittered arithmetic send grid
         self.base = np.arange(n) * cfg.interval
-        # With jitter < 1 the jittered grid is strictly increasing (gap
-        # >= interval*(1-jitter) minus float noise ~ eps*duration), so
-        # run_probe's maximum.accumulate is the identity except that
-        # index 0 may clamp to zero.  The margin check keeps the skip
-        # honest for extreme configs; callers fall back to run_probe
-        # when it fails.
-        self.monotone = cfg.jitter == 0.0 or (
-            cfg.interval * (1.0 - cfg.jitter) > cfg.duration * 4e-16
-        )
-        # One 2n block per run: the jitter draws land in [:n], the loss
-        # uniforms in [n:], exactly the stream order of run_probe's two
-        # separate requests.
-        self._block = [np.empty(2 * n), np.empty(2 * n)]
-        self._r = [b[:n] for b in self._block]
-        self._u = [b[n:] for b in self._block]
+        # |times[i] - base[i]| <= c/2 plus the roundings of the three
+        # ufuncs and of ``x -+ reach`` below, together under 3e-16 *
+        # duration; the margin is 2**-50 * duration.
+        margin = cfg.duration * 2.0 ** -50
+        #: how far from ``base[i]`` probe ``i`` can have been sent
+        self._reach = 0.5 * self._c + margin
+        # The shortcut the kernel stands on: a closed window of width
+        # 2 * reach holds at most one point of the base grid.  Then the
+        # jittered grid is strictly increasing (run_probe's
+        # maximum.accumulate is the identity except that index 0 may
+        # clamp to zero) and an episode bound's position in it is known
+        # up to one undecided probe.  Callers fall back to run_probe
+        # when an extreme config fails it.
+        self.monotone = cfg.interval * (1.0 - cfg.jitter) > 4.0 * margin
+        self._u = [np.empty(n), np.empty(n)]
         self._lost = [np.empty(n, dtype=bool), np.empty(n, dtype=bool)]
-        self._times: list[Optional[np.ndarray]] = [None, None]
+        #: PCG64 state in front of each run's jitter draws
+        self._jitter_state: list[Optional[dict]] = [None, None]
+        self._aux_bits = np.random.PCG64(0)
+        self._aux = np.random.Generator(self._aux_bits)
+        #: whether a slot was evaluated for the pair now in the kernel
+        self._ran = [False, False]
         self.counts = [0, 0]
 
     # ------------------------------------------------------------------
@@ -163,53 +181,87 @@ class ProbeKernel:
                  drop_p: float, rand_p: float) -> int:
         u = self._u[slot]
         lost = self._lost[slot]
+        if slot == 0:
+            self._ran[1] = False  # a new pair: the 400 B slot is the old one's
+        if self.jitter > 0.0:
+            # Jump over the n jitter draws (one 64-bit output per
+            # double) instead of making them.
+            bits = rng.bit_generator
+            if type(bits) is not np.random.PCG64:
+                raise TypeError(
+                    f"ProbeKernel needs a PCG64 generator, got {type(bits).__name__}"
+                )
+            state = self._jitter_state[slot] = bits.state
+            bits.advance(self.n)
+            if state["has_uint32"]:
+                # advance() forgets a buffered 32-bit half-draw that
+                # random(n) would have left alone.
+                bits.state = {**bits.state, "has_uint32": 1,
+                              "uinteger": state["uinteger"]}
+        rng.random(out=u)
+        np.less(u, rand_p, out=lost)
         n_ep = len(starts)
-        if n_ep == 0:
-            # No weather: the mask is one compare, and the send grid is
-            # never needed unless this path validates.
-            if self.jitter > 0.0:
-                rng.random(out=self._block[slot])
-            else:
-                rng.random(out=u)
-            np.less(u, rand_p, out=lost)
-            self._times[slot] = None
-        else:
-            if self.jitter > 0.0:
-                rng.random(out=self._block[slot])
-            else:
-                rng.random(out=u)
-            times = self._build_times(slot)
-            np.less(u, rand_p, out=lost)
-            ss = times.searchsorted
-            for j in range(n_ep):
-                s = starts[j]
-                e = s + durations[j]
-                if j + 1 < n_ep and starts[j + 1] < e:
-                    # lost_mask indexes by *last* start <= t, so an
-                    # episode's effective window is clipped by its
-                    # successor's start.
-                    e = starts[j + 1]
-                a = ss(s)
-                b = ss(e)
-                if b > a:
-                    np.less(u[a:b], drop_p, out=lost[a:b])
+        if n_ep:
+            # Window bounds s0 <= e0 <= s1 <= e1 ...: lost_mask indexes
+            # by the *last* start <= t, so an episode's effective window
+            # is clipped by its successor's start.
+            xs = np.empty(2 * n_ep)
+            xs[0::2] = starts
+            ends = xs[1::2]
+            np.add(starts, durations, out=ends)
+            np.minimum(ends[:-1], starts[1:], out=ends[:-1])
+            # Position of each bound in the jittered grid = number of
+            # probes sent strictly before it.
+            base = self.base
+            pos = base.searchsorted(xs - self._reach)
+            undecided = np.flatnonzero(
+                base.searchsorted(xs + self._reach, side="right") > pos
+            )
+            if len(undecided):
+                # clipped ends repeat their successor's start
+                probes, back = np.unique(pos[undecided], return_inverse=True)
+                sent = self._send_times(slot, probes)[back]
+                pos[undecided] += sent < xs[undecided]
+            first = pos[0::2]
+            length = pos[1::2] - first
+            stop = np.cumsum(length)
+            idx = np.arange(stop[-1]) + np.repeat(first - (stop - length), length)
+            lost[idx] = u[idx] < drop_p
+        self._ran[slot] = True
         count = int(np.count_nonzero(lost))
         self.counts[slot] = count
         return count
 
-    def _build_times(self, slot: int) -> np.ndarray:
-        """Realize the (jittered) send grid for ``slot``, in place."""
-        if self.jitter == 0.0:
-            times = self.base
-        else:
-            times = self._r[slot]  # holds the raw jitter draws
-            np.subtract(times, 0.5, out=times)
-            np.multiply(times, self._c, out=times)
-            np.add(times, self.base, out=times)
-            if self.n and times[0] < 0.0:
+    def _send_times(self, slot: int, idx: np.ndarray) -> np.ndarray:
+        """Exact send times of run ``slot``'s probes ``idx`` (strictly
+        increasing): the floats run_probe's full grid holds there."""
+        times = self.base[idx]
+        if self.jitter > 0.0 and len(idx):
+            r = self._jitter_draws(slot, idx)
+            np.subtract(r, 0.5, out=r)
+            np.multiply(r, self._c, out=r)
+            np.add(r, times, out=times)
+            if idx[0] == 0 and times[0] < 0.0:
                 times[0] = 0.0
-        self._times[slot] = times
         return times
+
+    def _jitter_draws(self, slot: int, idx: np.ndarray) -> np.ndarray:
+        """The jitter doubles ``r[idx]`` of run ``slot``: an auxiliary
+        generator restarts from the saved state and jumps from one
+        stretch of consecutive indices to the next."""
+        bits = self._aux_bits
+        bits.state = self._jitter_state[slot]
+        advance = bits.advance
+        draw = self._aux.random
+        out = np.empty(len(idx))
+        cuts = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
+        heads = [0] + cuts
+        at = 0  # stream position, in draws
+        for lo, hi, first in zip(heads, cuts + [len(idx)], idx[heads].tolist()):
+            advance(first - at)
+            draw(out=out[lo:hi])
+            at = first + hi - lo
+        return out
 
     def run_pair(self, rng: np.random.Generator,
                  episodes: tuple[np.ndarray, np.ndarray],
@@ -234,10 +286,11 @@ class ProbeKernel:
 
     def loss_times(self, slot: int) -> np.ndarray:
         """Send timestamps of the probes lost in run ``slot`` (0=48 B)."""
-        times = self._times[slot]
-        if times is None:
-            times = self._build_times(slot)
-        return times[self._lost[slot]]
+        if not self._ran[slot]:
+            raise RuntimeError(
+                f"run {slot} was not evaluated for the current probe pair"
+            )
+        return self._send_times(slot, np.flatnonzero(self._lost[slot]))
 
 
 def sample_model_params(rng: np.random.Generator, base_rtt: float) -> tuple[float, float, float, float]:

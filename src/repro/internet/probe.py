@@ -45,6 +45,18 @@ class ProbeConfig:
             raise ValueError("interval and duration must be positive")
         if not (0.0 <= self.jitter < 1.0):
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
+        if self.n_probes == 0:
+            raise ValueError(
+                f"duration {self.duration} is shorter than interval "
+                f"{self.interval}: the run would send no probes"
+            )
+
+    @property
+    def n_probes(self) -> int:
+        """Probes one run sends: ``floor(duration / interval)``, where a
+        quotient a few ulps short of a whole number (0.3 / 0.1) counts
+        as that number."""
+        return int(self.duration / self.interval * (1.0 + 1e-12))
 
 
 @dataclass
@@ -88,7 +100,7 @@ def run_probe(
     outages and loss spikes into a run (:mod:`repro.faults`).
     """
     cfg = config or ProbeConfig()
-    n = int(cfg.duration / cfg.interval)
+    n = cfg.n_probes
     times = np.arange(n) * cfg.interval
     if cfg.jitter > 0:
         times = times + cfg.interval * cfg.jitter * (rng.random(n) - 0.5)

@@ -19,6 +19,7 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.internet import analytic
 from repro.internet.analytic import (
@@ -184,7 +185,10 @@ class TestProbeKernel:
         ProbeConfig(duration=10.0),
         ProbeConfig(duration=2.0, jitter=0.0),
         ProbeConfig(duration=2.0, jitter=0.3),
-    ], ids=["d1", "d10", "nojitter", "bigjitter"])
+        ProbeConfig(),
+        ProbeConfig(duration=10.0, jitter=0.9),
+        ProbeConfig(duration=10.0, jitter=0.99),
+    ], ids=["d1", "d10", "nojitter", "bigjitter", "d300", "jitter0.9", "jitter0.99"])
     @pytest.mark.parametrize("seed", [0, 2006, 77])
     def test_pair_matches_run_probe(self, cfg, seed):
         path, model, rng, episodes = _probe_fixture(seed, cfg)
@@ -216,12 +220,228 @@ class TestProbeKernel:
             results.append((counts, kernel.loss_times(0).tolist()))
         assert results[0] == results[2]
 
+        # A read taken after the *next* path went through the kernel is
+        # that path's, never the one before it ...
+        cfg = ProbeConfig(duration=30.0)
+        kernel = ProbeKernel(cfg)
+        want = {}
+        for seed in (1, 2):
+            path, model, rng, episodes = _probe_fixture(seed, cfg)
+            kernel.run_pair(rng, episodes, model.episode_drop_prob,
+                            model.random_loss_prob)
+            _, _, rng, episodes = _probe_fixture(seed, cfg)
+            run_probe(path, model, rng, cfg, episodes=episodes)
+            want[seed] = run_probe(path, model, rng, cfg,
+                                   episodes=episodes).loss_times.tolist()
+        assert want[1] != want[2]
+        assert kernel.loss_times(1).tolist() == want[2]
+        # ... and when the next path stopped after its 48 B run (the
+        # shard loop's early skip), the 400 B slot is refused, not stale.
+        path, model, rng, (starts, durations) = _probe_fixture(3, cfg)
+        kernel._run_one(0, rng, starts, durations, model.episode_drop_prob,
+                        model.random_loss_prob)
+        kernel.loss_times(0)
+        with pytest.raises(RuntimeError, match="not evaluated"):
+            kernel.loss_times(1)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.05, 0.9])
+    def test_run_pair_leaves_the_stream_where_run_probe_does(self, jitter):
+        """The jump over the jitter draws lands exactly where drawing
+        them would have — no leaning on "the stream is single-use"."""
+        cfg = ProbeConfig(duration=2.0, jitter=jitter)
+        path, model, rng, episodes = _probe_fixture(5, cfg)
+        run_probe(path, model, rng, cfg, episodes=episodes)
+        run_probe(path, model, rng, cfg, episodes=episodes)
+
+        _, _, rng2, episodes2 = _probe_fixture(5, cfg)
+        ProbeKernel(cfg).run_pair(rng2, episodes2, model.episode_drop_prob,
+                                  model.random_loss_prob)
+        assert rng2.random() == rng.random()
+        assert rng2.bit_generator.state == rng.bit_generator.state
+
+    def test_jump_keeps_a_buffered_32bit_half_draw(self):
+        """``advance`` drops the generator's buffered uint32; drawing
+        the doubles would not have."""
+        cfg = ProbeConfig(duration=1.0)
+        path, model, _, episodes = _probe_fixture(5, cfg)
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        for rng in (a, b):
+            rng.integers(0, 2**32, dtype=np.uint32)  # buffers the other half
+        assert a.bit_generator.state["has_uint32"] == 1
+        run_probe(path, model, a, cfg, episodes=episodes)
+        ProbeKernel(cfg)._run_one(0, b, *episodes, model.episode_drop_prob,
+                                  model.random_loss_prob)
+        assert b.bit_generator.state == a.bit_generator.state
+
+    def test_rejects_generators_it_cannot_jump(self):
+        cfg = ProbeConfig(duration=1.0)
+        rng = np.random.Generator(np.random.Philox(1))
+        with pytest.raises(TypeError, match="PCG64"):
+            ProbeKernel(cfg).run_pair(rng, (analytic._EMPTY, analytic._EMPTY),
+                                      0.8, 1e-4)
+
+    def test_loss_times_idempotent_and_order_independent(self):
+        cfg = ProbeConfig(duration=30.0)
+        path, model, rng, episodes = _probe_fixture(2006, cfg)
+        kernel = ProbeKernel(cfg)
+        kernel.run_pair(rng, episodes, model.episode_drop_prob,
+                        model.random_loss_prob)
+        position = rng.bit_generator.state
+        first = [kernel.loss_times(0).tolist(), kernel.loss_times(1).tolist()]
+        assert len(first[0]) > 0 and len(first[1]) > 0
+        assert first[0] != first[1]
+        for slot in (1, 0, 0, 1, 1):
+            assert kernel.loss_times(slot).tolist() == first[slot]
+        # reading never touches the caller's stream
+        assert rng.bit_generator.state == position
+
+    def test_resident_buffers_are_one_double_and_one_bool_per_probe(self):
+        """The kernel keeps, per run, n loss uniforms and an n-byte mask
+        — 2*(8n + n) bytes, where the 2n draw block made it 2*(16n + n)
+        — next to the shared 8n base grid."""
+        kernel = ProbeKernel(ProbeConfig())
+        n = kernel.n
+        assert n == 300_000
+
+        def nbytes(value):
+            if isinstance(value, np.ndarray):
+                return (value if value.base is None else value.base).nbytes
+            if isinstance(value, (list, tuple)):
+                return sum(nbytes(v) for v in value)
+            return 0
+
+        per_attr = {k: nbytes(v) for k, v in vars(kernel).items()}
+        base = per_attr.pop("base")
+        assert base == 8 * n
+        assert sum(per_attr.values()) == 2 * (8 * n + n)
+        # and a full pair with timestamps read leaves nothing n-sized behind
+        path, model, rng, episodes = _probe_fixture(0, kernel.cfg)
+        kernel.run_pair(rng, episodes, model.episode_drop_prob,
+                        model.random_loss_prob)
+        kernel.loss_times(0), kernel.loss_times(1)
+        assert sum(nbytes(v) for v in vars(kernel).values()) == 8 * n + 2 * 9 * n
+
+
+# ----------------------------------------------------------------------
+# Episode bounds on, just below and just above realized send times
+# ----------------------------------------------------------------------
+def _full_grid(cfg, rng):
+    """The oracle: run_probe's fully realized send grid (consumes the
+    jitter draws from ``rng``)."""
+    times = np.arange(cfg.n_probes) * cfg.interval
+    if cfg.jitter > 0:
+        times = times + cfg.interval * cfg.jitter * (rng.random(cfg.n_probes) - 0.5)
+        times = np.maximum.accumulate(np.maximum(times, 0.0))
+    return times
+
+
+def _nudge(x, ulps):
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return float(x)
+
+
+#: where a bound is planted: ("probe", index fraction, ulps off its send
+#: time) or ("free", fraction of the 1.01 * duration horizon)
+_anchor = st.one_of(
+    st.tuples(st.just("probe"),
+              st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+              st.sampled_from([-1, 0, 1])),
+    st.tuples(st.just("free"), st.floats(0.0, 1.0)),
+)
+#: an episode: a start anchor and an end — another anchor, a zero-length
+#: window, a window running far past the horizon, or a repeat of the
+#: previous episode's start
+_episode = st.tuples(
+    st.one_of(_anchor, st.just(("dup",))),
+    st.one_of(_anchor, st.just(("zero",)), st.just(("far",))),
+)
+
+
+def _planted_episodes(spec, times, horizon):
+    def place(anchor, previous):
+        if anchor[0] == "dup":
+            return previous
+        if anchor[0] == "probe":
+            i = min(int(anchor[1] * len(times)), len(times) - 1)
+            return max(0.0, _nudge(times[i], anchor[2]))
+        return anchor[1] * horizon
+
+    starts, durations = [], []
+    s = 0.5 * horizon  # what a leading "dup" repeats
+    for start, end in spec:
+        s = place(start, s)
+        if end[0] == "zero":
+            d = 0.0
+        elif end[0] == "far":
+            d = 10.0 * horizon
+        else:
+            # the guard test below checks s + d lands on the planted end
+            d = max(0.0, place(end, s) - s)
+        starts.append(s)
+        durations.append(d)
+    order = np.argsort(np.array(starts), kind="stable")
+    return np.array(starts)[order], np.array(durations)[order]
+
+
+class TestEpisodeBoundaries:
+    """With ``drop_p = 1`` and ``rand_p = 0`` the loss mask *is* the
+    inside-a-window mask, so one probe on the wrong side of one bound
+    shows."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32),
+        jitter=st.sampled_from([0.0, 0.05, 0.5, 0.9, 0.99]),
+        n=st.integers(1, 80),
+        spec=st.lists(_episode, min_size=1, max_size=6),
+    )
+    def test_mask_and_timestamps_match_lost_mask_on_the_full_grid(
+            self, seed, jitter, n, spec):
+        cfg = ProbeConfig(duration=n * 0.001, jitter=jitter)
+        assert cfg.n_probes == n
+        times = _full_grid(cfg, np.random.default_rng(seed))
+        episodes = _planted_episodes(spec, times, cfg.duration * 1.01)
+        model = PathLossModel(rtt=0.05, episode_rate=1.0,
+                              episode_mean_duration=0.01,
+                              episode_drop_prob=1.0, random_loss_prob=0.0)
+
+        ref_rng = np.random.default_rng(seed)
+        _full_grid(cfg, ref_rng)
+        want = model.lost_mask(times, ref_rng, episodes=episodes)
+
+        kernel = ProbeKernel(cfg)
+        assert kernel.monotone
+        rng = np.random.default_rng(seed)
+        count = kernel._run_one(0, rng, *episodes, 1.0, 0.0)
+        assert kernel._lost[0].tolist() == want.tolist()
+        assert count == int(want.sum())
+        assert kernel.loss_times(0).tolist() == times[want].tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_the_fuzz_reaches_the_undecided_probe(self):
+        """Guard on the strategy itself: a bound planted on a send time
+        must land in the kernel's undecided branch, with ``s + d``
+        reproducing the planted end exactly."""
+        cfg = ProbeConfig(duration=0.05, jitter=0.5)
+        times = _full_grid(cfg, np.random.default_rng(4))
+        spec = [(("probe", 0.3, 0), ("probe", 0.6, 0))]
+        starts, durations = _planted_episodes(spec, times, cfg.duration * 1.01)
+        assert starts[0] == times[15] and starts[0] + durations[0] == times[30]
+        kernel = ProbeKernel(cfg)
+        seen = []
+        realize = kernel._send_times
+        kernel._send_times = lambda slot, idx: seen.append(idx.tolist()) or realize(slot, idx)
+        kernel._run_one(0, np.random.default_rng(4), starts, durations, 1.0, 0.0)
+        assert seen == [[15, 30]]
+        assert np.flatnonzero(kernel._lost[0]).tolist() == list(range(15, 30))
+
 
 # ----------------------------------------------------------------------
 # Shard and campaign-worker equivalence
 # ----------------------------------------------------------------------
 class TestShardEquivalence:
-    @pytest.mark.parametrize("duration", [1.0, 10.0])
+    @pytest.mark.parametrize("duration", [1.0, 10.0, 300.0])
     def test_run_shard_fast_matches_legacy(self, duration, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYTIC_PROBE", "0")
         _fresh_caches()

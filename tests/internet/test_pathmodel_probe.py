@@ -157,6 +157,48 @@ class TestProbe:
     def test_probe_sizes_are_paper_values(self):
         assert PROBE_SIZES == (48, 400)
 
+    @pytest.mark.parametrize("duration, interval, n", [
+        (0.3, 0.1, 3),      # 0.3 / 0.1 == 2.9999999999999996
+        (0.7, 0.1, 7),      # 6.999999999999999
+        (0.003, 0.001, 3),
+        (0.35, 0.1, 3),     # a real remainder still floors
+        (0.1, 0.1, 1),
+    ])
+    def test_probe_count_does_not_floor_float_noise(self, duration, interval, n):
+        cfg = ProbeConfig(duration=duration, interval=interval, jitter=0.0)
+        assert cfg.n_probes == n
+        mtx = build_rtt_matrix()
+        p = mtx.all_paths()[0]
+        run = run_probe(p, model(rtt=p.base_rtt), np.random.default_rng(0), cfg)
+        assert run.n_sent == n
+
+    def test_run_too_short_for_one_probe_is_refused(self):
+        with pytest.raises(ValueError, match=r"0\.05.*0\.1"):
+            ProbeConfig(duration=0.05, interval=0.1)
+
+    def test_every_config_src_constructs_keeps_its_probe_count(self):
+        """The pinned figures and ledgers were taken with
+        ``int(duration / interval)``; the noise-tolerant count must not
+        move any of them."""
+        from repro.experiments.common import FAST, PAPER
+        from repro.faults.smoke import PROBE as faults_probe
+        from repro.internet.smoke import PROBE as campaign_probe
+
+        configs = [
+            ProbeConfig(),                      # 300 / 0.001: campaign default
+            campaign_probe,                     # 30 / 0.001
+            faults_probe,                       # 30 / 0.005
+            ProbeConfig(duration=1.0),          # repro.bench
+            ProbeConfig(duration=FAST.campaign_probe_duration),
+            ProbeConfig(duration=PAPER.campaign_probe_duration),
+        ]
+        assert [(c.duration, c.interval) for c in configs[:4]] == [
+            (300.0, 0.001), (30.0, 0.001), (30.0, 0.005), (1.0, 0.001)]
+        for cfg in configs:
+            assert cfg.n_probes == int(cfg.duration / cfg.interval)
+        assert [c.n_probes for c in configs] == [
+            300_000, 30_000, 6_000, 1_000, 60_000, 300_000]
+
 
 class TestValidatePair:
     def _runs(self, rate_a, rate_b, n=10_000):
