@@ -16,8 +16,10 @@ following the two PAPERS.md oracles:
   the convergence suite in ``tests/experiments/test_manyflows.py``
   measures over N = 100 → 1k → 10k.
 
-Per step the engine computes, for class arrays ``W``/``ssthresh`` and
-scalar queue ``q``:
+Per step the engine computes, for per-class windows ``W``/``ssthresh``
+and the shared queue ``q``, all as Python floats in plain loops over
+the classes (K is 2 for every driver in this repo, and numpy dispatch
+on length-K arrays cost several times the arithmetic):
 
 1. effective RTT ``R = R0 + q/C`` and per-flow rate ``a = W/R``;
 2. the queue's early-drop probability from its registered fluid law
@@ -36,7 +38,13 @@ scalar queue ``q``:
 
 Everything is deterministic: no RNG, so identical scenarios produce
 identical bytes, and halving ``dt`` must move results only within the
-integrator's tolerance (property-tested).
+integrator's tolerance (property-tested).  Two definitions the bytes
+depend on: the aggregate arrival rate is the left-to-right sum of the
+class rates in scenario order, and ``expm1`` in step 4 is numpy's (on
+AVX-512 hosts its SVML kernel and libm's ``math.expm1`` differ in the
+last ulp for one argument in six of a fluid zoo grid's).
+``tests/sim/fluid_oracle.py`` keeps the array stepper this loop
+replaced as the byte-for-byte oracle.
 
 >>> scn = FluidScenario(
 ...     classes=(FluidClass("near", "newreno", n=500, rtt=0.06),
@@ -71,11 +79,11 @@ class FluidClass:
 
     ``sender`` is a :mod:`repro.tcp.registry` name with a registered
     fluid window map (reno/newreno/paced); ``rtt`` is the two-way
-    propagation delay excluding queueing; ``start`` staggers class
-    activation; ``w0`` seeds the mean window (packets).  ``w_max`` is
-    the receiver-window cap and ``ssthresh0`` the initial slow-start
-    threshold — both default to effectively unbounded, and both map
-    one-to-one onto the packet senders' ``max_cwnd`` /
+    propagation delay excluding queueing; ``start`` (finite, >= 0)
+    staggers class activation; ``w0`` seeds the mean window (packets).
+    ``w_max`` is the receiver-window cap and ``ssthresh0`` the initial
+    slow-start threshold — both default to effectively unbounded, and
+    both map one-to-one onto the packet senders' ``max_cwnd`` /
     ``initial_ssthresh`` so a convergence pair runs identical caps.
     """
 
@@ -93,6 +101,10 @@ class FluidClass:
             raise ValueError(f"class {self.name!r} needs n >= 1, got {self.n}")
         if self.rtt <= 0:
             raise ValueError(f"class {self.name!r} needs rtt > 0, got {self.rtt}")
+        if not 0.0 <= self.start < float("inf"):
+            raise ValueError(
+                f"class {self.name!r} needs a finite start >= 0, got {self.start}"
+            )
         if self.w0 < 1.0:
             raise ValueError(f"class {self.name!r} needs w0 >= 1, got {self.w0}")
         if self.w_max < self.w0:
@@ -113,7 +125,11 @@ class FluidScenario:
     :class:`~repro.sim.queues.FluidNotSupported` at validation time,
     not mid-run).  ``warmup`` defaults to 30% of ``duration``; measured
     quantities (throughput share, loss-event rate) cover
-    ``[warmup, duration]`` only.
+    ``[warmup, duration]`` only.  A scenario that cannot be stepped or
+    measured is a ``ValueError`` at construction: ``dt`` and
+    ``duration`` finite with ``0 < dt < duration``, ``packet_size >= 1``
+    and ``0 <= warmup <= (steps - 1) * dt < duration`` (a window
+    holding no step would report all-zero shares and rates).
     """
 
     classes: tuple[FluidClass, ...]
@@ -131,18 +147,39 @@ class FluidScenario:
             raise ValueError("scenario needs at least one flow class")
         if self.capacity_bps <= 0:
             raise ValueError(f"capacity must be positive, got {self.capacity_bps}")
-        if self.dt <= 0 or self.dt > min(c.rtt for c in self.classes):
+        if self.packet_size < 1:
+            raise ValueError(
+                f"packet_size must be >= 1 byte, got {self.packet_size}"
+            )
+        # Chained comparisons are false for NaN, so these reject it too.
+        smallest_rtt = min(c.rtt for c in self.classes)
+        if not 0.0 < self.dt <= smallest_rtt:
             raise ValueError(
                 f"dt={self.dt} must be positive and <= the smallest class "
-                f"RTT ({min(c.rtt for c in self.classes)})"
+                f"RTT ({smallest_rtt})"
             )
-        if self.duration <= self.dt:
-            raise ValueError("duration must exceed dt")
+        if not self.dt < self.duration < float("inf"):
+            raise ValueError(
+                f"duration={self.duration} must be finite and exceed "
+                f"dt={self.dt}"
+            )
+        last_step = (self.steps - 1) * self.dt
+        if not 0.0 <= self.warmup_s <= last_step:
+            raise ValueError(
+                f"warmup={self.warmup_s} must lie in [0, {last_step}], the "
+                f"start of the last step (duration={self.duration}, "
+                f"dt={self.dt}): no step would be measured"
+            )
 
     @property
     def capacity_pps(self) -> float:
         """Bottleneck service rate in packets per second."""
         return self.capacity_bps / (8.0 * self.packet_size)
+
+    @property
+    def steps(self) -> int:
+        """Number of integration steps; step ``i`` covers ``[i*dt, (i+1)*dt)``."""
+        return int(round(self.duration / self.dt))
 
     @property
     def warmup_s(self) -> float:
@@ -215,9 +252,13 @@ def _loss_events(times: np.ndarray, drop_rate: np.ndarray, *,
                  min_gap: float, t_lo: float) -> int:
     """Count drop episodes, merging gaps shorter than ``min_gap``.
 
-    The fluid twin of ``repro.analysis`` ``event_spans``: a loss *event*
-    is a maximal span of positive aggregate drop rate, with sub-RTT
-    lulls merged, counted if it starts after ``t_lo``.
+    A loss *event* here is a run of steps with positive aggregate drop
+    rate; a new one starts wherever the gap to the *previous active
+    step* exceeds ``min_gap``, and it is counted if its first step ends
+    at or after ``t_lo``.  That is not the packet-side definition:
+    :func:`repro.core.events.event_spans` windows one RTT from the
+    event's *start*, so a drop run lasting three RTTs is one event here
+    and three or more there (ROADMAP, oracle item (c)).
     """
     active = drop_rate > 0.0
     if not active.any():
@@ -241,23 +282,29 @@ def run_fluid(scenario: FluidScenario) -> FluidResult:
     law.reset()
 
     dt = scenario.dt
-    steps = int(round(scenario.duration / dt))
+    steps = scenario.steps
     C = scenario.capacity_pps
     B = float(scenario.buffer_pkts)
     warmup = scenario.warmup_s
 
-    n = np.array([c.n for c in classes], dtype=np.float64)
-    rtt0 = np.array([c.rtt for c in classes], dtype=np.float64)
-    start = np.array([c.start for c in classes], dtype=np.float64)
-    W = np.array([c.w0 for c in classes], dtype=np.float64)
-    w_max = np.array([c.w_max for c in classes], dtype=np.float64)
-    ssthresh = np.array([c.ssthresh0 for c in classes], dtype=np.float64)
-    beta = np.array([m.beta for m in maps], dtype=np.float64)
+    # Per-class constants and state, as lists of Python floats.
+    n = [float(c.n) for c in classes]
+    rtt0 = [float(c.rtt) for c in classes]
+    start = [float(c.start) for c in classes]
+    W = [float(c.w0) for c in classes]
+    w_max = [float(c.w_max) for c in classes]
+    ssthresh = [float(c.ssthresh0) for c in classes]
+    beta = [m.beta for m in maps]
+    growth = [m.growth for m in maps]
     # One propagation RTT of feedback delay, at least one step.
-    delay = np.maximum(1, np.rint(rtt0 / dt).astype(np.int64))
+    delay = [max(1, round(r / dt)) for r in rtt0]
 
-    # Per-class per-flow drop-rate history for delayed feedback.
-    H = np.zeros((steps + 1, K))
+    # Per-class per-flow drop-rate history for delayed feedback: step i
+    # writes row i + 1 and reads rows i + 1 - delay[k], so a ring of
+    # max(delay) + 1 rows holds every row still to be read.  Rows not
+    # yet written read 0.0, like the row before the first step.
+    ring = max(delay) + 1
+    H = [[0.0] * K for _ in range(ring)]
     residuals = np.empty(steps)
     q_trace = np.empty(steps)
     w_trace = np.empty((steps, K))
@@ -267,20 +314,27 @@ def run_fluid(scenario: FluidScenario) -> FluidResult:
 
     q = 0.0
     offered_t = delivered_t = dropped_t = 0.0
-    delivered_k = np.zeros(K)
-    eta_sum = np.zeros(K)
+    delivered_k = [0.0] * K
+    eta_sum = [0.0] * K
     measure_steps = 0
-    row = np.arange(K)
-    growth_fns = [m.growth for m in maps]
-    shared_growth = growth_fns[0] if all(
-        g is growth_fns[0] for g in growth_fns) else None
+    R = [0.0] * K
+    A_k = [0.0] * K
+    delta_d = [0.0] * K
+    expm1_arg = np.empty(K)
+    expm1_out = np.empty(K)
+    expm1_of_zero = [-0.0] * K
+    class_ids = range(K)
 
     for i in range(steps):
         t = i * dt
-        active = t >= start
-        R = rtt0 + q / C
-        A_k = np.where(active, n * W / R, 0.0)
-        A = float(A_k.sum())
+        measuring = t >= warmup
+        queueing = q / C
+        # Aggregate arrival rate: the left-to-right sum over classes.
+        A = 0.0
+        for k in class_ids:
+            R[k] = r = rtt0[k] + queueing
+            A_k[k] = a = n[k] * W[k] / r if t >= start[k] else 0.0
+            A += a
 
         p = law.drop_probability(q, A, dt) if A > 0.0 else 0.0
         I = (1.0 - p) * A
@@ -308,50 +362,67 @@ def run_fluid(scenario: FluidScenario) -> FluidResult:
         over = overflow * dt
         residuals[i] = offered - early - over - served - (q_new - q)
 
-        if A > 0.0:
-            share = A_k / A
-            delta = (p * A_k + overflow * share) / n
-        else:
-            share = np.zeros(K)
-            delta = np.zeros(K)
-        H[i + 1] = delta
-
         offered_t += offered
         dropped_t += early + over
         delivered_t += served
-        if t >= warmup:
-            delivered_k += served * share
+        if measuring:
             measure_steps += 1
 
+        row = i + 1
+        written = H[row % ring]
+        feedback = False
+        for k in class_ids:
+            if A > 0.0:
+                share = A_k[k] / A
+                written[k] = (p * A_k[k] + overflow * share) / n[k]
+            else:
+                share = written[k] = 0.0
+            delivered = served * share
+            if measuring:
+                delivered_k[k] += delivered
+            x_trace[i, k] = delivered / dt
+            delta_d[k] = d = H[(row - delay[k]) % ring][k]
+            if d != 0.0:
+                feedback = True
+            expm1_arg[k] = -d * R[k]
+
         # Delayed loss feedback, thinned to at most one event per RTT.
-        delta_d = H[np.maximum(i + 1 - delay, 0), row]
-        eta = -np.expm1(-delta_d * R) / R
-        if t >= warmup:
-            eta_sum += eta
-        if shared_growth is not None:
-            growth = shared_growth(W, ssthresh, R)
+        # The one call left to numpy, over all classes at once: libm's
+        # math.expm1 is not bit-equal to it (module docstring).  When no
+        # class has delayed drops every argument is -0.0 and so is every
+        # result, which needs no call.
+        if feedback:
+            np.expm1(expm1_arg, out=expm1_out)
+            e = expm1_out.tolist()
         else:
-            growth = np.empty(K)
-            for k in range(K):
-                growth[k] = growth_fns[k](W[k:k + 1], ssthresh[k:k + 1],
-                                          R[k:k + 1])[0]
-        growth = np.where(active, growth, 0.0)
-        hit = active & (delta_d > 0.0)
-        ssthresh = np.where(hit, np.maximum(2.0, beta * W), ssthresh)
-        W = np.clip(W + (growth - (1.0 - beta) * W * eta) * dt, 1.0, w_max)
+            e = expm1_of_zero
+
+        for k in class_ids:
+            w = W[k]
+            eta = -e[k] / R[k]
+            if measuring:
+                eta_sum[k] += eta
+            if t >= start[k]:
+                grow = growth[k](w, ssthresh[k], R[k])
+                if delta_d[k] > 0.0:
+                    ssthresh[k] = max(2.0, beta[k] * w)
+            else:
+                grow = 0.0
+            w = w + (grow - (1.0 - beta[k]) * w * eta) * dt
+            W[k] = w = 1.0 if w < 1.0 else w_max[k] if w > w_max[k] else w
+            w_trace[i, k] = w
 
         q_trace[i] = q_new
-        w_trace[i] = W
         drop_rate_trace[i] = p * A + overflow
-        x_trace[i] = served * share / dt
         q = q_new
 
-    measured = max(measure_steps * dt, dt)
+    measured = measure_steps * dt
+    delivered_k = np.array(delivered_k)
     total_delivered = float(delivered_k.sum())
     share_out = (delivered_k / total_delivered if total_delivered > 0
                  else np.zeros(K))
     events = _loss_events(times, drop_rate_trace,
-                          min_gap=float(rtt0.min()), t_lo=warmup)
+                          min_gap=min(rtt0), t_lo=warmup)
 
     return FluidResult(
         class_names=tuple(c.name for c in classes),
@@ -365,14 +436,14 @@ def run_fluid(scenario: FluidScenario) -> FluidResult:
                              for k in range(K)),
         throughput_share=tuple(float(s) for s in share_out),
         class_loss_event_rate=tuple(
-            float(e) for e in eta_sum / max(measure_steps, 1)),
+            float(e) for e in np.array(eta_sum) / measure_steps),
         loss_event_count=events,
         loss_event_rate=events / measured,
         loss_rate=(dropped_t / offered_t if offered_t > 0 else 0.0),
         offered_pkts=offered_t,
         delivered_pkts=delivered_t,
         dropped_pkts=dropped_t,
-        max_residual=float(np.abs(residuals).max()) if steps else 0.0,
+        max_residual=float(np.abs(residuals).max()),
         residuals=residuals,
         times=times,
         q_trace=q_trace,

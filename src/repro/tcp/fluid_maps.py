@@ -9,8 +9,8 @@ ingredients to do it:
   congestion avoidance adds one segment per RTT), and
 * the **multiplicative decrease** ``beta`` applied once per loss event.
 
-:class:`FluidWindowMap` packages exactly those, vectorized over numpy
-class arrays, and a registry keyed by the *same* names as
+:class:`FluidWindowMap` packages exactly those, as scalar functions of
+one class's state, and a registry keyed by the *same* names as
 :func:`repro.tcp.registry.create_sender` lets drivers flip
 ``backend="fluid"`` without renaming anything.  Maps exist for
 ``reno``, ``newreno``, and ``paced``; the remaining zoo senders (bbr,
@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from repro.sim.queues import FluidNotSupported
 from repro.tcp.registry import sender_names, sender_spec
 
@@ -55,11 +53,12 @@ _LN2 = math.log(2.0)
 class FluidWindowMap:
     """Mean-field window dynamics for one congestion-control variant.
 
-    ``growth(W, ssthresh, rtt)`` returns the loss-free ``dW/dt`` array
-    for per-class windows ``W`` (packets), slow-start thresholds
-    ``ssthresh`` and round-trip times ``rtt`` (seconds, queueing delay
-    included).  ``beta`` is the multiplicative-decrease factor a loss
-    event applies to both the window and the new ``ssthresh``.
+    ``growth(w, ssthresh, rtt)`` returns the loss-free ``dW/dt`` of one
+    class as a float, for its mean window ``w`` (packets), slow-start
+    threshold ``ssthresh`` and round-trip time ``rtt`` (seconds,
+    queueing delay included).  ``beta`` is the multiplicative-decrease
+    factor a loss event applies to both the window and the new
+    ``ssthresh``.
     ``rate_based`` mirrors :class:`repro.tcp.registry.SenderSpec` so the
     fluid drivers classify throughput the same way the packet drivers
     do.
@@ -69,7 +68,7 @@ class FluidWindowMap:
     beta: float
     rate_based: bool
     description: str
-    growth: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] = field(
+    growth: Callable[[float, float, float], float] = field(
         repr=False, default=None  # type: ignore[assignment]
     )
 
@@ -80,15 +79,14 @@ class FluidWindowMap:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
 
 
-def _aimd_growth(W: np.ndarray, ssthresh: np.ndarray,
-                 rtt: np.ndarray) -> np.ndarray:
+def _aimd_growth(w: float, ssthresh: float, rtt: float) -> float:
     """Standard-TCP growth: exponential below ssthresh, +1/RTT above.
 
     Slow start doubles the window each RTT, i.e. ``dW/dt = W ln2 / R``
     (the continuous-time law whose solution is ``W0 * 2^(t/R)``);
     congestion avoidance adds one segment per RTT, ``dW/dt = 1/R``.
     """
-    return np.where(W < ssthresh, W * (_LN2 / rtt), 1.0 / rtt)
+    return w * (_LN2 / rtt) if w < ssthresh else 1.0 / rtt
 
 
 _FLUID_MAP_REGISTRY: dict[str, FluidWindowMap] = {}

@@ -12,9 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import manyflows, zoo_grid
+from repro.experiments.common import FAST, PAPER
+from repro.sim import fluid, queues
 from repro.sim.fluid import FluidClass, FluidResult, FluidScenario, run_fluid
 from repro.sim.queues import (
     FluidNotSupported,
+    FluidQueueLaw,
     RedFluidLaw,
     REDParams,
     fluid_law_kinds,
@@ -226,7 +230,127 @@ class TestRedFluidLaw:
         assert 0.0 <= lo < hi <= 1.0
 
 
+class RecordingLaw(FluidQueueLaw):
+    """Logs every call; drops early in proportion to occupancy."""
+
+    def __init__(self, capacity_pkts, service_rate_pps):
+        super().__init__(capacity_pkts, service_rate_pps)
+        self.log = []
+
+    def reset(self):
+        self.log.append("reset")
+
+    def drop_probability(self, q, arrival_rate_pps, dt):
+        self.log.append((q, arrival_rate_pps, dt))
+        return min(0.3, 0.5 * q / self.capacity)
+
+
+class TestQueueLawContract:
+    """``drop_probability`` is "called exactly once per step in time
+    order" (RED's EWMA depends on it): not hoisted, memoised or skipped."""
+
+    def test_one_call_per_step_with_traffic_in_step_order(self, monkeypatch):
+        laws = []
+
+        def factory(capacity_pkts, *, service_rate_pps, **kwargs):
+            laws.append(RecordingLaw(capacity_pkts, service_rate_pps))
+            return laws[-1]
+
+        # "codel" is a queue kind with no shipped fluid law.
+        monkeypatch.setitem(queues._FLUID_LAW_REGISTRY, "codel", factory)
+        scn = FluidScenario(
+            classes=(FluidClass("a", "newreno", n=40, rtt=0.020, start=0.05),
+                     FluidClass("b", "paced", n=60, rtt=0.045, start=0.10)),
+            capacity_bps=100 * 8000.0 * 60, buffer_pkts=120, queue="codel",
+            duration=1.0, dt=0.002, warmup=0.0)
+        res = run_fluid(scn)
+        (law,) = laws
+        assert law.log[0] == "reset" and law.log.count("reset") == 1
+        calls = law.log[1:]
+
+        # Rebuild each step's (q, A) from the traces alone: the state a
+        # step sees is what the previous step left.
+        C = scn.capacity_pps
+        expected = []
+        for i in range(res.steps):
+            t = i * scn.dt
+            q = res.q_trace[i - 1].item() if i else 0.0
+            A = 0.0
+            for k, c in enumerate(scn.classes):
+                w = res.w_trace[i - 1, k].item() if i else c.w0
+                A += c.n * w / (c.rtt + q / C) if t >= c.start else 0.0
+            if A > 0.0:
+                expected.append((q, A, scn.dt))
+        # 25 leading steps have no active class: no call for those.
+        assert len(expected) == res.steps - 25
+        assert calls == expected
+        assert res.dropped_pkts > 0 and max(q for q, _, _ in calls) > 0
+
+
+class _Built(Exception):
+    """Carries the scenario a driver built out of the patched run_fluid."""
+
+
+def _capture(scenario):
+    raise _Built(scenario)
+
+
 class TestScenarioValidation:
+    @pytest.mark.parametrize("warmup", [5.0, 7.5, 4.9951, -0.001,
+                                        float("nan"), float("inf")])
+    def test_warmup_must_leave_a_step_to_measure(self, warmup):
+        # Used to run and report all-zero shares, rates and loss.
+        with pytest.raises(ValueError, match=f"warmup={warmup}"):
+            two_class(duration=5.0, dt=0.005, warmup=warmup)
+
+    def test_warmup_at_the_last_step_is_measurable(self):
+        scn = two_class(duration=5.0, dt=0.005, warmup=999 * 0.005)
+        res = run_fluid(scn)
+        assert min(res.throughput_pps) > 0
+        assert sum(res.throughput_share) == pytest.approx(1.0)
+
+    def test_default_warmup_of_a_one_step_run_is_refused(self):
+        with pytest.raises(ValueError, match="no step would be measured"):
+            two_class(duration=0.007, dt=0.005)
+        assert two_class(duration=0.007, dt=0.005, warmup=0.0).steps == 1
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+    def test_duration_must_be_finite(self, duration):
+        # NaN used to surface as "cannot convert float NaN to integer".
+        with pytest.raises(ValueError, match=f"duration={duration}"):
+            two_class(duration=duration)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.001])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match=f"dt={dt}"):
+            two_class(dt=dt)
+
+    @pytest.mark.parametrize("packet_size", [0, -1000])
+    def test_packet_size_must_be_positive(self, packet_size):
+        # 0 used to be a ZeroDivisionError out of capacity_pps.
+        with pytest.raises(ValueError, match=f"got {packet_size}"):
+            two_class(packet_size=packet_size)
+
+    @pytest.mark.parametrize("start", [-1.0, float("nan"), float("inf")])
+    def test_class_start_must_be_finite_and_non_negative(self, start):
+        with pytest.raises(ValueError, match=f"start >= 0, got {start}"):
+            FluidClass("x", "newreno", n=1, rtt=0.05, start=start)
+
+    @pytest.mark.parametrize("scale", [FAST, PAPER], ids=["fast", "paper"])
+    def test_every_scenario_src_builds_is_still_valid(self, scale, monkeypatch):
+        built = [manyflows.fluid_scenario(n, scale) for n in (100, 1000, 10000)]
+        monkeypatch.setattr(fluid, "run_fluid", _capture)
+        for rtt_name, rtt in zoo_grid.DEFAULT_RTT_CLASSES:
+            with pytest.raises(_Built) as caught:
+                zoo_grid.run_zoo_cell(1, scale, "paced", "red", rtt=rtt,
+                                      rtt_name=rtt_name, backend="fluid")
+            built.append(caught.value.args[0])
+        assert len(built) == 7
+        for scn in built:
+            # Constructed without a ValueError; the measured window is whole.
+            scn.validate()
+            assert 0.0 <= scn.warmup_s <= (scn.steps - 1) * scn.dt < scn.duration
+
     def test_dt_must_not_exceed_smallest_rtt(self):
         with pytest.raises(ValueError, match="dt"):
             two_class(dt=0.2)
