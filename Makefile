@@ -2,13 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: install test import-budget check-invariants faults report zoo-smoke fluid-smoke fluid-convergence chaos campaign-smoke top-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-micro bench-paper figures examples clean
+.PHONY: install test import-budget check-invariants faults report zoo-smoke fluid-smoke fluid-convergence chaos campaign-smoke top-smoke overhead-tripwire bench-e2e bench-e2e-smoke bench-micro bench-paper figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
-test: import-budget check-invariants faults report zoo-smoke fluid-smoke chaos campaign-smoke top-smoke bench-smoke
-	$(PYTHON) -m pytest tests/
+test: import-budget check-invariants faults report zoo-smoke fluid-smoke chaos campaign-smoke top-smoke overhead-tripwire
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Start-up cost lane: `import repro...` must not load scipy, networkx,
 # matplotlib or http.server, every driver must run with scipy
@@ -79,23 +79,14 @@ report:
 	PYTHONPATH=src $(PYTHON) -m repro report runs/smoke --html > /dev/null
 	PYTHONPATH=src $(PYTHON) -c "from pathlib import Path; from repro.obs import validate_report; validate_report(Path('runs/smoke/report.md').read_text()); print('report: ok')"
 
-# Tracked benchmark lane: paired baseline-vs-optimized suite, results
-# appended to the repo's BENCH_<n>.json trajectory (see docs/PERFORMANCE.md).
-bench:
-	PYTHONPATH=src $(PYTHON) -m repro bench
-
-# Tiny pinned bench run: validates the BENCH_*.json schema and the <5%
-# disabled-telemetry overhead budget.  Writes to a throwaway directory so
-# smoke numbers never pollute the trajectory.
-bench-smoke:
-	rm -rf runs/bench-smoke
-	PYTHONPATH=src $(PYTHON) -m repro bench runs/bench-smoke --smoke
-	PYTHONPATH=src $(PYTHON) -m repro bench . --check-regression
+# Disabled-telemetry tripwire: inert observe_run wiring must cost < 5%
+# over a bare run (min of five interleaved passes).
+overhead-tripwire:
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/test_perf_micro.py::test_perf_disabled_telemetry_overhead
 
 # Command-level performance ledger (BENCHMARK.json, benchmarks/e2e/):
-# the lane end-to-end performance claims are judged in; BENCH_<n>.json
-# above is a diagnostic.  The smoke form is a sub-minute single
-# repetition and is not part of default `make test`.
+# the lane performance claims are judged in.  The smoke form is a
+# sub-minute single repetition and is not part of default `make test`.
 bench-e2e:
 	python3 benchmarks/e2e/run.py
 
@@ -110,10 +101,10 @@ bench-paper:
 	REPRO_SCALE=paper PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 figures:
-	$(PYTHON) examples/export_figures.py figures/
+	PYTHONPATH=src $(PYTHON) examples/export_figures.py figures/
 
 examples:
-	for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f =="; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis figures metrics runs

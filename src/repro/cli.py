@@ -10,10 +10,6 @@ Usage::
 Each command runs the corresponding experiment driver and prints the
 paper-shaped output (the same text the benchmarks print).
 
-``python -m repro bench [DIR] [--smoke]`` runs the tracked benchmark
-suite (:mod:`repro.bench`): paired baseline-vs-optimized measurements
-written to the next free ``BENCH_<n>.json`` in DIR.
-
 ``python -m repro campaign --sites M --shards N --state-dir DIR`` runs a
 crash-tolerant sharded measurement campaign
 (:mod:`repro.internet.supervisor`): the O(sites²) path matrix is split
@@ -206,34 +202,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS)
-        + ["all", "list", "report", "bench", "campaign", "top", "history"],
+        + ["all", "list", "report", "campaign", "top", "history"],
         help="which figure/table to regenerate ('list' to enumerate; "
-        "'report' renders a recorded telemetry run directory; 'bench' "
-        "runs the tracked benchmark suite; 'campaign' runs a supervised "
-        "sharded measurement campaign; 'top' is a live console over a "
-        "campaign/zoo state directory; 'history' renders the cross-run "
-        "health timeline)",
+        "'report' renders a recorded telemetry run directory; 'campaign' "
+        "runs a supervised sharded measurement campaign; 'top' is a live "
+        "console over a campaign/zoo state directory; 'history' renders "
+        "the cross-run health timeline)",
     )
     p.add_argument(
         "target",
         nargs="?",
         default=None,
-        help="run directory for the 'report' command / output directory "
-        "for the 'bench' command / state directory for the 'top' command "
-        "/ root directory for the 'history' command (ignored otherwise)",
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="with the 'bench' command: tiny pinned run that validates "
-        "the BENCH_*.json schema and telemetry overhead only",
-    )
-    p.add_argument(
-        "--check-regression",
-        action="store_true",
-        help="with the 'bench' command: compare the two most recent "
-        "BENCH_<n>.json files instead of running the suite; fail if any "
-        "stage's speedup fell below the regression floor",
+        help="run directory for the 'report' command / state directory "
+        "for the 'top' command / root directory for the 'history' "
+        "command (ignored otherwise)",
     )
     p.add_argument("--seed", type=int, default=1, help="experiment seed (default 1)")
     p.add_argument(
@@ -571,16 +553,6 @@ def _dispatch(args) -> int:
         if args.html:
             history_argv.append("--html")
         return history_main(history_argv)
-
-    if args.experiment == "bench":
-        from repro.bench import main as bench_main
-
-        bench_argv = [args.target] if args.target else []
-        if args.smoke:
-            bench_argv.append("--smoke")
-        if args.check_regression:
-            bench_argv.append("--check-regression")
-        return bench_main(bench_argv)
 
     if args.experiment == "list":
         width = max(len(k) for k in EXPERIMENTS)

@@ -18,8 +18,7 @@ Lautenschlaeger's weak-convergence result (PAPERS.md) predicts the gap
 shrinks like the population's relative fluctuations, so the suite in
 ``tests/experiments/test_manyflows.py`` asserts monotonically
 tightening tolerance bands.  The fluid backend's cost is O(steps),
-independent of N — the ≥100x flows/s unlock benchmarked by the
-``many_flows`` stage in ``python -m repro bench``.
+independent of N — the ≥100x flows/s unlock the same suite asserts.
 
 Scenario shape: two NewReno classes at 100 ms and 250 ms propagation
 RTT, N/2 flows each, 800 kbps fair share per flow (per-flow BDP 10 and
@@ -81,7 +80,7 @@ class ManyFlowsCell:
 
     @property
     def flows_per_s(self) -> float:
-        """Simulated flows per wall-clock second (the bench metric)."""
+        """Simulated flows per wall-clock second (the speedup metric)."""
         return self.n / self.wall_s if self.wall_s > 0 else float("inf")
 
 

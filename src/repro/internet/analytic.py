@@ -329,8 +329,8 @@ def _rtt_at(base_rtt: float, amplitude: float, phase: float, t: float) -> float:
 
 
 # Per-worker caches: the supervisor runs many shards of the same
-# campaign per process, and the bench runs several back to back — the
-# mesh, the kernel buffers, and the stream deriver are all reusable.
+# campaign per process — the mesh, the kernel buffers, and the stream
+# deriver are all reusable.
 # One entry each (replaced on a key change): bounded memory by design.
 _MESH_CACHE: dict = {}
 _KERNEL_CACHE: dict = {}

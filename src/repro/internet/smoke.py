@@ -17,8 +17,7 @@ Legs exercised:
    the resume replays done shards from their fingerprinted records and
    re-runs only the rest, converging to the reference fingerprint.
 3. **Budget** — the whole smoke (both campaigns + the kill dance) fits
-   the wall-clock budget; the shard throughput is printed for the bench
-   trajectory to cross-check.
+   the wall-clock budget; the shard throughput is printed.
 
 Exits nonzero (an ``AssertionError``) on any failure.
 """

@@ -1,13 +1,14 @@
 """``python -m repro history`` — cross-run health timeline.
 
-One benchmark file or run report tells you how the code behaves *today*;
+One ledger record or run report tells you how the code behaves *today*;
 the repository's health is a trajectory.  This module folds everything
 recorded under a root directory into one chronological Markdown (or
 HTML) timeline:
 
-* the ``BENCH_<n>.json`` trajectory (:mod:`repro.bench`): per-stage
-  speedups across files, the newest file's margin against the
-  ``REGRESSION_FLOOR`` gate, and each file's platform stamp;
+* performance-ledger records under ``ledger/`` (files written by
+  ``python3 benchmarks/e2e/run.py --out ledger/<name>.json``): each
+  record's ``wall_s`` per workload, in filename order.  History only
+  lists them; the gate is ``run.py --compare A B``;
 * run directories under ``runs/`` (``manifest.json`` + optional
   ``metrics.json`` / report artifacts): what ran, with which knobs,
   whether a report was rendered, plus any metric warnings;
@@ -28,19 +29,21 @@ import sys
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.bench import REGRESSION_FLOOR
 from repro.obs.aggregate import FleetAggregator
 
 __all__ = ["collect_history", "generate_history", "generate_html_history",
            "main"]
 
+#: Schema tag of the records ``benchmarks/e2e/run.py --out`` writes.
+_LEDGER_SCHEMA = "repro-e2e/1"
+
 
 def _load_json(path: Path, torn: list[int]) -> Optional[dict]:
     try:
         obj = json.loads(path.read_text())
-    except OSError:
+    except FileNotFoundError:
         return None
-    except ValueError:
+    except (OSError, ValueError):
         torn[0] += 1
         return None
     if not isinstance(obj, dict):
@@ -49,56 +52,38 @@ def _load_json(path: Path, torn: list[int]) -> Optional[dict]:
     return obj
 
 
+def _dig(obj, *keys):
+    """``obj[k0][k1]...`` or None as soon as a level is not a dict."""
+    for k in keys:
+        obj = obj.get(k) if isinstance(obj, dict) else None
+    return obj
+
+
 def collect_history(root: Union[str, Path]) -> dict:
     """Scan ``root`` and return the raw history model (JSON-able)."""
     d = Path(root)
     torn = [0]
 
-    # -- bench trajectory ------------------------------------------------
-    bench_files = []
-    indexed = []
-    for p in d.glob("BENCH_*.json"):
-        stem = p.stem.removeprefix("BENCH_")
-        if stem.isdigit():
-            indexed.append((int(stem), p))
-    for idx, p in sorted(indexed):
+    # -- performance-ledger records ------------------------------------
+    records = []
+    for p in sorted((d / "ledger").glob("*.json")):
         doc = _load_json(p, torn)
         if doc is None:
             continue
-        stages = {}
-        for name, entry in sorted(doc.get("benchmarks", {}).items()):
-            if isinstance(entry, dict):
-                stages[name] = {
-                    k: entry.get(k)
-                    for k in ("speedup", "optimized", "unit")
-                    if entry.get(k) is not None
-                }
-        bench_files.append({
-            "index": idx,
+        workloads = doc.get("workloads")
+        if (doc.get("schema") != _LEDGER_SCHEMA
+                or not isinstance(workloads, dict)):
+            torn[0] += 1
+            continue
+        records.append({
             "file": p.name,
-            "mode": doc.get("mode"),
-            "python": doc.get("python"),
-            "platform": doc.get("platform"),
-            "stages": stages,
+            "size": doc.get("size"),
+            "seed": doc.get("seed"),
+            "wall_s": {
+                name: _dig(w, "untraced", "end_to_end", "wall_s", "value")
+                for name, w in workloads.items()
+            },
         })
-
-    # Gate margins: newest file's speedup vs floor * previous file's.
-    margins = []
-    if len(bench_files) >= 2:
-        prev, new = bench_files[-2], bench_files[-1]
-        for name, entry in sorted(new["stages"].items()):
-            a = prev["stages"].get(name, {}).get("speedup")
-            b = entry.get("speedup")
-            if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
-                    and a > 0:
-                margins.append({
-                    "stage": name,
-                    "prev": a,
-                    "new": b,
-                    "floor": round(REGRESSION_FLOOR * a, 3),
-                    "margin": round(b / (REGRESSION_FLOOR * a), 3),
-                    "ok": b >= REGRESSION_FLOOR * a,
-                })
 
     # -- recorded runs under runs/ ---------------------------------------
     run_entries = []
@@ -154,8 +139,7 @@ def collect_history(root: Union[str, Path]) -> dict:
 
     return {
         "root": str(d),
-        "bench": bench_files,
-        "gate": {"floor": REGRESSION_FLOOR, "margins": margins},
+        "ledger": records,
         "runs": run_entries,
         "fleets": fleets,
         "torn_records": torn[0],
@@ -167,46 +151,25 @@ def generate_history(root: Union[str, Path]) -> str:
     model = collect_history(root)
     out: list[str] = [f"# repro health timeline — `{model['root']}`", ""]
 
-    bench = model["bench"]
-    out.append(f"## Benchmark trajectory ({len(bench)} files)")
+    ledger = model["ledger"]
+    out.append(f"## Performance ledger ({len(ledger)} records)")
     out.append("")
-    if bench:
-        stages = sorted({s for b in bench for s in b["stages"]})
-        speedup_stages = [
-            s for s in stages
-            if any("speedup" in b["stages"].get(s, {}) for b in bench)
-        ]
-        header = "| file | mode | " + " | ".join(speedup_stages) + " |"
-        out.append(header)
-        out.append("|" + "---|" * (2 + len(speedup_stages)))
-        for b in bench:
-            cells = []
-            for s in speedup_stages:
-                v = b["stages"].get(s, {}).get("speedup")
-                cells.append(f"{v:.2f}x" if isinstance(v, (int, float))
-                             else "-")
-            out.append(
-                f"| {b['file']} | {b['mode']} | " + " | ".join(cells) + " |"
-            )
+    if ledger:
+        names = list(dict.fromkeys(n for r in ledger for n in r["wall_s"]))
+        out.append("| file | size | seed | " + " | ".join(names) + " |")
+        out.append("|" + "---|" * (3 + len(names)))
+        for r in ledger:
+            cells = [
+                f"{v:.3f}" if isinstance(v, (int, float)) else "-"
+                for v in map(r["wall_s"].get, names)
+            ]
+            out.append(f"| {r['file']} | {r['size']} | {r['seed']} | "
+                       + " | ".join(cells) + " |")
         out.append("")
+        out.append("_`wall_s` per workload, seconds; the gate is "
+                   "`python3 benchmarks/e2e/run.py --compare A B`_")
     else:
-        out.append("_no BENCH_<n>.json files found_")
-        out.append("")
-
-    gate = model["gate"]
-    out.append(f"## Regression gate (floor {gate['floor']:.2f}x)")
-    out.append("")
-    if gate["margins"]:
-        out.append("| stage | prev | new | floor | margin | verdict |")
-        out.append("|---|---|---|---|---|---|")
-        for m in gate["margins"]:
-            verdict = "ok" if m["ok"] else "**REGRESSION**"
-            out.append(
-                f"| {m['stage']} | {m['prev']:.2f}x | {m['new']:.2f}x | "
-                f"{m['floor']:.2f}x | {m['margin']:.2f} | {verdict} |"
-            )
-    else:
-        out.append("_fewer than two bench files — gate idle_")
+        out.append("_no ledger records under ledger/_")
     out.append("")
 
     runs = model["runs"]
@@ -267,7 +230,10 @@ def generate_history(root: Union[str, Path]) -> str:
 
 def generate_html_history(root: Union[str, Path]) -> str:
     """The timeline as a standalone HTML page (Markdown in ``<pre>``)."""
-    md = generate_history(root)
+    return _html_page(root, generate_history(root))
+
+
+def _html_page(root: Union[str, Path], md: str) -> str:
     title = _html.escape(f"repro health timeline — {root}")
     return (
         "<!doctype html><html><head><meta charset='utf-8'>"
@@ -286,12 +252,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p = argparse.ArgumentParser(
         prog="repro history",
-        description="Fold BENCH_*.json + runs/ + fleet state dirs into a "
+        description="Fold ledger/ + runs/ + fleet state dirs into a "
         "cross-run health timeline.",
     )
     p.add_argument("root", nargs="?", default=".",
-                   help="directory holding BENCH_*.json and runs/ "
-                   "(default .)")
+                   help="directory holding ledger/ and runs/ (default .)")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="also write the Markdown timeline to PATH")
     p.add_argument("--html", action="store_true",
@@ -304,8 +269,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         out = Path(args.out)
         atomic_write_text(out, md)
         if args.html:
+            # Same scan as the Markdown: a live root may have moved on.
             atomic_write_text(
-                out.with_suffix(".html"), generate_html_history(args.root)
+                out.with_suffix(".html"), _html_page(args.root, md)
             )
         print(f"[history written to {out}]", file=sys.stderr)
     return 0

@@ -3,17 +3,13 @@
 :class:`ReferenceSimulator` preserves the original engine verbatim: an
 ``Event``-object heap ordered by Python-level ``__lt__`` calls, a fresh
 ``Event`` per schedule, and a fresh ``Packet`` per allocation — no free
-lists, no tuple-keyed entries, no slot-free fast path.  It exists for two
-jobs:
-
-* **Benchmark baseline.**  ``python -m repro bench`` runs the same pinned
-  workloads on this class and on :class:`~repro.sim.engine.Simulator`, so
-  every ``BENCH_<n>.json`` records the speedup against the pre-PR engine
-  measured on the same machine, same interpreter, same run.
-* **Equivalence oracle.**  The scheduler property tests drive both
-  engines with identical seeded schedule/cancel workloads and assert
-  identical firing order and timestamps
-  (``tests/sim/test_scheduler_equivalence.py``).
+lists, no tuple-keyed entries, no slot-free fast path.  It exists as the
+**equivalence oracle**: the scheduler property tests drive both engines
+with identical seeded schedule/cancel workloads and the Fig. 2 scenario
+and assert identical firing order, timestamps and drop traces
+(``tests/sim/test_scheduler_equivalence.py``), and the sender x queue
+matrix holds every zoo cell to it
+(``tests/integration/test_zoo_matrix.py``).
 
 The optimized API surface (``schedule_fast``, ``alloc_packet``,
 ``free_packet``) is shimmed onto the reference semantics — same observable

@@ -188,16 +188,15 @@ class TestProbe:
             ProbeConfig(),                      # 300 / 0.001: campaign default
             campaign_probe,                     # 30 / 0.001
             faults_probe,                       # 30 / 0.005
-            ProbeConfig(duration=1.0),          # repro.bench
             ProbeConfig(duration=FAST.campaign_probe_duration),
             ProbeConfig(duration=PAPER.campaign_probe_duration),
         ]
-        assert [(c.duration, c.interval) for c in configs[:4]] == [
-            (300.0, 0.001), (30.0, 0.001), (30.0, 0.005), (1.0, 0.001)]
+        assert [(c.duration, c.interval) for c in configs[:3]] == [
+            (300.0, 0.001), (30.0, 0.001), (30.0, 0.005)]
         for cfg in configs:
             assert cfg.n_probes == int(cfg.duration / cfg.interval)
         assert [c.n_probes for c in configs] == [
-            300_000, 30_000, 6_000, 1_000, 60_000, 300_000]
+            300_000, 30_000, 6_000, 60_000, 300_000]
 
 
 class TestValidatePair:

@@ -1,8 +1,11 @@
 """``repro history``: cross-run health timeline folding."""
 
+import html
 import json
+import shutil
+from pathlib import Path
 
-from repro.bench import REGRESSION_FLOOR
+from repro.obs.aggregate import FleetAggregator
 from repro.obs.history import (
     collect_history,
     generate_history,
@@ -10,18 +13,18 @@ from repro.obs.history import (
     main,
 )
 
+#: Trimmed `python3 benchmarks/e2e/run.py --smoke --out ...` record.
+FIXTURE = Path(__file__).parent / "fixtures" / "ledger_smoke.json"
+WORKLOADS = list(json.loads(FIXTURE.read_text())["workloads"])
 
-def _bench_file(root, idx, speedups, mode="full"):
-    doc = {
-        "mode": mode,
-        "python": "3.x",
-        "platform": "test",
-        "benchmarks": {
-            name: {"speedup": s, "unit": "events/s"}
-            for name, s in speedups.items()
-        },
-    }
-    (root / f"BENCH_{idx}.json").write_text(json.dumps(doc))
+
+def _ledger_file(root, name, drop=()):
+    """Copy the fixture to ``root/ledger/name`` minus the ``drop`` workloads."""
+    doc = json.loads(FIXTURE.read_text())
+    for workload in drop:
+        del doc["workloads"][workload]
+    (root / "ledger").mkdir(exist_ok=True)
+    (root / "ledger" / name).write_text(json.dumps(doc))
 
 
 def _run_dir(root, name, warnings=(), report=True):
@@ -59,36 +62,43 @@ def _fleet_dir(root, name, quarantine=False):
 class TestCollect:
     def test_empty_root(self, tmp_path):
         model = collect_history(tmp_path)
-        assert model["bench"] == []
-        assert model["gate"]["margins"] == []
+        assert model["ledger"] == []
         assert model["runs"] == []
         assert model["fleets"] == []
         assert model["torn_records"] == 0
 
-    def test_bench_trajectory_sorted_numerically(self, tmp_path):
-        for idx in (0, 2, 10, 1):  # 10 after 2: numeric, not lexical
-            _bench_file(tmp_path, idx, {"event_loop": 1.0 + idx})
+    def test_ledger_records_in_filename_order(self, tmp_path):
+        for name in ("pr20.json", "pr14.json", "pr16.json"):
+            _ledger_file(tmp_path, name)
         model = collect_history(tmp_path)
-        assert [b["index"] for b in model["bench"]] == [0, 1, 2, 10]
+        assert [r["file"] for r in model["ledger"]] == [
+            "pr14.json", "pr16.json", "pr20.json"
+        ]
+        first = model["ledger"][0]
+        assert (first["size"], first["seed"]) == ("smoke", 1)
+        assert list(first["wall_s"]) == WORKLOADS
+        assert all(v > 0 for v in first["wall_s"].values())
 
-    def test_gate_margins_newest_vs_previous(self, tmp_path):
-        _bench_file(tmp_path, 0, {"event_loop": 2.0, "burst_scan": 4.0})
-        _bench_file(tmp_path, 1, {"event_loop": 2.1, "burst_scan": 3.0})
-        model = collect_history(tmp_path)
-        by_stage = {m["stage"]: m for m in model["gate"]["margins"]}
-        assert by_stage["event_loop"]["ok"]  # 2.1 >= 0.95 * 2.0
-        assert not by_stage["burst_scan"]["ok"]  # 3.0 < 0.95 * 4.0
-        assert by_stage["burst_scan"]["floor"] == round(
-            REGRESSION_FLOOR * 4.0, 3
+    def test_torn_and_foreign_ledger_files_skipped_and_counted(self, tmp_path):
+        _ledger_file(tmp_path, "a.json")
+        (tmp_path / "ledger" / "b.json").write_text(
+            FIXTURE.read_text()[:200]  # killed mid-write
         )
-
-    def test_torn_bench_file_skipped_and_counted(self, tmp_path):
-        _bench_file(tmp_path, 0, {"event_loop": 2.0})
-        (tmp_path / "BENCH_1.json").write_text('{"mode": "fu')
+        (tmp_path / "ledger" / "c.json").write_text(
+            '{"schema": "repro-bench/1"}'
+        )
+        (tmp_path / "ledger" / "d.json").write_text("[1, 2]")
         model = collect_history(tmp_path)
-        assert len(model["bench"]) == 1
-        assert model["torn_records"] == 1
-        assert model["gate"]["margins"] == []  # torn file is not "newest"
+        assert [r["file"] for r in model["ledger"]] == ["a.json"]
+        assert model["torn_records"] == 3
+
+    def test_bench_files_in_root_are_not_read(self, tmp_path):
+        repo = Path(__file__).parents[2]
+        shutil.copy(repo / "BENCH_4.json", tmp_path)
+        (tmp_path / "BENCH_5.json").write_text('{"mode": "fu')
+        model = collect_history(tmp_path)
+        assert model["ledger"] == []
+        assert model["torn_records"] == 0
 
     def test_runs_fold_manifest_and_warnings(self, tmp_path):
         _run_dir(tmp_path, "smoke", warnings=["drop PDF truncated"])
@@ -113,14 +123,15 @@ class TestCollect:
 
 class TestRender:
     def test_markdown_sections(self, tmp_path):
-        _bench_file(tmp_path, 0, {"event_loop": 2.0})
-        _bench_file(tmp_path, 1, {"event_loop": 2.2})
+        _ledger_file(tmp_path, "a.json")
+        _ledger_file(tmp_path, "b.json")
         _run_dir(tmp_path, "smoke")
         _fleet_dir(tmp_path, "camp", quarantine=True)
         md = generate_history(tmp_path)
-        assert "## Benchmark trajectory (2 files)" in md
-        assert f"## Regression gate (floor {REGRESSION_FLOOR:.2f}x)" in md
-        assert "| event_loop | 2.00x | 2.20x |" in md
+        assert "## Performance ledger (2 records)" in md
+        assert "| file | size | seed | " + " | ".join(WORKLOADS) + " |" in md
+        assert "| a.json | smoke | 1 | 0.052 | " in md
+        assert "run.py --compare A B" in md
         assert "## Recorded runs (1)" in md
         assert "## Fleet runs (1)" in md
         assert "### DEGRADED-run log" in md
@@ -128,15 +139,17 @@ class TestRender:
         assert "WorkerDied: signal SIGKILL" in md
         assert md.rstrip().endswith("skipped while reading: 0_")
 
-    def test_regression_called_out(self, tmp_path):
-        _bench_file(tmp_path, 0, {"event_loop": 4.0})
-        _bench_file(tmp_path, 1, {"event_loop": 1.0})
-        assert "**REGRESSION**" in generate_history(tmp_path)
+    def test_workload_missing_from_one_file_renders_dash(self, tmp_path):
+        _ledger_file(tmp_path, "a.json", drop=WORKLOADS[1:])
+        _ledger_file(tmp_path, "b.json")
+        rows = [ln for ln in generate_history(tmp_path).splitlines()
+                if ln.startswith(("| a.json", "| b.json"))]
+        assert rows[0].endswith("| 0.052 |" + " - |" * (len(WORKLOADS) - 1))
+        assert " - |" not in rows[1]
 
     def test_empty_root_renders_placeholders(self, tmp_path):
         md = generate_history(tmp_path)
-        assert "_no BENCH_<n>.json files found_" in md
-        assert "_fewer than two bench files — gate idle_" in md
+        assert "_no ledger records under ledger/_" in md
         assert "_no run directories under runs/_" in md
         assert "_no campaign/zoo state directories under the root_" in md
 
@@ -151,7 +164,7 @@ class TestRender:
 
 class TestMain:
     def test_out_and_html(self, tmp_path, capsys):
-        _bench_file(tmp_path, 0, {"event_loop": 2.0})
+        _ledger_file(tmp_path, "a.json")
         out = tmp_path / "timeline.md"
         assert main([str(tmp_path), "--out", str(out), "--html"]) == 0
         assert out.read_text() == generate_history(tmp_path)
@@ -159,6 +172,32 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out.startswith("# repro health timeline")
         assert "[history written to" in captured.err
+
+    def test_out_and_html_describe_one_scan(self, tmp_path, monkeypatch):
+        """Over a live campaign the two files must show the same moment."""
+        _fleet_dir(tmp_path, "camp")
+        ledger = tmp_path / "camp" / "shards.jsonl"
+        lines = ledger.read_text().splitlines(keepends=True)
+        ledger.write_text("".join(lines[:-1]))  # shard 1 still running
+        polls = []
+        real_poll = FleetAggregator.poll
+
+        def poll_then_campaign_moves_on(self, now=None):
+            snap = real_poll(self, now=now)
+            polls.append(self)
+            with ledger.open("a") as f:
+                f.write(lines[-1])
+            return snap
+
+        monkeypatch.setattr(FleetAggregator, "poll",
+                            poll_then_campaign_moves_on)
+        out = tmp_path / "timeline.md"
+        assert main([str(tmp_path), "--out", str(out), "--html"]) == 0
+        assert len(polls) == 1
+        (row,) = [ln for ln in out.read_text().splitlines()
+                  if ln.startswith("| camp |")]
+        assert "| 2/4 |" in row
+        assert html.escape(row) in out.with_suffix(".html").read_text()
 
     def test_default_root_prints(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -254,3 +254,46 @@ def test_run_until_with_wheel_resident_timers():
     assert sim.now == 0.05
     sim.run()
     assert fired == list(range(100))
+
+
+# ----------------------------------------------------------------------
+# The Fig. 2 shape on both engines
+# ----------------------------------------------------------------------
+def _fig2_scaled(sim, seed: int = 1):
+    """The Fig. 2 scenario at test size — 4 NewReno flows plus 4 on-off
+    noise flows over DropTail, 2 simulated seconds — on the given engine."""
+    from repro.experiments.common import add_noise_fleet, random_rtts
+    from repro.sim.rng import RngStreams
+    from repro.sim.topology import DumbbellConfig, build_dumbbell
+    from repro.tcp.newreno import NewRenoSender
+    from repro.tcp.sink import TcpSink
+
+    streams = RngStreams(seed)
+    rtts = random_rtts(4, streams)
+    topo = DumbbellConfig(bottleneck_rate_bps=20e6)
+    topo.buffer_pkts = max(4, int(topo.bdp_packets(float(rtts.mean())) * 0.5))
+    db = build_dumbbell(sim, topo)
+    start_rng = streams.stream("starts")
+    for i, rtt in enumerate(rtts):
+        pair = db.add_pair(rtt=float(rtt), name=f"tcp{i}")
+        snd = NewRenoSender(sim, pair.left, 100 + i, pair.right.node_id,
+                            total_packets=None)
+        TcpSink(sim, pair.right, 100 + i, pair.left.node_id)
+        snd.start(float(start_rng.uniform(0.0, 0.5)))
+    add_noise_fleet(sim, db, streams, 4, 0.10)
+    sim.run(until=2.0)
+    return sim.events_processed, db.drop_trace
+
+
+@pytest.mark.parametrize("use_wheel", [True, False], ids=["wheel", "heap"])
+def test_fig2_shape_matches_reference(use_wheel):
+    """No other tier-1 test runs TCP flows *and* the on-off noise fleet
+    on both engines: event count and every drop-trace column must equal
+    the reference engine's."""
+    events, trace = _fig2_scaled(Simulator(use_wheel=use_wheel))
+    ref_events, ref_trace = _fig2_scaled(ReferenceSimulator())
+    assert len(trace.times) > 0  # the scenario actually dropped packets
+    assert events == ref_events
+    for column in ("times", "flow_ids", "seqs", "sizes", "marked"):
+        assert np.array_equal(getattr(trace, column),
+                              getattr(ref_trace, column)), column

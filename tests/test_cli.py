@@ -33,6 +33,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["figure-nine"])
 
+    @pytest.mark.parametrize("argv", [["bench"], ["fig2", "--smoke"]])
+    def test_retired_bench_surface_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
+
     def test_scale_flag_parses(self, capsys):
         assert main(["table1", "--scale", "fast"]) == 0
 
