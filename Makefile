@@ -7,7 +7,10 @@ PYTHON ?= python
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
-test: import-budget check-invariants faults report zoo-smoke fluid-smoke chaos campaign-smoke top-smoke overhead-tripwire
+# The lanes listed here drive the CLI or a module; `import-budget`,
+# `faults`, `zoo-smoke`, `fluid-smoke` and `chaos` are selections of
+# the `pytest tests/` below and run by name only.
+test: check-invariants report campaign-smoke top-smoke overhead-tripwire
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Start-up cost lane: `import repro...` must not load scipy, networkx,
@@ -63,11 +66,10 @@ check-invariants:
 	PYTHONPATH=src $(PYTHON) -m repro fig7 --check-invariants --metrics-out metrics/fig7.json
 	PYTHONPATH=src $(PYTHON) -m repro fig2 --check-invariants --inject-faults 11 --metrics-out metrics/fig2-faults.json
 
-# Fault-injection smoke: armed fault plan, retry/skip policies,
-# kill+resume bit-identity, tracefile corruption — then the fast
-# faults-focused test lane.
+# Fault-injection lane: armed fault plan, retry/skip policies,
+# kill+resume bit-identity, link flaps under the invariant checker,
+# tracefile corruption (a selection of `pytest tests/`).
 faults:
-	PYTHONPATH=src $(PYTHON) -m repro.faults.smoke
 	PYTHONPATH=src $(PYTHON) -m pytest -q -k faults
 
 # Flight-recorder smoke: record a telemetry-armed fig2, render its

@@ -17,8 +17,8 @@ truncated.  This package makes failure a first-class, *injectable*,
     JSON-lines completion logs so an interrupted campaign resumes exactly
     where it stopped, bit-identical to an uninterrupted run.
 
-``python -m repro.faults.smoke`` (the ``make faults`` target) smoke-runs
-a campaign with an armed plan and asserts it completes degraded-but-valid.
+``make faults`` selects the tests that hold this package to
+degraded-but-valid completion (``pytest -k faults``).
 """
 
 from repro.faults.checkpoint import (

@@ -17,8 +17,8 @@ Two execution legs consume plans:
   link drops every packet offered to it (accounted separately so the
   conservation invariants still hold, see
   :func:`repro.obs.invariants.check_link`).
-* **Campaign leg** — :class:`~repro.internet.campaign.Campaign` calls
-  :meth:`crash_check` / :meth:`apply_probe_faults` per experiment, so
+* **Campaign leg** — the probe kernel (:mod:`repro.internet.analytic`)
+  calls :meth:`crash_check` / :meth:`apply_probe_faults` per path, so
   flaps become path outages on the campaign clock, spikes add transient
   loss, skew perturbs loss timestamps, and crashes raise
   :class:`ProbeCrashError` mid-run (resolved by the retry policy).

@@ -1,4 +1,4 @@
-"""Analytic CBR probe fast path for the campaign inner loop.
+"""The analytic CBR probe kernel: the one code path that runs a probe pair.
 
 :func:`~repro.internet.probe.run_probe` is already vectorized, but the
 campaign pays for far more than the mask math: per path it constructs
@@ -11,10 +11,12 @@ Lautenschlaeger's deterministic model: a CBR probe's send schedule is
 *arithmetic*, so everything downstream of it can be computed
 arithmetically too, and deferred until someone actually needs it.
 
-Bit-exactness is the contract — the fast path must be indistinguishable
-from the event-free reference (``run_probe``) and, transitively, from
-the event-driven :class:`~repro.internet.simpath.LossyLink` simulation
-(see ``tests/internet/test_analytic.py``).  Every transformation below
+Bit-exactness is the contract — the kernel must be indistinguishable
+from the event-free reference (``run_probe``; the naive per-path loop
+over it lives on as ``tests/internet/probe_oracle.py``) and,
+transitively, from the event-driven
+:class:`~repro.internet.simpath.LossyLink` simulation (see
+``tests/internet/test_analytic.py``).  Every transformation below
 preserves the exact float and RNG-stream semantics of the code it
 replaces:
 
@@ -52,24 +54,36 @@ needs nothing else); the campaign worker, which returns full
 explicitly.  What a path still pays for is the floor the contract sets:
 its ``2n`` loss uniforms have to be drawn to stay on the stream.
 
-Set ``REPRO_ANALYTIC_PROBE=0`` to route everything through the legacy
-per-path object path; fault-injected runs (mask hooks, skew) always do.
+A :class:`~repro.faults.FaultPlan` is a mask over the same arrays.  Probe
+crashes and worker kills/hangs are two method calls in front of a path
+and realize nothing.  A plan with flaps or spikes arms a ``mask_hook``:
+once a run's mask is written, the full send grid is realized from the
+saved jitter state (the one ``random(n)`` the run jumped over) and
+``apply_probe_faults`` edits the mask; counts and loss timestamps read
+the hooked mask.  Clock skew is applied to the loss timestamps.  Either
+one means both runs of every path are evaluated, as the plan counts its
+injections on both.
 """
 
 from __future__ import annotations
 
-import os
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
+from repro.internet.pathmodel import (
+    DROP_PROB_RANGE, DURATION_FLOOR, DURATION_RTT_FRACTION, EPISODE_RATE_MEAN,
+    RANDOM_LOSS_RANGE,
+)
 from repro.internet.paths import _BASE_RTT
-from repro.internet.probe import PROBE_SIZES, ProbeConfig, ProbeRun, validate_pair
+from repro.internet.probe import (
+    MIN_LOSSES, PROBE_SIZES, ProbeConfig, ProbeRun, validate_pair,
+)
 from repro.sim.rng import FastStreams
 
 __all__ = [
     "ProbeKernel",
-    "analytic_probe_enabled",
     "run_experiment_fast",
     "run_shard_fast",
 ]
@@ -81,18 +95,11 @@ _CHUNK = 512
 
 _EMPTY = np.empty(0, dtype=np.float64)
 
-# sample_path_loss_model's calibrated defaults and validate_pair's
-# acceptance thresholds, inlined for the hot loop (pinned against the
-# functions' signatures in tests/internet/test_analytic.py so they
-# cannot drift silently).
-_EPISODE_RATE_MEAN = 0.3
-_DROP_P_LO, _DROP_P_RANGE = 0.6, 0.95 - 0.6
-_RAND_P_LOG_LO = np.log(3e-5)
-_RAND_P_LOG_RANGE = np.log(4e-4) - np.log(3e-5)
-_DURATION_RTT_FRACTION = 0.025
-_DURATION_FLOOR = 2.5e-3
-_MIN_LOSSES = 10
-_REL_TOLERANCE = 0.5
+# sample_path_loss_model's uniform draws as ``lo + range * random()``.
+_DROP_P_LO = DROP_PROB_RANGE[0]
+_DROP_P_RANGE = DROP_PROB_RANGE[1] - DROP_PROB_RANGE[0]
+_RAND_P_LOG_LO = np.log(RANDOM_LOSS_RANGE[0])
+_RAND_P_LOG_RANGE = np.log(RANDOM_LOSS_RANGE[1]) - np.log(RANDOM_LOSS_RANGE[0])
 
 _TWO_PI = 2.0 * np.pi
 
@@ -105,15 +112,10 @@ for _fs, _v in _BASE_RTT.items():
     _BASE_RTT_PAIR[(_b, _a)] = _v
 
 
-def analytic_probe_enabled() -> bool:
-    """The ``REPRO_ANALYTIC_PROBE`` knob (default on)."""
-    return os.environ.get("REPRO_ANALYTIC_PROBE", "1") != "0"
-
-
 class _Counts:
     """Loss-count view of a probe run, shaped for ``validate_pair``.
 
-    The acceptance rule reads only sizes and counts, so the fast path can
+    The acceptance rule reads only sizes and counts, so the kernel can
     run it without materializing loss timestamps.
     """
 
@@ -139,6 +141,9 @@ class ProbeKernel:
     keeps the state it jumped from, and realizes send times later for
     exactly the probes somebody reads (see the module docstring).
     Single-threaded by design — one kernel per worker.
+
+    Raises ``ValueError`` for a config whose jitter is so close to 1
+    that neighbouring probes could swap order (see ``__init__``).
     """
 
     def __init__(self, config: Optional[ProbeConfig] = None):
@@ -162,9 +167,14 @@ class ProbeKernel:
         # jittered grid is strictly increasing (run_probe's
         # maximum.accumulate is the identity except that index 0 may
         # clamp to zero) and an episode bound's position in it is known
-        # up to one undecided probe.  Callers fall back to run_probe
-        # when an extreme config fails it.
-        self.monotone = cfg.interval * (1.0 - cfg.jitter) > 4.0 * margin
+        # up to one undecided probe.
+        if cfg.interval * (1.0 - cfg.jitter) <= 4.0 * margin:
+            raise ValueError(
+                f"probe grid is not strictly monotone: interval * (1 - jitter) "
+                f"must exceed 2**-48 * duration = {4.0 * margin:.3g}, got "
+                f"interval={cfg.interval}, jitter={cfg.jitter!r}, "
+                f"duration={cfg.duration}"
+            )
         self._u = [np.empty(n), np.empty(n)]
         self._lost = [np.empty(n, dtype=bool), np.empty(n, dtype=bool)]
         #: PCG64 state in front of each run's jitter draws
@@ -178,7 +188,8 @@ class ProbeKernel:
     # ------------------------------------------------------------------
     def _run_one(self, slot: int, rng: np.random.Generator,
                  starts: np.ndarray, durations: np.ndarray,
-                 drop_p: float, rand_p: float) -> int:
+                 drop_p: float, rand_p: float,
+                 mask_hook: Optional[Callable] = None) -> int:
         u = self._u[slot]
         lost = self._lost[slot]
         if slot == 0:
@@ -227,6 +238,9 @@ class ProbeKernel:
             stop = np.cumsum(length)
             idx = np.arange(stop[-1]) + np.repeat(first - (stop - length), length)
             lost[idx] = u[idx] < drop_p
+        if mask_hook is not None:
+            # run_probe's seam: the hook sees the whole send grid.
+            lost[:] = mask_hook(self._send_times(slot, np.arange(self.n)), lost)
         self._ran[slot] = True
         count = int(np.count_nonzero(lost))
         self.counts[slot] = count
@@ -265,16 +279,19 @@ class ProbeKernel:
 
     def run_pair(self, rng: np.random.Generator,
                  episodes: tuple[np.ndarray, np.ndarray],
-                 drop_p: float, rand_p: float) -> tuple[int, int]:
+                 drop_p: float, rand_p: float,
+                 mask_hook: Optional[Callable] = None) -> tuple[int, int]:
         """Evaluate both probe runs (48 B then 400 B) of one experiment.
 
         Consumes ``rng`` exactly as two back-to-back ``run_probe`` calls
-        would; returns the two loss counts.
+        would; returns the two loss counts.  ``mask_hook(times, lost) ->
+        lost`` is ``run_probe``'s: applied to each run's full send grid
+        and mask before anything is counted.
         """
         starts, durations = episodes
         return (
-            self._run_one(0, rng, starts, durations, drop_p, rand_p),
-            self._run_one(1, rng, starts, durations, drop_p, rand_p),
+            self._run_one(0, rng, starts, durations, drop_p, rand_p, mask_hook),
+            self._run_one(1, rng, starts, durations, drop_p, rand_p, mask_hook),
         )
 
     def validate(self) -> bool:
@@ -297,10 +314,10 @@ def sample_model_params(rng: np.random.Generator, base_rtt: float) -> tuple[floa
     """``sample_path_loss_model``'s draws, without the object: returns
     ``(episode_rate, episode_mean_duration, episode_drop_prob,
     random_loss_prob)`` consuming ``rng`` identically."""
-    rate = float(_EPISODE_RATE_MEAN * rng.lognormal(mean=0.0, sigma=0.8))
+    rate = float(EPISODE_RATE_MEAN * rng.lognormal(mean=0.0, sigma=0.8))
     drop_p = _DROP_P_LO + _DROP_P_RANGE * rng.random()
     rand_p = float(np.exp(_RAND_P_LOG_LO + _RAND_P_LOG_RANGE * rng.random()))
-    mean_dur = max(_DURATION_FLOOR, _DURATION_RTT_FRACTION * base_rtt)
+    mean_dur = max(DURATION_FLOOR, DURATION_RTT_FRACTION * base_rtt)
     return rate, mean_dur, drop_p, rand_p
 
 
@@ -345,54 +362,79 @@ def _cached(cache: dict, key, build):
     return hit
 
 
-def run_experiment_fast(seed: int, cfg: ProbeConfig, path, index: int,
-                        started_at: float):
-    """Fault-free campaign experiment on the fused kernel.
-
-    The analytic twin of ``campaign._experiment_worker``'s measurement
-    half: same ``loss/<src>/<dst>`` and ``exp/<index>`` streams, same
-    draws, same floats — but one reseeded generator, preallocated
-    buffers, and no intermediate model object.  Unlike the shard path
-    it always materializes both runs' loss timestamps, because the
-    campaign record keeps them for invalid pairs too.
-
-    Returns ``(small, large, valid)`` with real :class:`ProbeRun`
-    objects, or ``None`` when the config defeats the kernel's
-    monotone-jitter shortcut (callers fall back to the object path).
-    """
-    kernel = _cached(
+def _kernel_for(cfg: ProbeConfig) -> ProbeKernel:
+    """This worker's kernel for ``cfg`` (built, or refused, on first use)."""
+    return _cached(
         _KERNEL_CACHE, (cfg.interval, cfg.duration, cfg.jitter),
         lambda: ProbeKernel(cfg),
     )
-    if not kernel.monotone:  # pragma: no cover - extreme-jitter configs
-        return None
+
+
+def _masks_probes(plan) -> bool:
+    """Whether ``plan`` needs a run's send grid (outages, loss spikes)."""
+    return plan is not None and bool(plan.flaps or plan.spikes)
+
+
+def injected_since(plan, before: dict) -> dict:
+    """Injections ``plan`` realized since the ``dict(plan.injected)``
+    snapshot ``before`` (a plan outlives the call that reports them)."""
+    if plan is None:
+        return {}
+    delta = {k: v - before.get(k, 0) for k, v in plan.injected.items()}
+    return {k: v for k, v in delta.items() if v > 0}
+
+
+def run_experiment_fast(seed: int, cfg: ProbeConfig, path, index: int,
+                        started_at: float, fault_plan=None, attempt: int = 1):
+    """One campaign experiment on the fused kernel.
+
+    The measurement half of ``campaign._experiment_worker``: the
+    ``loss/<src>/<dst>`` and ``exp/<index>`` streams, one reseeded
+    generator, preallocated buffers, and no intermediate model object.
+    Unlike the shard path it always materializes both runs' loss
+    timestamps, because the campaign record keeps them for invalid
+    pairs too.  ``fault_plan`` may crash the experiment on this
+    ``attempt``, mask probes (outages, spikes) and skew the timestamps.
+
+    Returns ``(small, large, valid)`` with real :class:`ProbeRun`
+    objects.
+    """
+    plan = fault_plan
+    if plan is not None:
+        plan.crash_check(index, attempt)
+    kernel = _kernel_for(cfg)
     fs = _cached(_STREAMS_CACHE, seed, lambda: FastStreams(seed))
 
     rng = fs.stream(f"loss/{path.src.hostname}/{path.dst.hostname}")
     rate, mean_dur, drop_p, rand_p = sample_model_params(rng, path.base_rtt)
     rng = fs.stream(f"exp/{index}")
     episodes = sample_episodes_fast(rng, rate, mean_dur, cfg.duration * 1.01)
-    kernel.run_pair(rng, episodes, drop_p, rand_p)
+    hook = None
+    if _masks_probes(plan):
+        hook = partial(plan.apply_probe_faults, started_at=started_at, index=index)
+    kernel.run_pair(rng, episodes, drop_p, rand_p, hook)
+    loss_times = [kernel.loss_times(0), kernel.loss_times(1)]
+    if plan is not None:
+        loss_times = [plan.skew_times(t) for t in loss_times]
     rtt_now = path.rtt_at(started_at)
-    small = ProbeRun(
-        path=path, packet_size=PROBE_SIZES[0], n_sent=kernel.n,
-        loss_times=kernel.loss_times(0), rtt=rtt_now,
-    )
-    large = ProbeRun(
-        path=path, packet_size=PROBE_SIZES[1], n_sent=kernel.n,
-        loss_times=kernel.loss_times(1), rtt=rtt_now,
+    small, large = (
+        ProbeRun(path=path, packet_size=size, n_sent=kernel.n,
+                 loss_times=times, rtt=rtt_now)
+        for size, times in zip(PROBE_SIZES, loss_times)
     )
     return small, large, validate_pair(small, large)
 
 
 def run_shard_fast(spec, probe_config: Optional[ProbeConfig] = None,
-                   heartbeat: Optional[Callable[[int], None]] = None):
-    """Fault-free ``run_shard``, fused: one kernel, chunk-batched stream
+                   heartbeat: Optional[Callable[[int], None]] = None,
+                   fault_plan=None, attempt: int = 1,
+                   allow_process_faults: bool = False):
+    """``run_shard``'s body, fused: one kernel, chunk-batched stream
     derivation, loss timestamps only for validated paths.
 
-    Bit-identical to the legacy loop (same streams, same draws, same
-    floats), it just never builds the per-path ``RngStreams``/``PathRtt``
-    /``PathLossModel``/``ProbeRun`` object stack.
+    Same streams, same draws and same floats as the per-path
+    ``RngStreams``/``PathRtt``/``PathLossModel``/``ProbeRun`` object
+    stack, which it never builds.  ``fault_plan``: see ``run_shard``.
     """
     from repro.internet.shards import (
         CAMPAIGN_SPAN_SECONDS, GapHistogram, ShardResult, SyntheticMesh,
@@ -400,13 +442,11 @@ def run_shard_fast(spec, probe_config: Optional[ProbeConfig] = None,
     from repro.core.intervals import intervals_from_trace
 
     cfg = probe_config or ProbeConfig()
-    kernel = _cached(
-        _KERNEL_CACHE, (cfg.interval, cfg.duration, cfg.jitter),
-        lambda: ProbeKernel(cfg),
-    )
-    if not kernel.monotone:  # pragma: no cover - extreme-jitter configs
-        from repro.internet.shards import run_shard
-        return run_shard(spec, probe_config=cfg, heartbeat=heartbeat)
+    kernel = _kernel_for(cfg)
+    plan = fault_plan
+    masked = _masks_probes(plan)
+    skewed = plan is not None and plan.skew is not None
+    injected_before = dict(plan.injected) if plan is not None else {}
 
     mesh = _cached(
         _MESH_CACHE, (spec.n_sites, spec.seed),
@@ -424,7 +464,6 @@ def run_shard_fast(spec, probe_config: Optional[ProbeConfig] = None,
     fold = hist.fold
     n_valid = 0
     n_rejected = 0
-    n = kernel.n
     run_one = kernel._run_one
     use = fs.use128
 
@@ -444,6 +483,10 @@ def run_shard_fast(spec, probe_config: Optional[ProbeConfig] = None,
         words = fs.states128_for(names)
 
         for ci, k in enumerate(chunk):
+            if plan is not None:
+                if allow_process_faults:
+                    plan.shard_fault_check(spec.shard_id, done, attempt)
+                plan.crash_check(k, attempt)
             i, j = pairs[ci]
 
             # synthesize_path's draws (rtt/<src>/<dst> stream)
@@ -461,30 +504,34 @@ def run_shard_fast(spec, probe_config: Optional[ProbeConfig] = None,
             # the experiment stream: episodes, then both probe runs
             rng = use(words, 3 * ci + 2)
             starts, durations = sample_episodes_fast(rng, rate, mean_dur, horizon)
-            c_small = run_one(0, rng, starts, durations, drop_p, rand_p)
+            started_at = CAMPAIGN_SPAN_SECONDS * ((k + 0.5) / n_paths_total)
+            hook = None
+            if masked:
+                hook = partial(plan.apply_probe_faults,
+                               started_at=started_at, index=k)
+            c_small = run_one(0, rng, starts, durations, drop_p, rand_p, hook)
 
-            # validate_pair, inlined (thresholds pinned by tests).  When
-            # the 48 B run already fails the min-losses bar the pair is
-            # rejected whatever the 400 B run counts, and since the
+            # When the 48 B run already fails the min-losses bar the pair
+            # is rejected whatever the 400 B run counts, and since the
             # shard-exp stream is single-use, its draws can be skipped
-            # outright — the common case at short probe durations.
-            if c_small >= _MIN_LOSSES:
-                c_large = run_one(1, rng, starts, durations, drop_p, rand_p)
-                if c_large >= _MIN_LOSSES:
-                    a = c_small / n
-                    b = c_large / n
-                    mean = 0.5 * (a + b)
-                    valid = mean != 0 and abs(a - b) / mean <= _REL_TOLERANCE
-                else:
-                    valid = False
+            # outright — the common case at short probe durations.  Not
+            # under a plan that masks or skews: it counts its injections
+            # on both runs, kept or not.
+            if c_small >= MIN_LOSSES or masked or skewed:
+                run_one(1, rng, starts, durations, drop_p, rand_p, hook)
+                valid = kernel.validate()
             else:
                 valid = False
+            if skewed:
+                small_t = plan.skew_times(kernel.loss_times(0))
+                large_t = plan.skew_times(kernel.loss_times(1))
+            elif valid:
+                small_t, large_t = kernel.loss_times(0), kernel.loss_times(1)
             if valid:
                 n_valid += 1
-                started_at = CAMPAIGN_SPAN_SECONDS * ((k + 0.5) / n_paths_total)
                 rtt_now = _rtt_at(base_rtt, amplitude, phase, started_at)
-                fold(intervals_from_trace(kernel.loss_times(0), rtt_now))
-                fold(intervals_from_trace(kernel.loss_times(1), rtt_now))
+                fold(intervals_from_trace(small_t, rtt_now))
+                fold(intervals_from_trace(large_t, rtt_now))
             else:
                 n_rejected += 1
             done += 1
@@ -497,5 +544,5 @@ def run_shard_fast(spec, probe_config: Optional[ProbeConfig] = None,
         n_experiments=spec.n_paths,
         n_valid=n_valid,
         n_rejected=n_rejected,
-        injected={},
+        injected=injected_since(plan, injected_before),
     )

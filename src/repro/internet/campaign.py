@@ -25,8 +25,6 @@ re-derived from ``(seed, path name, index)``, so:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -36,10 +34,11 @@ import numpy as np
 from repro.faults.checkpoint import Checkpoint
 from repro.faults.plan import FaultPlan
 from repro.faults.resilient import Result, RetryPolicy
-from repro.internet.analytic import analytic_probe_enabled, run_experiment_fast
+from repro.internet.analytic import injected_since, run_experiment_fast
 from repro.internet.pathmodel import PathLossModel, sample_path_loss_model
 from repro.internet.paths import PathRtt, RttMatrix
-from repro.internet.probe import PROBE_SIZES, ProbeConfig, ProbeRun, run_probe, validate_pair
+from repro.internet.probe import ProbeConfig, ProbeRun
+from repro.internet.shards import canonical_fingerprint
 from repro.internet.sites import SITES
 from repro.sim.rng import RngStreams
 
@@ -142,8 +141,7 @@ class CampaignResult:
                 for f in self.failures
             ],
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical_fingerprint(payload)
 
 
 # ----------------------------------------------------------------------
@@ -198,52 +196,16 @@ def _experiment_worker(job: tuple, attempt: int = 1) -> dict:
     scheduling, retries, or resumption.
     """
     seed, cfg, path, index, started_at, plan = job
-    if plan is not None:
-        plan.crash_check(index, attempt)
-    elif analytic_probe_enabled():
-        fast = run_experiment_fast(seed, cfg, path, index, started_at)
-        if fast is not None:
-            small, large, valid = fast
-            exp = Experiment(
-                path=path, small=small, large=large,
-                valid=valid, started_at=started_at,
-            )
-            return _experiment_to_record(exp, index)
-    streams = RngStreams(seed)
-    model = sample_path_loss_model(path, streams)
-    rng = streams.stream(f"exp/{index}")
-    horizon = cfg.duration * 1.01
-    episodes = model.sample_episodes(horizon, rng)
-    rtt_now = path.rtt_at(started_at)
     injected_before = dict(plan.injected) if plan is not None else {}
-    mask_hook = None
-    if plan is not None and (plan.flaps or plan.spikes):
-        def mask_hook(times, lost, _index=index, _t0=started_at):
-            return plan.apply_probe_faults(times, lost, _t0, _index)
-    small = run_probe(
-        path, model, rng, cfg, packet_size=PROBE_SIZES[0],
-        episodes=episodes, mask_hook=mask_hook,
+    small, large, valid = run_experiment_fast(
+        seed, cfg, path, index, started_at, fault_plan=plan, attempt=attempt,
     )
-    large = run_probe(
-        path, model, rng, cfg, packet_size=PROBE_SIZES[1],
-        episodes=episodes, mask_hook=mask_hook,
-    )
-    small.rtt = rtt_now
-    large.rtt = rtt_now
-    if plan is not None and plan.skew is not None:
-        small.loss_times = plan.skew_times(small.loss_times)
-        large.loss_times = plan.skew_times(large.loss_times)
     exp = Experiment(
-        path=path, small=small, large=large,
-        valid=validate_pair(small, large), started_at=started_at,
+        path=path, small=small, large=large, valid=valid, started_at=started_at,
     )
     record = _experiment_to_record(exp, index)
     if plan is not None:
-        record["injected"] = {
-            k: v - injected_before.get(k, 0)
-            for k, v in plan.injected.items()
-            if v - injected_before.get(k, 0) > 0
-        }
+        record["injected"] = injected_since(plan, injected_before)
     return record
 
 

@@ -30,6 +30,14 @@ from repro.sim.rng import RngStreams
 
 __all__ = ["PathLossModel", "sample_path_loss_model"]
 
+# sample_path_loss_model's calibrated defaults (the analytic kernel draws
+# from the same constants without building the model object).
+EPISODE_RATE_MEAN = 0.3
+DROP_PROB_RANGE = (0.6, 0.95)
+RANDOM_LOSS_RANGE = (3e-5, 4e-4)
+DURATION_RTT_FRACTION = 0.025
+DURATION_FLOOR = 2.5e-3
+
 
 @dataclass
 class PathLossModel:
@@ -111,11 +119,11 @@ class PathLossModel:
 def sample_path_loss_model(
     path: PathRtt,
     streams: RngStreams,
-    episode_rate_mean: float = 0.3,
-    drop_prob_range: tuple[float, float] = (0.6, 0.95),
-    random_loss_range: tuple[float, float] = (3e-5, 4e-4),
-    duration_rtt_fraction: float = 0.025,
-    duration_floor: float = 2.5e-3,
+    episode_rate_mean: float = EPISODE_RATE_MEAN,
+    drop_prob_range: tuple[float, float] = DROP_PROB_RANGE,
+    random_loss_range: tuple[float, float] = RANDOM_LOSS_RANGE,
+    duration_rtt_fraction: float = DURATION_RTT_FRACTION,
+    duration_floor: float = DURATION_FLOOR,
 ) -> PathLossModel:
     """Draw one path's heterogeneous loss parameters (deterministic per
     path name and seed).

@@ -24,6 +24,10 @@ __all__ = ["ProbeRun", "ProbeConfig", "run_probe", "validate_pair"]
 #: The paper's two probe packet sizes (bytes).
 PROBE_SIZES = (48, 400)
 
+#: validate_pair's acceptance thresholds.
+MIN_LOSSES = 10
+REL_TOLERANCE = 0.5
+
 
 @dataclass
 class ProbeConfig:
@@ -118,7 +122,8 @@ def run_probe(
 
 
 def validate_pair(
-    small: ProbeRun, large: ProbeRun, rel_tolerance: float = 0.5, min_losses: int = 10
+    small: ProbeRun, large: ProbeRun,
+    rel_tolerance: float = REL_TOLERANCE, min_losses: int = MIN_LOSSES,
 ) -> bool:
     """The paper's acceptance check: the 48 B and 400 B traces must
     "exhibit similar loss patterns".

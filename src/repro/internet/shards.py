@@ -39,10 +39,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.pdf import DEFAULT_BIN, DEFAULT_MAX, IntervalPdf
-from repro.internet.analytic import analytic_probe_enabled, run_shard_fast
-from repro.internet.pathmodel import sample_path_loss_model
+from repro.internet.analytic import run_shard_fast
 from repro.internet.paths import PathRtt, synthesize_path
-from repro.internet.probe import PROBE_SIZES, ProbeConfig, run_probe, validate_pair
+from repro.internet.probe import ProbeConfig
 from repro.internet.sites import Site, synthetic_sites
 from repro.sim.rng import RngStreams
 
@@ -51,6 +50,7 @@ __all__ = [
     "GapHistogram",
     "ShardSpec",
     "ShardResult",
+    "canonical_fingerprint",
     "plan_shards",
     "run_shard",
     "reduce_shards",
@@ -60,6 +60,13 @@ __all__ = [
 #: October–December 2006, mirrored from ``Campaign.CAMPAIGN_SPAN_SECONDS``
 #: without importing the legacy campaign module).
 CAMPAIGN_SPAN_SECONDS = 92 * 86_400.0
+
+
+def canonical_fingerprint(payload) -> str:
+    """SHA-256 of ``payload``'s canonical JSON (sorted keys, no spaces):
+    the digest every campaign result type fingerprints with."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class SyntheticMesh:
@@ -394,8 +401,7 @@ class ShardResult:
         """SHA-256 over the canonical result record (content, not provenance)."""
         payload = self.to_record()
         payload.pop("injected")  # injections are provenance, not measurement
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical_fingerprint(payload)
 
 
 def run_shard(
@@ -417,76 +423,14 @@ def run_shard(
     campaign-leg faults in (outages, spikes, skew, probe crashes) and —
     only when ``allow_process_faults`` is set by a process-isolated
     worker — the worker-level SIGKILL/hang faults.
+
+    The loop itself is :func:`repro.internet.analytic.run_shard_fast`,
+    armed or not; this is the name the supervisor and the ledger call.
     """
-    if fault_plan is None:
-        if analytic_probe_enabled():
-            # The fused analytic kernel: bit-identical (same streams,
-            # same draws, same floats — see tests/internet/test_analytic.py),
-            # ~5x the paths/sec.  Fault-injected shards need the per-path
-            # mask/skew seams below, so they stay on the object path.
-            return run_shard_fast(spec, probe_config=probe_config,
-                                  heartbeat=heartbeat)
-    cfg = probe_config or ProbeConfig()
-    mesh = SyntheticMesh(spec.n_sites, seed=spec.seed)
-    hist = GapHistogram()
-    n_valid = 0
-    n_rejected = 0
-    injected_before = dict(fault_plan.injected) if fault_plan is not None else {}
-    horizon = cfg.duration * 1.01
-    n_paths_total = mesh.n_paths
-
-    for done, k in enumerate(range(spec.start, spec.stop)):
-        if fault_plan is not None:
-            if allow_process_faults:
-                fault_plan.shard_fault_check(spec.shard_id, done, attempt)
-            fault_plan.crash_check(k, attempt)
-        path = mesh.path_by_index(k)
-        streams = RngStreams(spec.seed)
-        model = sample_path_loss_model(path, streams)
-        rng = streams.stream(f"shard-exp/{k}")
-        started_at = CAMPAIGN_SPAN_SECONDS * ((k + 0.5) / n_paths_total)
-        episodes = model.sample_episodes(horizon, rng)
-        mask_hook = None
-        if fault_plan is not None and (fault_plan.flaps or fault_plan.spikes):
-            def mask_hook(times, lost, _k=k, _t0=started_at):
-                return fault_plan.apply_probe_faults(times, lost, _t0, _k)
-        small = run_probe(
-            path, model, rng, cfg, packet_size=PROBE_SIZES[0],
-            episodes=episodes, mask_hook=mask_hook,
-        )
-        large = run_probe(
-            path, model, rng, cfg, packet_size=PROBE_SIZES[1],
-            episodes=episodes, mask_hook=mask_hook,
-        )
-        rtt_now = path.rtt_at(started_at)
-        small.rtt = rtt_now
-        large.rtt = rtt_now
-        if fault_plan is not None and fault_plan.skew is not None:
-            small.loss_times = fault_plan.skew_times(small.loss_times)
-            large.loss_times = fault_plan.skew_times(large.loss_times)
-        if validate_pair(small, large):
-            n_valid += 1
-            hist.fold(small.intervals_rtt())
-            hist.fold(large.intervals_rtt())
-        else:
-            n_rejected += 1
-        if heartbeat is not None:
-            heartbeat(done + 1)
-
-    injected = {}
-    if fault_plan is not None:
-        injected = {
-            k: v - injected_before.get(k, 0)
-            for k, v in fault_plan.injected.items()
-            if v - injected_before.get(k, 0) > 0
-        }
-    return ShardResult(
-        spec=spec,
-        histogram=hist,
-        n_experiments=spec.n_paths,
-        n_valid=n_valid,
-        n_rejected=n_rejected,
-        injected=injected,
+    return run_shard_fast(
+        spec, probe_config=probe_config, heartbeat=heartbeat,
+        fault_plan=fault_plan, attempt=attempt,
+        allow_process_faults=allow_process_faults,
     )
 
 

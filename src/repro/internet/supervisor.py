@@ -53,6 +53,7 @@ from repro.internet.shards import (
     GapHistogram,
     ShardResult,
     ShardSpec,
+    canonical_fingerprint,
     plan_shards,
     reduce_shards,
     run_shard,
@@ -251,8 +252,6 @@ class ShardedCampaignResult:
 
     def fingerprint(self) -> str:
         """SHA-256 over measurement content + quarantine manifest."""
-        import hashlib
-
         payload = {
             "histogram": self.histogram.to_record(),
             "n_experiments": self.n_experiments,
@@ -263,8 +262,7 @@ class ShardedCampaignResult:
                 for s in sorted(self.quarantined, key=lambda s: s.shard_id)
             ],
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical_fingerprint(payload)
 
     def summary(self) -> str:
         """Human-readable campaign summary (the DEGRADED manifest)."""

@@ -13,14 +13,14 @@ CFG = ProbeConfig(duration=20.0, interval=0.005)
 N = 6
 
 
-def make_campaign(fault_plan=None, seed=2006):
-    return Campaign(seed=seed, probe_config=CFG, fault_plan=fault_plan)
+def make_campaign(fault_plan=None, seed=2006, cfg=CFG):
+    return Campaign(seed=seed, probe_config=cfg, fault_plan=fault_plan)
 
 
-def armed_plan():
+def armed_plan(n=N):
     """Link flaps + 2 probe crashes, the acceptance-criteria plan."""
     return FaultPlan.sample_campaign(
-        11, n_experiments=N, span_seconds=Campaign.CAMPAIGN_SPAN_SECONDS,
+        11, n_experiments=n, span_seconds=Campaign.CAMPAIGN_SPAN_SECONDS,
         n_flaps=2, n_crashes=2, n_spikes=1,
     )
 
@@ -34,12 +34,15 @@ class TestArmedCampaign:
         assert res.meta["fault_plan"]["probe_crashes"]
 
     def test_skip_records_failures(self):
-        res = make_campaign(armed_plan()).run(N, on_error="skip")
+        # 8 experiments of 30 s: long enough that surviving pairs validate
+        n, cfg = 8, ProbeConfig(duration=30.0, interval=0.005)
+        res = make_campaign(armed_plan(n), cfg=cfg).run(n, on_error="skip")
         assert res.degraded
         assert len(res.failures) == 2
         assert all("ProbeCrashError" in f.error for f in res.failures)
-        assert len(res.experiments) == N - 2
+        assert len(res.experiments) == n - 2
         assert res.meta["failed"] == [f.index for f in res.failures]
+        assert res.all_intervals_rtt().size > 0  # the surviving cells analyze
 
     def test_raise_mode_propagates_crash(self):
         with pytest.raises(ProbeCrashError):

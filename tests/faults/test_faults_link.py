@@ -134,5 +134,8 @@ class TestArmLinks:
         checker.attach(sim, interval=0.25)
         sim.run(until=2.0)
         checker.final_check(sim)  # raises on any leak
-        assert plan.injected.get("link_down", 0) >= 1
-        assert reg.counter("faults.injected.link_down").value >= 1
+        # both flaps, on both bottleneck directions
+        flaps = db.bottleneck_fwd.flap_count + db.bottleneck_rev.flap_count
+        assert flaps == plan.injected["link_down"] == 4
+        assert reg.counter("faults.injected.link_down").value == 4
+        assert db.drop_trace.drop_times().size > 0  # the flaps dropped packets

@@ -106,8 +106,9 @@ class TestPlanTruncation:
         plan = FaultPlan(1).set_trace_truncation(keep_fraction=0.4)
         plan.corrupt_tracefile(path)
         assert plan.injected["trace_truncation"] == 1
-        with pytest.raises(TraceCorruptError):
+        with pytest.raises(TraceCorruptError) as err:
             load_drop_trace(path)
+        assert err.value.path == path
 
     def test_unarmed_plan_refuses(self, tmp_path):
         path = save_drop_trace(_trace(), tmp_path / "t.npz", rtt=0.05)

@@ -1,26 +1,29 @@
-"""The analytic fast path must be bit-identical to what it replaces.
+"""The analytic kernel must be bit-identical to the references it replaced.
 
 Three layers of equivalence, each pinned exactly (no tolerances):
 
 * ``FastStreams`` vs ``RngStreams``/``SeedSequence`` — the reimplemented
   SeedSequence pool hash and PCG64 seeding, fuzzed over seeds and names;
-* ``ProbeKernel``/``run_shard_fast``/``run_experiment_fast`` vs the
-  legacy ``run_probe``/``run_shard``/``_experiment_worker`` object path;
+* ``ProbeKernel``/``run_shard``/``_experiment_worker`` vs ``run_probe``
+  and the per-path object loops built from it, which since PR 23 live
+  only in ``tests/internet/probe_oracle.py`` — fault plan armed or not;
 * the analytic probe vs the *event-driven* simulation: a CBR source
   through a ``LossyLink`` drops the same packets at the same timestamps.
 
-Plus drift pins: the constants the kernel inlines from
-``sample_path_loss_model`` and ``validate_pair`` are asserted against
-those functions' actual defaults, so editing one without the other fails
-here instead of silently forking the model.
+The calibration constants are named once (``pathmodel.py``, ``probe.py``)
+and imported by the kernel, so there is no copy to pin; what stays pinned
+is that the kernel's draw chain consumes the stream like
+``sample_path_loss_model``.  (PR 23 deleted ``test_validate_pair_defaults``
+— it compared two copies of the thresholds, and there is one now — and
+``test_knob_routes_run_shard`` with the environment knob it routed
+by.)
 """
-
-import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import FaultPlan, ProbeCrashError
 from repro.internet import analytic
 from repro.internet.analytic import (
     ProbeKernel,
@@ -32,9 +35,10 @@ from repro.internet.analytic import (
 from repro.internet.pathmodel import PathLossModel, sample_path_loss_model
 from repro.internet.paths import RttMatrix, synthesize_path
 from repro.internet.probe import PROBE_SIZES, ProbeConfig, run_probe, validate_pair
-from repro.internet.shards import SyntheticMesh, plan_shards, run_shard
+from repro.internet.shards import CAMPAIGN_SPAN_SECONDS, plan_shards, run_shard
 from repro.internet.sites import synthetic_sites
 from repro.sim.rng import FastStreams, RngStreams
+from tests.internet.probe_oracle import experiment_worker_objects, run_shard_objects
 
 
 def _fresh_caches():
@@ -109,14 +113,9 @@ class TestFastStreams:
 
 
 # ----------------------------------------------------------------------
-# Inlined-constant drift pins
+# The kernel's draw chain vs the model object's
 # ----------------------------------------------------------------------
 class TestInlinedConstants:
-    def test_validate_pair_defaults(self):
-        sig = inspect.signature(validate_pair)
-        assert sig.parameters["min_losses"].default == analytic._MIN_LOSSES
-        assert sig.parameters["rel_tolerance"].default == analytic._REL_TOLERANCE
-
     def test_model_params_match_sample_path_loss_model(self):
         """The inlined draw chain must consume the stream exactly like
         sample_path_loss_model and produce the same model."""
@@ -199,7 +198,6 @@ class TestProbeKernel:
 
         _, _, rng2, episodes2 = _probe_fixture(seed, cfg)
         kernel = ProbeKernel(cfg)
-        assert kernel.monotone
         c_small, c_large = kernel.run_pair(
             rng2, episodes2, model.episode_drop_prob, model.random_loss_prob,
         )
@@ -411,7 +409,6 @@ class TestEpisodeBoundaries:
         want = model.lost_mask(times, ref_rng, episodes=episodes)
 
         kernel = ProbeKernel(cfg)
-        assert kernel.monotone
         rng = np.random.default_rng(seed)
         count = kernel._run_one(0, rng, *episodes, 1.0, 0.0)
         assert kernel._lost[0].tolist() == want.tolist()
@@ -438,62 +435,237 @@ class TestEpisodeBoundaries:
 
 
 # ----------------------------------------------------------------------
-# Shard and campaign-worker equivalence
+# Shard and campaign-worker equivalence (against tests/internet/probe_oracle.py)
 # ----------------------------------------------------------------------
+def _shard_image(res):
+    h = res.histogram
+    return (res.fingerprint(), res.n_experiments, res.n_valid, res.n_rejected,
+            h.n, list(h.n_below), h._exact_sum, dict(res.injected))
+
+
+def _started_at(spec, k):
+    n = spec.n_sites
+    return CAMPAIGN_SPAN_SECONDS * ((k + 0.5) / (n * (n - 1)))
+
+
+def _campaign_jobs(cfg, plan_for=lambda starts: None, n=4):
+    matrix = RttMatrix(RngStreams(2006))
+    starts = [1000.0 * (i + 0.5) for i in range(n)]
+    return [(2006, cfg, p, i, starts[i], plan_for(starts))
+            for i, p in enumerate(matrix.all_paths()[:n])]
+
+
 class TestShardEquivalence:
     @pytest.mark.parametrize("duration", [1.0, 10.0, 300.0])
-    def test_run_shard_fast_matches_legacy(self, duration, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYTIC_PROBE", "0")
+    def test_run_shard_fast_matches_legacy(self, duration):
         _fresh_caches()
         cfg = ProbeConfig(duration=duration)
         spec = plan_shards(26, 6, seed=2006, n_paths=120)[2]
-        legacy = run_shard(spec, probe_config=cfg)
+        legacy = run_shard_objects(spec, probe_config=cfg)
         fast = run_shard_fast(spec, probe_config=cfg)
-        assert fast.fingerprint() == legacy.fingerprint()
-        assert fast.n_valid == legacy.n_valid
-        assert fast.n_rejected == legacy.n_rejected
-        assert fast.n_experiments == legacy.n_experiments
+        assert _shard_image(fast) == _shard_image(legacy)
+        assert _shard_image(run_shard(spec, probe_config=cfg)) == _shard_image(legacy)
 
-    def test_knob_routes_run_shard(self, monkeypatch):
-        """REPRO_ANALYTIC_PROBE=0 must route around the kernel, and the
-        two routes must agree."""
-        cfg = ProbeConfig(duration=1.0)
-        spec = plan_shards(26, 4, seed=9, n_paths=40)[0]
-        monkeypatch.setenv("REPRO_ANALYTIC_PROBE", "0")
-        off = run_shard(spec, probe_config=cfg)
-        monkeypatch.setenv("REPRO_ANALYTIC_PROBE", "1")
-        _fresh_caches()
-        on = run_shard(spec, probe_config=cfg)
-        assert on.fingerprint() == off.fingerprint()
-
-    def test_campaign_worker_records_identical(self, monkeypatch):
+    def test_campaign_worker_records_identical(self):
         from repro.internet.campaign import _experiment_worker
 
-        matrix = RttMatrix(RngStreams(2006))
-        cfg = ProbeConfig(duration=3.0)
-        jobs = [
-            (2006, cfg, p, i, 1000.0 * (i + 0.5), None)
-            for i, p in enumerate(matrix.all_paths()[:4])
-        ]
         _fresh_caches()
-        monkeypatch.setenv("REPRO_ANALYTIC_PROBE", "1")
+        jobs = _campaign_jobs(ProbeConfig(duration=3.0))
         fast = [_experiment_worker(j) for j in jobs]
-        monkeypatch.setenv("REPRO_ANALYTIC_PROBE", "0")
-        slow = [_experiment_worker(j) for j in jobs]
+        slow = [experiment_worker_objects(j) for j in jobs]
         assert fast == slow
 
     def test_run_experiment_fast_returns_real_probe_runs(self):
         _fresh_caches()
         matrix = RttMatrix(RngStreams(2006))
         path = matrix.all_paths()[0]
-        out = run_experiment_fast(2006, ProbeConfig(duration=2.0), path, 0, 500.0)
-        assert out is not None
-        small, large, valid = out
+        small, large, valid = run_experiment_fast(
+            2006, ProbeConfig(duration=2.0), path, 0, 500.0)
         assert small.packet_size == PROBE_SIZES[0]
         assert large.packet_size == PROBE_SIZES[1]
         assert small.n_sent == large.n_sent == 2000
         assert isinstance(valid, bool)
         assert small.rtt == path.rtt_at(500.0)
+
+
+# ----------------------------------------------------------------------
+# Fault plans are masks over the kernel
+# ----------------------------------------------------------------------
+def _seam_plan(starts, crash_index, span=30.0):
+    """Two flaps, one spike, skew (offset and drift) and one probe crash
+    laid over the experiments that start at ``starts`` and last ``span``
+    seconds: an outage inside one experiment with the spike running over
+    its tail and past it, and an outage that is already on when another
+    experiment begins."""
+    a, b = starts[1], starts[3]
+    return (
+        FaultPlan(5)
+        .add_link_flap(a + span / 6, a + 0.4 * span)
+        .add_link_flap(b - 10.0, b + span / 10)
+        .add_loss_spike(a + span / 3, 0.8 * span, 0.05)
+        .set_clock_skew(offset=12.5, drift=1e-4)
+        .add_probe_crash(crash_index)
+    )
+
+
+_SEAM_CONFIGS = [
+    ProbeConfig(duration=30.0),
+    ProbeConfig(duration=30.0, jitter=0.0),
+    ProbeConfig(duration=30.0, jitter=0.9),
+    ProbeConfig(duration=30.0, interval=0.005),
+]
+_SEAM_IDS = ["d30", "nojitter", "jitter0.9", "interval0.005"]
+
+
+class TestFaultSeam:
+    """What flaps, spikes, skew and crashes do to a shard and to a
+    campaign record, against the object loops: the measurement *and* the
+    plan's injection counts."""
+
+    @pytest.mark.parametrize("cfg", _SEAM_CONFIGS, ids=_SEAM_IDS)
+    def test_shard_under_flaps_spike_skew_and_crash(self, cfg):
+        _fresh_caches()
+        spec = plan_shards(16, 8, seed=2006)[3]  # paths 90..119
+        paths = range(spec.start, spec.stop)
+        images = []
+        for run in (run_shard_objects, run_shard):
+            plan = _seam_plan([_started_at(spec, k) for k in paths],
+                              crash_index=spec.start + 5)
+            with pytest.raises(ProbeCrashError, match="attempt 1"):
+                run(spec, probe_config=cfg, fault_plan=plan)
+            # the retry's ``injected`` is its own: not the crash, and not
+            # what the five paths before it counted on the first attempt
+            res = run(spec, probe_config=cfg, fault_plan=plan, attempt=2)
+            assert plan.injected["probe_crash"] == 1
+            assert "probe_crash" not in res.injected
+            images.append(_shard_image(res))
+        want, got = images
+        assert got == want
+        injected = want[-1]
+        assert set(injected) == {"outage_loss", "spike_loss", "skewed_timestamps"}
+        assert 0 < want[2] < spec.n_paths  # pairs kept and pairs rejected
+
+    @pytest.mark.parametrize("cfg", _SEAM_CONFIGS, ids=_SEAM_IDS)
+    def test_campaign_record_under_flaps_spike_skew_and_crash(self, cfg):
+        from repro.internet.campaign import _experiment_worker
+
+        _fresh_caches()
+        records = []
+        for worker in (experiment_worker_objects, _experiment_worker):
+            jobs = _campaign_jobs(cfg, lambda starts: _seam_plan(starts, 2))
+            with pytest.raises(ProbeCrashError, match="experiment 2, attempt 1"):
+                worker(jobs[2])
+            records.append([worker(j, attempt=2) for j in jobs])
+        want, got = records
+        assert got == want
+        assert [sorted(r["injected"]) for r in want] == [
+            ["skewed_timestamps"],
+            ["outage_loss", "skewed_timestamps", "spike_loss"],
+            ["skewed_timestamps"],
+            ["outage_loss", "skewed_timestamps"],
+        ]
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32),
+        jitter=st.sampled_from([0.0, 0.05, 0.9]),
+        flaps=st.lists(st.tuples(st.integers(0, 5), st.floats(-1.0, 1.0),
+                                 st.floats(0.01, 1.5)), max_size=3),
+        spikes=st.lists(st.tuples(st.integers(0, 5), st.floats(-1.0, 1.0),
+                                  st.floats(0.01, 1.5), st.floats(0.01, 1.0)),
+                        max_size=2),
+        skew=st.one_of(st.none(), st.tuples(st.floats(-50.0, 50.0),
+                                            st.floats(-1e-3, 1e-3))),
+    )
+    def test_random_windows_match_the_object_loop(self, seed, jitter, flaps,
+                                                  spikes, skew):
+        """Windows as (path, start, length), in probe durations, relative
+        to that path's experiment: before it, across either end, inside."""
+        _fresh_caches()
+        cfg = ProbeConfig(duration=5.0, jitter=jitter)
+        spec = plan_shards(8, 8, seed=seed % 1000, n_paths=48)[seed % 8]
+        t0 = [_started_at(spec, k) for k in range(spec.start, spec.stop)]
+
+        def plan():
+            p = FaultPlan(seed)
+            for path, start, length in flaps:
+                down = max(0.0, t0[path] + start * cfg.duration)
+                p.add_link_flap(down, down + length * cfg.duration)
+            for path, start, length, prob in spikes:
+                p.add_loss_spike(max(0.0, t0[path] + start * cfg.duration),
+                                 length * cfg.duration, prob)
+            if skew is not None:
+                p.set_clock_skew(*skew)
+            return p
+
+        want = run_shard_objects(spec, probe_config=cfg, fault_plan=plan())
+        got = run_shard(spec, probe_config=cfg, fault_plan=plan())
+        assert _shard_image(got) == _shard_image(want)
+
+
+class TestWhatAPlanCosts:
+    """A plan realizes a send grid only when it masks probes."""
+
+    CFG = ProbeConfig(duration=30.0)
+
+    @pytest.fixture
+    def grid_reads(self, monkeypatch):
+        """Lengths of every index array handed to ``_send_times``."""
+        reads = []
+        realize = ProbeKernel._send_times
+
+        def spy(kernel, slot, idx):
+            reads.append(len(idx))
+            return realize(kernel, slot, idx)
+
+        monkeypatch.setattr(ProbeKernel, "_send_times", spy)
+        return reads
+
+    def test_process_faults_only_plan_realizes_no_grid(self, grid_reads):
+        _fresh_caches()
+        spec = plan_shards(16, 4, seed=2006, n_paths=80)[1]
+        clean = run_shard(spec, probe_config=self.CFG)
+        clean_reads = list(grid_reads)
+        del grid_reads[:]
+
+        plan = FaultPlan.sample_shard_faults(7, n_shards=4,
+                                             shard_paths=spec.n_paths)
+        assert plan.worker_kills and plan.worker_hangs
+        armed = run_shard(spec, probe_config=self.CFG, fault_plan=plan)
+        assert armed.fingerprint() == clean.fingerprint()
+        assert armed.injected == {}
+        # the undecided episode bounds and the lost probes, nothing else
+        assert grid_reads == clean_reads
+        assert self.CFG.n_probes not in grid_reads
+
+    def test_one_flap_realizes_the_grid_once_per_evaluated_run(self, grid_reads):
+        _fresh_caches()
+        spec = plan_shards(16, 4, seed=2006, n_paths=80)[1]
+        plan = FaultPlan(1).add_link_flap(_started_at(spec, spec.start) + 1.0,
+                                          _started_at(spec, spec.start) + 2.0)
+        res = run_shard(spec, probe_config=self.CFG, fault_plan=plan)
+        assert res.injected["outage_loss"] > 0
+        # with a hook armed both runs of every path are evaluated
+        assert grid_reads.count(self.CFG.n_probes) == 2 * spec.n_paths
+
+    def test_near_unit_jitter_is_refused_by_name(self):
+        cfg = ProbeConfig(jitter=1 - 1e-12)
+        with pytest.raises(ValueError) as err:
+            ProbeKernel(cfg)
+        for part in ("interval=0.001", f"jitter={cfg.jitter!r}", "duration=300.0"):
+            assert part in str(err.value)
+
+    def test_callers_surface_the_refusal(self):
+        from repro.internet.campaign import Campaign
+
+        _fresh_caches()
+        cfg = ProbeConfig(duration=1.0, jitter=1 - 1e-14)
+        with pytest.raises(ValueError, match="not strictly monotone"):
+            run_shard(plan_shards(8, 2)[0], probe_config=cfg)
+        camp = Campaign(probe_config=cfg)
+        path = camp.pick_path(camp.streams.stream("pair-picker"))
+        with pytest.raises(ValueError, match="not strictly monotone"):
+            camp.run_experiment(path, index=0)
 
 
 # ----------------------------------------------------------------------

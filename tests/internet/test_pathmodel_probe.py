@@ -181,13 +181,12 @@ class TestProbe:
         ``int(duration / interval)``; the noise-tolerant count must not
         move any of them."""
         from repro.experiments.common import FAST, PAPER
-        from repro.faults.smoke import PROBE as faults_probe
         from repro.internet.smoke import PROBE as campaign_probe
 
         configs = [
             ProbeConfig(),                      # 300 / 0.001: campaign default
             campaign_probe,                     # 30 / 0.001
-            faults_probe,                       # 30 / 0.005
+            ProbeConfig(duration=30.0, interval=0.005),  # a coarse grid
             ProbeConfig(duration=FAST.campaign_probe_duration),
             ProbeConfig(duration=PAPER.campaign_probe_duration),
         ]
