@@ -81,10 +81,13 @@ report:
 	PYTHONPATH=src $(PYTHON) -m repro report runs/smoke --html > /dev/null
 	PYTHONPATH=src $(PYTHON) -c "from pathlib import Path; from repro.obs import validate_report; validate_report(Path('runs/smoke/report.md').read_text()); print('report: ok')"
 
-# Disabled-telemetry tripwire: inert observe_run wiring must cost < 5%
-# over a bare run (min of five interleaved passes).
+# Two tripwires on the packet path.  Disabled telemetry: inert
+# observe_run wiring must cost < 5% over a bare run (min of five
+# interleaved passes).  Frames per event: a sys.setprofile count over a
+# seeded run_fig2, <= 5.5 Python frames per dispatched event — exact on
+# any box, and a helper frame back on the per-hop path fails it by name.
 overhead-tripwire:
-	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/test_perf_micro.py::test_perf_disabled_telemetry_overhead
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/test_perf_micro.py::test_perf_disabled_telemetry_overhead benchmarks/test_perf_micro.py::test_perf_frames_per_event
 
 # Command-level performance ledger (BENCHMARK.json, benchmarks/e2e/):
 # the lane performance claims are judged in.  The smoke form is a

@@ -205,3 +205,52 @@ def test_perf_enabled_sampler_cost(benchmark, monkeypatch, tmp_path):
     events = benchmark(_fig2_scale_workload, True)
     assert events > 0
     assert (tmp_path / "run" / "telemetry.json").exists()
+
+
+# --------------------------------------------------------------------------
+# Per-hop path: Python frames per dispatched event
+# --------------------------------------------------------------------------
+
+
+def test_perf_frames_per_event(monkeypatch):
+    """At most 5.5 Python frames per dispatched event on the Fig. 2 dumbbell.
+
+    A count, not a timing: ``sys.setprofile`` sees one ``call`` event per
+    Python frame entered inside ``Simulator.run``, and the scenario is
+    seeded, so the ratio repeats exactly on any box.  The per-hop path is
+    spelled flat — 7.35 frames per event before PR 24, 5.32 after — and a
+    helper frame creeping back onto it (``_transmit``, ``route_for``,
+    ``_fits`` / ``_accept``, ``schedule_fast -> _push`` for a same-tick
+    entry, ``can_send``'s property chain) shows up here, by name.
+    """
+    import sys
+    from collections import Counter
+    from dataclasses import replace
+
+    from repro.experiments import FAST, run_fig2
+
+    frames = Counter()
+    events = 0
+    original_run = Simulator.run
+
+    def count_call(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            frames[f"{code.co_filename.rpartition('repro/')[2]}:{code.co_name}"] += 1
+
+    def counted_run(sim, *args, **kwargs):
+        nonlocal events
+        before = sim.events_processed
+        sys.setprofile(count_call)
+        try:
+            return original_run(sim, *args, **kwargs)
+        finally:
+            sys.setprofile(None)
+            events += sim.events_processed - before
+
+    monkeypatch.setattr(Simulator, "run", counted_run)
+    run_fig2(34, replace(FAST, measure_duration=2.0))
+    per_event = sum(frames.values()) / events
+    top = ", ".join(f"{name} {n / events:.3f}" for name, n in frames.most_common(12))
+    assert events > 50_000
+    assert per_event <= 5.5, f"{per_event:.3f} frames per event: {top}"

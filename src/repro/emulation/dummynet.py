@@ -25,6 +25,7 @@ from repro.emulation.clock import quantize
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.packet import Packet
+from repro.sim.queues import EnqueueResult
 from repro.sim.topology import Dumbbell, DumbbellConfig
 from repro.sim.trace import DropTrace
 
@@ -69,13 +70,53 @@ class NoisyLink(Link):
         self.rng = rng
         self.max_noise = float(max_noise)
 
-    def _transmit(self, pkt: Packet) -> None:
-        self.busy = True
-        tx_time = pkt.size * 8.0 / self.rate_bps
-        if self.max_noise > 0:
-            tx_time += float(self.rng.random()) * self.max_noise
-        self.busy_time += tx_time
-        self.sim.schedule_fast(tx_time, self._transmission_done, pkt)
+    # Link.send / Link._transmission_done with the noise draw added to the
+    # transmit step, at the same two points the base class spells it.
+    def send(self, pkt: Packet) -> EnqueueResult:
+        """Offer a packet to the link (see :meth:`Link.send`)."""
+        sim = self.sim
+        now = sim.now
+        self.packets_offered += 1
+        if self.arrival_trace is not None:
+            self.arrival_trace.record(pkt, now)
+        if not self.is_up:
+            self.packets_dropped_down += 1
+            if self.drop_trace is not None:
+                self.drop_trace.record(pkt, now, marked=False)
+            sim.free_packet(pkt)
+            return EnqueueResult.DROPPED
+        if not self.busy and not self.queue:
+            self.busy = True
+            tx_time = pkt.size * 8.0 / self.rate_bps
+            if self.max_noise > 0:
+                tx_time += float(self.rng.random()) * self.max_noise
+            self.busy_time += tx_time
+            sim.schedule_fast(tx_time, self._transmission_done, pkt)
+            return EnqueueResult.ENQUEUED
+        result = self.queue.push(pkt, now)
+        if result is EnqueueResult.DROPPED:
+            if self.drop_trace is not None:
+                self.drop_trace.record(pkt, now, marked=False)
+            sim.free_packet(pkt)
+        elif result is EnqueueResult.MARKED:
+            if self.drop_trace is not None:
+                self.drop_trace.record(pkt, now, marked=True)
+        return result
+
+    def _transmission_done(self, pkt: Packet) -> None:
+        sim = self.sim
+        self.bytes_forwarded += pkt.size
+        self.packets_forwarded += 1
+        sim.schedule_fast(self.delay, self.dst.receive, pkt, self)
+        nxt = self.queue.pop(sim.now)
+        if nxt is not None:
+            tx_time = nxt.size * 8.0 / self.rate_bps
+            if self.max_noise > 0:
+                tx_time += float(self.rng.random()) * self.max_noise
+            self.busy_time += tx_time
+            sim.schedule_fast(tx_time, self._transmission_done, nxt)
+        else:
+            self.busy = False
 
 
 @dataclass

@@ -25,6 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = ["Link"]
 
+_ENQUEUED = EnqueueResult.ENQUEUED
+_DROPPED = EnqueueResult.DROPPED
+_MARKED = EnqueueResult.MARKED
+
 
 class Link:
     """One direction of a wire between two nodes.
@@ -117,7 +121,8 @@ class Link:
         transmitting immediately; otherwise it is offered to the queue,
         which may drop or ECN-mark it.
         """
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         self.packets_offered += 1
         if self.arrival_trace is not None:
             self.arrival_trace.record(pkt, now)
@@ -125,37 +130,40 @@ class Link:
             self.packets_dropped_down += 1
             if self.drop_trace is not None:
                 self.drop_trace.record(pkt, now, marked=False)
-            self.sim.free_packet(pkt)
-            return EnqueueResult.DROPPED
+            sim.free_packet(pkt)
+            return _DROPPED
         if not self.busy and not self.queue:
-            self._transmit(pkt)
-            return EnqueueResult.ENQUEUED
+            # Transmission/delivery timers are never cancelled: slot-free path.
+            self.busy = True
+            tx_time = pkt.size * 8.0 / self.rate_bps
+            self.busy_time += tx_time
+            sim.schedule_fast(tx_time, self._transmission_done, pkt)
+            return _ENQUEUED
         result = self.queue.push(pkt, now)
-        if result is EnqueueResult.DROPPED:
+        if result is _DROPPED:
             if self.drop_trace is not None:
                 self.drop_trace.record(pkt, now, marked=False)
             # The link is the dropped packet's terminal consumer: recycle it.
-            self.sim.free_packet(pkt)
-        elif result is EnqueueResult.MARKED:
+            sim.free_packet(pkt)
+        elif result is _MARKED:
             if self.drop_trace is not None:
                 self.drop_trace.record(pkt, now, marked=True)
         return result
 
     # ------------------------------------------------------------------
-    def _transmit(self, pkt: Packet) -> None:
-        self.busy = True
-        tx_time = pkt.size * 8.0 / self.rate_bps
-        self.busy_time += tx_time
-        # Transmission/delivery timers are never cancelled: slot-free path.
-        self.sim.schedule_fast(tx_time, self._transmission_done, pkt)
-
     def _transmission_done(self, pkt: Packet) -> None:
+        # The delivery is scheduled before the next transmission: the two
+        # sequence numbers order same-time events, so they must not swap.
+        sim = self.sim
+        schedule_fast = sim.schedule_fast
         self.bytes_forwarded += pkt.size
         self.packets_forwarded += 1
-        self.sim.schedule_fast(self.delay, self.dst.receive, pkt, self)
-        nxt = self.queue.pop(self.sim.now)
+        schedule_fast(self.delay, self.dst.receive, pkt, self)
+        nxt = self.queue.pop(sim.now)
         if nxt is not None:
-            self._transmit(nxt)
+            tx_time = nxt.size * 8.0 / self.rate_bps
+            self.busy_time += tx_time
+            schedule_fast(tx_time, self._transmission_done, nxt)
         else:
             self.busy = False
 

@@ -35,7 +35,12 @@ class Agent(Protocol):
 
 
 class Node:
-    """Base node: owns an id and a routing table."""
+    """Base node: owns an id and a routing table.
+
+    The outgoing link for a packet is ``routes.get(pkt.dst, default_route)``;
+    :meth:`Router.receive` and :meth:`Host.send` spell that lookup inline
+    (it runs once per hop).
+    """
 
     def __init__(self, sim: "Simulator", name: Optional[str] = None):
         self.sim = sim
@@ -47,10 +52,6 @@ class Node:
     def add_route(self, dst_node_id: int, link: "Link") -> None:
         """Install a static route: destination node id -> outgoing link."""
         self.routes[dst_node_id] = link
-
-    def route_for(self, pkt: Packet) -> Optional["Link"]:
-        """Outgoing link for a packet (falls back to the default route)."""
-        return self.routes.get(pkt.dst, self.default_route)
 
     def receive(self, pkt: Packet, link: Optional["Link"] = None) -> None:
         """Agent/node entry point: process an incoming packet."""
@@ -74,7 +75,7 @@ class Router(Node):
 
     def receive(self, pkt: Packet, link: Optional["Link"] = None) -> None:
         """Agent/node entry point: process an incoming packet."""
-        out = self.route_for(pkt)
+        out = self.routes.get(pkt.dst, self.default_route)
         if out is None:
             self.no_route_drops += 1
             self.sim.free_packet(pkt)
@@ -109,7 +110,7 @@ class Host(Node):
 
     def send(self, pkt: Packet) -> None:
         """Offer a packet to this component for forwarding."""
-        out = self.route_for(pkt)
+        out = self.routes.get(pkt.dst, self.default_route)
         if out is None:
             out = self.uplink
         if out is None:

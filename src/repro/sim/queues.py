@@ -82,6 +82,10 @@ class EnqueueResult(enum.Enum):
     MARKED = "marked"  # enqueued, ECN congestion-experienced set
 
 
+_ENQUEUED = EnqueueResult.ENQUEUED
+_DROPPED = EnqueueResult.DROPPED
+
+
 class Queue:
     """Abstract FIFO buffer with a capacity in packets and, optionally,
     bytes.
@@ -211,12 +215,22 @@ class DropTailQueue(Queue):
 
     def push(self, pkt: Packet, now: float) -> EnqueueResult:
         """Offer a packet to the buffer; returns the enqueue outcome."""
+        # Queue._fits and Queue._accept spelled inline: this push runs
+        # once per packet per busy hop.
         self.arrived += 1
-        if not self._fits(pkt):
+        q = self._q
+        n = len(q)
+        if n >= self.capacity or (
+                self.capacity_bytes is not None
+                and self.bytes + pkt.size > self.capacity_bytes):
             self.dropped += 1
-            return EnqueueResult.DROPPED
-        self._accept(pkt)
-        return EnqueueResult.ENQUEUED
+            return _DROPPED
+        q.append(pkt)
+        self.bytes += pkt.size
+        self.enqueued += 1
+        if n >= self.peak_occupancy:
+            self.peak_occupancy = n + 1
+        return _ENQUEUED
 
 
 class REDParams:

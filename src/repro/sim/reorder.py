@@ -50,15 +50,19 @@ class ReorderingLink(Link):
         self.reordered = 0
 
     def _transmission_done(self, pkt: Packet) -> None:
+        # Link._transmission_done with the reorder draw ahead of the delivery.
+        sim = self.sim
         self.bytes_forwarded += pkt.size
         self.packets_forwarded += 1
         lag = 0.0
         if self.reorder_prob > 0.0 and self.rng.random() < self.reorder_prob:
             lag = self.extra_delay
             self.reordered += 1
-        self.sim.schedule_fast(self.delay + lag, self.dst.receive, pkt, self)
-        nxt = self.queue.pop(self.sim.now)
+        sim.schedule_fast(self.delay + lag, self.dst.receive, pkt, self)
+        nxt = self.queue.pop(sim.now)
         if nxt is not None:
-            self._transmit(nxt)
+            tx_time = nxt.size * 8.0 / self.rate_bps
+            self.busy_time += tx_time
+            sim.schedule_fast(tx_time, self._transmission_done, nxt)
         else:
             self.busy = False

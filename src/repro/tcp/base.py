@@ -172,7 +172,15 @@ class TcpSender:
 
     def can_send(self) -> bool:
         """Window-based gate: room in the window and data left to send."""
-        return self.inflight < int(self.effective_window) and self._data_remaining()
+        # inflight < int(effective_window) and _data_remaining(), read
+        # straight off the attributes: try_send asks once per packet.
+        cwnd = self.cwnd
+        if cwnd > self.max_cwnd:
+            cwnd = self.max_cwnd
+        next_seq = self.next_seq
+        total = self.total_packets
+        return (next_seq - self.highest_acked < int(cwnd)
+                and (total is None or next_seq < total))
 
     def try_send(self) -> None:
         """Send as many new packets as the window allows (back-to-back).
@@ -276,8 +284,8 @@ class TcpSender:
         self.try_send()
 
     def _handle_dup_ack(self, ack: int) -> None:
-        if self.inflight == 0:
-            return  # window update / stray; nothing outstanding
+        if self.next_seq == self.highest_acked:
+            return  # window update / stray; nothing in flight
         self.dupacks += 1
         self.on_dup_ack(ack, self.dupacks)
         self.try_send()
@@ -350,7 +358,7 @@ class TcpSender:
         if self._rto_timer is not None:
             self._rto_timer.cancel()
             self._rto_timer = None
-        if self.inflight > 0:
+        if self.next_seq > self.highest_acked:  # something in flight
             self._arm_rto()
 
     def _rto_fired(self) -> None:

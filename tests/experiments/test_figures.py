@@ -140,6 +140,40 @@ class TestFig8:
         assert np.isfinite(lat)
         assert lat >= 1.0
 
+    def test_result_is_independent_of_the_run_slicing(self, monkeypatch):
+        """A cell's result is ``max(completions)``: the coarse slices it
+        used to advance in (``max(0.5, bound / 4)`` sim-s) and the 10 ms
+        ones must return the identical float for every cell, and the
+        10 ms ones must stop within one slice of the last completion."""
+        from dataclasses import replace
+
+        from repro.apps.latency import lower_bound
+        from repro.experiments import fig8_parallel
+        from repro.sim.engine import Simulator
+
+        scale = replace(TINY, fig8_total_bytes=2**18)
+        bound = lower_bound(scale.fig8_total_bytes, scale.fig8_capacity_bps)
+        last_until = []
+        run = Simulator.run
+
+        def recording_run(sim, until=float("inf"), max_events=None):
+            last_until[:] = [until]
+            return run(sim, until, max_events)
+
+        monkeypatch.setattr(Simulator, "run", recording_run)
+        poll = fig8_parallel.COMPLETION_POLL_S
+        assert poll < 0.5  # the coarse stepping below really is coarser
+        for rtt in scale.fig8_rtts:
+            for n in scale.fig8_flow_counts:
+                fine = run_fig8_cell(n, rtt, seed=13, scale=scale)
+                stopped_at = last_until[0]
+                with monkeypatch.context() as coarse:
+                    coarse.setattr(fig8_parallel, "COMPLETION_POLL_S",
+                                   max(0.5, bound / 4.0))
+                    assert run_fig8_cell(n, rtt, seed=13, scale=scale) == fine
+                assert np.isfinite(fine)
+                assert 0.0 <= stopped_at - fine * bound <= poll + 1e-9
+
 
 class TestEq12:
     @pytest.fixture(scope="class")

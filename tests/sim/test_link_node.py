@@ -201,3 +201,101 @@ def test_utilization_returns_raw_ratio_and_warns_past_one():
     out = reg.as_dict()
     assert out["counters"]["link.link1.utilization_overruns"] == 1
     assert "exceeds 1.0" in out["warnings"][0]
+
+
+# ----------------------------------------------------------------------
+# Link, NoisyLink and ReorderingLink each spell the transmit step inline
+# ----------------------------------------------------------------------
+def _drive_link(make_link):
+    """One packet sequence over a link built by ``make_link``: arrivals
+    onto an idle transmitter, bursts that queue behind it and overflow a
+    3-packet buffer, and a window with the link down.  Returns everything
+    observable: deliveries, drops, arrivals and every counter."""
+    from repro.sim.trace import ArrivalTrace
+
+    sim = Simulator()
+    host = Host(sim)
+    col = Collector(sim)
+    host.attach(1, col)
+    drops, arrivals = DropTrace(), ArrivalTrace()
+    link = make_link(sim, host, rate_bps=8e6, delay=0.0005,
+                     queue=DropTailQueue(3), drop_trace=drops,
+                     arrival_trace=arrivals)
+    seq = 0
+    # (time, burst length): 1 ms apart singles find the link idle; the
+    # bursts queue, and the 7-packet one overflows (1 in service + 3).
+    for at, burst in ((0.000, 1), (0.010, 1), (0.020, 4), (0.0205, 2),
+                      (0.040, 7), (0.060, 2), (0.0601, 1), (0.080, 3),
+                      (0.090, 2)):
+        for k in range(burst):
+            size = 200 + 100 * ((seq * 7) % 9)
+            sim.schedule_at(at, link.send, mkpkt(seq=seq, size=size))
+            seq += 1
+    sim.schedule_at(0.0795, link.take_down)  # the three sends at 0.080 die
+    sim.schedule_at(0.0805, link.bring_up)
+    sim.run()
+    q = link.queue
+    return {
+        "deliveries": [(t, p.seq) for t, p in col.got],
+        "drops": (drops.times.tolist(), drops.seqs.tolist()),
+        "arrivals": len(arrivals),
+        "link": (link.packets_offered, link.packets_dropped_down,
+                 link.packets_forwarded, link.bytes_forwarded,
+                 link.busy_time, link.busy, link.flap_count),
+        "queue": (q.arrived, q.enqueued, q.dequeued, q.dropped,
+                  q.peak_occupancy, q.bytes, len(q)),
+        "events": sim.events_processed,
+    }
+
+
+def test_flat_transmit_paths_agree_across_link_classes():
+    """``Link``, ``NoisyLink`` and ``ReorderingLink`` each carry their own
+    copy of the transmit step (there is no shared ``_transmit`` helper to
+    override).  With the noise and the reorder draw switched off the three
+    copies must be indistinguishable on the idle path, the busy path, the
+    drop path and the link-down path."""
+    import numpy as np
+
+    from repro.emulation import NoisyLink
+    from repro.sim.reorder import ReorderingLink
+
+    plain = _drive_link(Link)
+    noisy = _drive_link(lambda *a, **kw: NoisyLink(
+        *a, rng=np.random.default_rng(0), max_noise=0.0, **kw))
+    reordering = _drive_link(lambda *a, **kw: ReorderingLink(
+        *a, rng=np.random.default_rng(0), reorder_prob=0.0, **kw))
+    # The scenario reaches every path.
+    offered, dropped_down, forwarded = plain["link"][:3]
+    assert dropped_down == 3
+    assert plain["queue"][3] > 0 and plain["queue"][4] == 3  # overflowed, peaked
+    assert 0 < plain["queue"][0] < offered - dropped_down  # some idle, some queued
+    assert forwarded == len(plain["deliveries"])
+    assert noisy == plain
+    assert reordering == plain
+
+
+def test_noisy_link_draws_once_per_transmission():
+    """The noise draw sits where the base class's transmit step sits — in
+    ``send`` for an idle transmitter, in ``_transmission_done`` for a
+    queued packet — so a run consumes exactly one draw per transmission
+    started, in transmission order."""
+    import numpy as np
+
+    from repro.emulation import NoisyLink
+
+    sim = Simulator()
+    host = Host(sim)
+    col = Collector(sim)
+    host.attach(1, col)
+    link = NoisyLink(sim, host, 8e6, 0.0, rng=np.random.default_rng(7),
+                     max_noise=300e-6)
+    link.send(mkpkt(seq=0))        # idle: drawn in send
+    link.send(mkpkt(seq=1))        # queued: drawn in _transmission_done
+    link.send(mkpkt(seq=2))
+    sim.schedule_at(0.010, link.send, mkpkt(seq=3))  # idle again
+    sim.run()
+    noise = np.random.default_rng(7).random(4) * 300e-6
+    tx = 0.001 + noise
+    expected = [tx[0], tx[0] + tx[1], tx[0] + tx[1] + tx[2], 0.010 + tx[3]]
+    assert [t for t, _ in col.got] == pytest.approx(expected, abs=1e-12)
+    assert link.busy_time == pytest.approx(tx.sum())

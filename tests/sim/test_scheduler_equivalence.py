@@ -297,3 +297,86 @@ def test_fig2_shape_matches_reference(use_wheel):
     for column in ("times", "flow_ids", "seqs", "sizes", "marked"):
         assert np.array_equal(getattr(trace, column),
                               getattr(ref_trace, column)), column
+
+
+# ----------------------------------------------------------------------
+# Same-tick schedule_fast: entries that join the batch being drained
+# ----------------------------------------------------------------------
+#: Delays shorter than one wheel tick (1/8192 s ~ 122 us): a
+#: ``schedule_fast`` with one of these from inside a draining bucket lands
+#: at or before the wheel position and is inserted into the due batch.
+SUB_TICK = (0.0, 1e-6, 30e-6, 100e-6, 121e-6)
+
+
+def _census(sim):
+    """Entries actually held by every queue structure, counted the slow
+    way (the engine's ``queued`` is bookkeeping; this is the truth)."""
+    held = len(sim._heap) + len(sim._due) - sim._due_i
+    if sim._w0 is not None:
+        held += sum(len(b) for b in sim._w0) + sum(len(b) for b in sim._w1)
+    return held
+
+
+def _same_tick_workload(sim, base):
+    """Callbacks that ``schedule_fast`` zero and sub-tick delays from
+    inside the dispatch loop, around clock ``base``, interleaved with
+    timers that were scheduled ``base`` seconds ahead (beyond the wheel's
+    256 s horizon they sit in the heap overflow) and with calls made from
+    outside, between two ``run(until=...)`` slices.  Returns the firing
+    log with ``pending`` read at every callback and around every slice."""
+    log = []
+    optimized = isinstance(sim, Simulator)
+
+    def note(tag):
+        log.append((sim.now, tag, sim.pending))
+        if optimized:
+            assert sim.queued == _census(sim)
+            assert sim.pending == sim.queued - sim._cancelled
+
+    def burst(tag, depth):
+        note(tag)
+        if depth:
+            for k, delay in enumerate(SUB_TICK):
+                sim.schedule_fast(delay, burst, tag * 10 + k, depth - 1)
+            # A slotted entry for the same tick takes the _push route
+            # into the same batch; one of the pair is cancelled.
+            keep = sim.schedule(50e-6, note, -tag)
+            sim.schedule(50e-6, note, -tag - 1).cancel()
+            assert not keep.cancelled
+
+    # Far timers first, so their seq numbers are older than everything
+    # the bursts schedule at the same timestamps.
+    for k, offset in enumerate((0.0, 30e-6, 30e-6, 100e-6, 151e-6, 400e-6)):
+        sim.schedule_at(base + offset, note, 9000 + k)
+    sim.schedule_at(base, burst, 1, 3)
+    sim.schedule_at(base + 200e-6, burst, 2, 2)
+    sim.schedule_at(base + 0.5, burst, 3, 2)
+
+    # Slices that end inside a tick that still has entries to drain; the
+    # calls between them come from outside the dispatch loop.
+    for k, until in enumerate((base + 15e-6, base + 110e-6, base + 260e-6)):
+        sim.run(until=until)
+        log.append(("slice", sim.now, sim.pending))
+        sim.schedule_fast(0.0, note, 7000 + 10 * k)
+        sim.schedule_fast(20e-6, burst, 7001 + 10 * k, 1)
+        sim.schedule_fast(121e-6, note, 7002 + 10 * k)
+        log.append(("armed", sim.now, sim.pending))
+    sim.run()
+    log.append(("idle", sim.now, sim.pending))
+    return log
+
+
+@pytest.mark.parametrize("base", [0.25, 1000.0], ids=["near", "heap-overflow"])
+@pytest.mark.parametrize("use_wheel", [True, False], ids=["wheel", "heap"])
+def test_same_tick_schedule_fast_matches_reference(use_wheel, base):
+    sim = Simulator(use_wheel=use_wheel)
+    got = _same_tick_workload(sim, base)
+    want = _same_tick_workload(ReferenceSimulator(), base)
+    assert len(got) > 300
+    assert got == want
+    assert sim.pending == 0 and sim.queued == 0
+    if use_wheel and base > 256.0:
+        # The far timers really did wait in the overflow heap.
+        probe = Simulator(use_wheel=True)
+        probe.schedule_at(base, lambda: None)
+        assert len(probe._heap) == 1
