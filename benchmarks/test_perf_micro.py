@@ -179,9 +179,8 @@ def test_perf_disabled_telemetry_overhead(monkeypatch):
     unprofiled.  Min-of-N wall times (interleaved to ride out machine
     noise) keep this honest.
     """
-    for knob in ("REPRO_TELEMETRY", "REPRO_TELEMETRY_OUT", "REPRO_REPORT",
-                 "REPRO_METRICS_OUT", "REPRO_CHECK_INVARIANTS",
-                 "REPRO_FAULTS"):
+    for knob in ("REPRO_TELEMETRY_OUT", "REPRO_REPORT", "REPRO_METRICS_OUT",
+                 "REPRO_CHECK_INVARIANTS", "REPRO_FAULTS"):
         monkeypatch.delenv(knob, raising=False)
     _fig2_scale_workload(observe=True)  # warm caches/JIT-free but fair
     bare, disabled = [], []
@@ -201,7 +200,6 @@ def test_perf_disabled_telemetry_overhead(monkeypatch):
 def test_perf_enabled_sampler_cost(benchmark, monkeypatch, tmp_path):
     """Record (not bound) the cost of a fully armed flight recorder."""
     monkeypatch.setenv("REPRO_TELEMETRY_OUT", str(tmp_path / "run"))
-    monkeypatch.setenv("REPRO_TELEMETRY_STRIDE", "0.05")
     events = benchmark(_fig2_scale_workload, True)
     assert events > 0
     assert (tmp_path / "run" / "telemetry.json").exists()

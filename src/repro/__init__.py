@@ -30,6 +30,9 @@ Subpackages
     JSON-lines checkpoints for interruptible campaigns.
 ``repro.experiments``
     One driver per paper figure/table; see DESIGN.md for the index.
+``repro.config``
+    ``RunConfig``: the run's ``REPRO_*`` environment knobs, typed and
+    parsed in one place (the CLI's flags set them).
 ``repro.extensions``
     Paper §5 / future-work features (persistent ECN signal, RED tuning).
 """

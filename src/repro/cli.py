@@ -36,7 +36,9 @@ parallelizable drivers over N processes (bit-identical to serial);
 files there so interrupted runs resume; ``--inject-faults SEED`` arms a
 seed-reproducible fault plan (link flaps, loss spikes, probe crashes).
 Each flag sets the corresponding ``REPRO_*`` environment variable for the
-duration of the run, so drivers pick them up without new parameters.
+duration of the run (one flag->variable table, :data:`_ENV_FLAGS`), and
+drivers read it back through :class:`repro.config.RunConfig` without new
+parameters.
 
 Flight-recorder flags (see :mod:`repro.obs`): ``--telemetry-out DIR``
 arms per-run telemetry samplers and span tracing and writes the flight
@@ -50,11 +52,15 @@ reports are byte-identical across runs of the same seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import os
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
+
+from repro.config import RunConfig
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -170,26 +176,28 @@ EXPERIMENTS: dict[str, tuple[Callable, str]] = {
 }
 
 
-#: --help epilog: every REPRO_* knob next to the flag that sets it, so
-#: flag/env parity is documented in one place (docs/API.md mirrors it).
-_ENV_EPILOG = """\
-environment knobs (set by the flags above, or directly):
-  REPRO_SCALE              scenario scale, fast|paper       (--scale)
-  REPRO_METRICS_OUT        metrics JSON path                (--metrics-out)
-  REPRO_CHECK_INVARIANTS   1 = verify conservation          (--check-invariants)
-  REPRO_CHECK_INTERVAL     sim-seconds between sweeps       (default 1.0)
-  REPRO_WORKERS            worker process count             (--workers)
-  REPRO_ON_ERROR           raise|skip|retry                 (--on-error)
-  REPRO_CHECKPOINT_DIR     campaign checkpoint directory    (--checkpoint-dir)
-  REPRO_FAULTS             fault-plan seed                  (--inject-faults)
-  REPRO_TELEMETRY_OUT      flight-record run directory      (--telemetry-out)
-  REPRO_TELEMETRY          1 = in-memory telemetry only     (no flag)
-  REPRO_TELEMETRY_STRIDE   sampler stride, sim-seconds      (default 0.05)
-  REPRO_TELEMETRY_SAMPLES  per-series sample bound          (default 512)
-  REPRO_REPORT             1 = auto-render report.md        (--report)
-  REPRO_LOG                json = structured log records    (--log-json)
-  REPRO_METRICS_PORT       /metrics port for fleet runs     (--metrics-port)
-"""
+#: Flag -> RunConfig field: the one channel from the flags to the drivers.
+#: A flag that is given sets its field's REPRO_* variable for the run; the
+#: table also generates the --help epilog (docs/API.md mirrors it).
+_ENV_FLAGS = (
+    ("--scale", "scale", "scenario scale, fast|paper"),
+    ("--workers", "workers", "worker process count"),
+    ("--on-error", "on_error", "raise|skip|retry"),
+    ("--checkpoint-dir", "checkpoint_dir", "campaign checkpoint directory"),
+    ("--inject-faults", "fault_seed", "fault-plan seed"),
+    ("--metrics-out", "metrics_out", "metrics JSON path"),
+    ("--check-invariants", "check_invariants", "1 = verify conservation"),
+    ("--telemetry-out", "telemetry_out", "flight-record run directory"),
+    ("--report", "report", "1 = auto-render report.md"),
+    ("--metrics-port", "metrics_port", "/metrics port for fleet runs"),
+)
+
+_ENV_VAR = {f.name: f.metadata["var"] for f in dataclasses.fields(RunConfig)}
+
+_ENV_EPILOG = "environment knobs (set by the flags above, or directly):\n" + "".join(
+    f"  {_ENV_VAR[field]:<24} {text:<32} ({flag})\n"
+    for flag, field, text in _ENV_FLAGS
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -419,7 +427,7 @@ def _run_report(target: Optional[str], html: bool) -> int:
 
 def _run_campaign(args) -> int:
     """The ``campaign`` command: a supervised sharded campaign."""
-    from repro.faults import ENV_CHECKPOINT_DIR, FaultPlan
+    from repro.faults import FaultPlan
     from repro.internet.probe import ProbeConfig
     from repro.internet.shards import plan_shards
     from repro.internet.supervisor import SupervisorConfig, run_sharded_campaign
@@ -427,7 +435,7 @@ def _run_campaign(args) -> int:
     from repro.obs.httpd import maybe_obs_server
     from repro.obs.runtime import open_flight_log
 
-    state_dir = args.state_dir or os.environ.get(ENV_CHECKPOINT_DIR, "").strip()
+    state_dir = args.state_dir or RunConfig.from_env().checkpoint_dir
     if not state_dir:
         print(
             "campaign: a state directory is required "
@@ -462,7 +470,7 @@ def _run_campaign(args) -> int:
             "resume": bool(args.resume),
         },
     )
-    runlog = RunLog("campaign")
+    runlog = RunLog("campaign", mode="json" if args.log_json else "text")
     server = maybe_obs_server(state_dir)
     if server is not None:
         runlog.emit(
@@ -510,25 +518,35 @@ def _resolve_scale(name: Optional[str]):
     return {"fast": FAST, "paper": PAPER}[name]
 
 
+@contextlib.contextmanager
+def _flags_in_env(args, experiment: str, multi: bool):
+    """Set the REPRO_* variable of every table flag given for one run,
+    then put back exactly what the environment held before."""
+    saved = {var: os.environ.get(var) for var in _ENV_VAR.values()}
+    for flag, field, _ in _ENV_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None or value is False:
+            continue
+        if value is True:
+            value = "1"
+        elif field == "metrics_out":
+            value = _metrics_path(value, experiment, multi)
+        elif field == "telemetry_out":
+            value = _telemetry_dir(value, experiment, multi)
+        os.environ[_ENV_VAR[field]] = str(value)
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-
-    from repro.obs.bus import ENV_LOG
-
-    saved_log = os.environ.get(ENV_LOG)
-    if args.log_json:
-        os.environ[ENV_LOG] = "json"
-    try:
-        return _dispatch(args)
-    finally:
-        if saved_log is None:
-            os.environ.pop(ENV_LOG, None)
-        else:
-            os.environ[ENV_LOG] = saved_log
-
-
-def _dispatch(args) -> int:
     if args.experiment == "report":
         return _run_report(args.target, html=args.html)
 
@@ -560,78 +578,31 @@ def _dispatch(args) -> int:
             print(f"  {name.ljust(width)}  {desc}")
         return 0
 
-    scale = _resolve_scale(args.scale)
     if args.experiment == "campaign":
-        names = []
-    elif args.experiment == "all":
-        names = list(EXPERIMENTS)
-    else:
-        names = [args.experiment]
-    sink = open(args.out, "a") if args.out else None
-    # The observability layer is configured through the environment so the
-    # knobs reach experiment drivers without threading new parameters
-    # through every runner signature (see repro.obs.runtime).
-    from repro.experiments.parallel import ENV_WORKERS
-    from repro.faults import ENV_CHECKPOINT_DIR, ENV_FAULTS, ENV_ON_ERROR
-    from repro.obs.httpd import ENV_METRICS_PORT
-    from repro.obs.runtime import ENV_CHECK_INVARIANTS, ENV_METRICS_OUT, ENV_REPORT
-    from repro.obs.telemetry import ENV_TELEMETRY_OUT
-
-    saved_env = {
-        k: os.environ.get(k)
-        for k in (
-            ENV_CHECK_INVARIANTS,
-            ENV_METRICS_OUT,
-            ENV_WORKERS,
-            ENV_ON_ERROR,
-            ENV_CHECKPOINT_DIR,
-            ENV_FAULTS,
-            ENV_TELEMETRY_OUT,
-            ENV_REPORT,
-            ENV_METRICS_PORT,
-        )
-    }
-    if args.check_invariants:
-        os.environ[ENV_CHECK_INVARIANTS] = "1"
-    if args.workers is not None:
-        os.environ[ENV_WORKERS] = str(args.workers)
-    if args.on_error is not None:
-        os.environ[ENV_ON_ERROR] = args.on_error
-    if args.checkpoint_dir is not None:
-        os.environ[ENV_CHECKPOINT_DIR] = args.checkpoint_dir
-    if args.inject_faults is not None:
-        os.environ[ENV_FAULTS] = str(args.inject_faults)
-    if args.report:
-        os.environ[ENV_REPORT] = "1"
-    if args.metrics_port is not None:
-        os.environ[ENV_METRICS_PORT] = str(args.metrics_port)
-    try:
-        if args.experiment == "campaign":
-            if args.telemetry_out:
-                os.environ[ENV_TELEMETRY_OUT] = args.telemetry_out
+        with _flags_in_env(args, "campaign", multi=False):
             return _run_campaign(args)
-        from repro.obs.bus import RunLog
 
-        # Diagnostic chatter routes through the structured log (text mode
-        # prints the historical lines verbatim); the experiment's result
-        # block itself is the deliverable and always prints as-is.
-        runlog = RunLog("cli", stream=sys.stdout)
+    from repro.obs.bus import RunLog
+
+    scale = _resolve_scale(args.scale)
+    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    multi = len(names) > 1
+    # Diagnostic chatter routes through the structured log (text mode
+    # prints the historical lines verbatim); the experiment's result
+    # block itself is the deliverable and always prints as-is.
+    runlog = RunLog("cli", stream=sys.stdout,
+                    mode="json" if args.log_json else "text")
+    sink = open(args.out, "a") if args.out else None
+    try:
         for name in names:
             runner, desc = EXPERIMENTS[name]
-            if args.metrics_out:
-                os.environ[ENV_METRICS_OUT] = _metrics_path(
-                    args.metrics_out, name, multi=len(names) > 1
-                )
-            if args.telemetry_out:
-                os.environ[ENV_TELEMETRY_OUT] = _telemetry_dir(
-                    args.telemetry_out, name, multi=len(names) > 1
-                )
             runlog.emit(
                 "experiment.start", message=f"=== {desc} ===",
                 experiment=name, seed=args.seed,
             )
             t0 = time.perf_counter()
-            text = runner(args.seed, scale)
+            with _flags_in_env(args, name, multi):
+                text = runner(args.seed, scale)
             print(text)
             elapsed = time.perf_counter() - t0
             runlog.emit(
@@ -643,11 +614,6 @@ def _dispatch(args) -> int:
     finally:
         if sink is not None:
             sink.close()
-        for k, v in saved_env.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
     return 0
 
 

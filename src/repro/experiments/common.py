@@ -6,18 +6,18 @@ millions of packet events.  Every experiment driver therefore takes a
 while preserving the dimensionless shape (BDP in packets per flow, flow
 counts ratios, RTT spread), and ``PAPER`` uses the paper's absolute
 numbers.  Select via the ``REPRO_SCALE`` environment variable
-(``fast`` | ``paper``) or pass a profile explicitly.
+(``fast`` | ``paper``, read through :class:`repro.config.RunConfig`) or
+pass a profile explicitly.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.obs import RunObservation, observe_run
+from repro.config import RunConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.topology import Dumbbell
@@ -30,7 +30,6 @@ __all__ = [
     "PAPER",
     "current_scale",
     "add_noise_fleet",
-    "observe_experiment",
     "random_rtts",
 ]
 
@@ -119,43 +118,7 @@ def current_scale(override: Optional[Scale] = None) -> Scale:
     """Resolve the active scale: explicit override > $REPRO_SCALE > fast."""
     if override is not None:
         return override
-    name = os.environ.get("REPRO_SCALE", "fast").lower()
-    try:
-        return _PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown REPRO_SCALE={name!r}; expected one of {sorted(_PROFILES)}"
-        ) from None
-
-
-def observe_experiment(
-    sim: Simulator,
-    db: Optional[Dumbbell] = None,
-    name: str = "run",
-    flows: Iterable[tuple] = (),
-    tracer=None,
-    manifest: Optional[dict] = None,
-) -> RunObservation:
-    """Attach the observability layer to a figure-reproduction run.
-
-    Resolves configuration from the environment (the ``repro`` CLI's
-    ``--metrics-out`` / ``--check-invariants`` / ``--telemetry-out`` flags
-    set it): when enabled, the run gets a metrics registry over the
-    engine, bottleneck links, queues, and TCP flows, plus periodic
-    packet-conservation checks; with telemetry armed it also gets
-    flight-recorder samplers and writes a run directory at finalize.
-    Drivers wrap their main ``sim.run`` in ``obs.profiled()`` and call
-    ``obs.finalize(duration)`` after analysis, which performs the teardown
-    invariant sweep and writes the metrics JSON next to the results.  When
-    no observability is requested the returned handle is inert and free.
-
-    ``tracer`` is the driver's :func:`repro.obs.maybe_tracer` span tracer
-    (``None`` when tracing is off); ``manifest`` seeds the run manifest
-    (seed, scale, parameters) written with the flight record.
-    """
-    return observe_run(
-        sim, db=db, name=name, flows=flows, tracer=tracer, manifest=manifest
-    )
+    return _PROFILES[RunConfig.from_env().scale]
 
 
 def random_rtts(n: int, streams: RngStreams, lo: float = 0.002, hi: float = 0.200) -> np.ndarray:

@@ -27,9 +27,9 @@ from repro.experiments.common import (
     Scale,
     add_noise_fleet,
     current_scale,
-    observe_experiment,
     random_rtts,
 )
+from repro.obs.runtime import observe_run
 from repro.obs.spans import maybe_tracer, span
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -101,7 +101,7 @@ def run_fig2(
             snd.start(float(start_rng.uniform(0.0, 0.5)))
 
         add_noise_fleet(sim, db, streams, sc.n_noise_flows, sc.noise_load)
-        obs = observe_experiment(
+        obs = observe_run(
             sim, db=db, name="fig2", flows=flows, tracer=tracer,
             manifest={
                 "seed": seed,

@@ -9,13 +9,13 @@ within 1 RTT**, and the loss process clearly burstier than Poisson inside
 0–0.25 RTT despite the Internet's heterogeneity.
 
 The driver runs the campaign *resiliently* (see :mod:`repro.faults`): the
-environment knobs ``REPRO_WORKERS`` / ``REPRO_ON_ERROR`` /
-``REPRO_CHECKPOINT_DIR`` / ``REPRO_FAULTS`` (the CLI's ``--workers`` /
-``--on-error`` / ``--checkpoint-dir`` / ``--inject-faults``) fan
-experiments over processes, skip-or-retry failed cells, resume interrupted
-campaigns from a checkpoint, and arm a sampled fault plan.  A degraded
-campaign renders with an explicit note — surviving cells, never silent
-truncation.
+:class:`repro.config.RunConfig` knobs ``REPRO_WORKERS`` /
+``REPRO_ON_ERROR`` / ``REPRO_CHECKPOINT_DIR`` / ``REPRO_FAULTS`` (the
+CLI's ``--workers`` / ``--on-error`` / ``--checkpoint-dir`` /
+``--inject-faults``) fan experiments over processes, skip-or-retry failed
+cells, resume interrupted campaigns from a checkpoint, and arm a sampled
+fault plan.  A degraded campaign renders with an explicit note —
+surviving cells, never silent truncation.
 """
 
 from __future__ import annotations
@@ -25,17 +25,13 @@ from typing import Optional
 
 import numpy as np
 
+from repro.config import RunConfig
 from repro.core.burstiness import fraction_within
 from repro.core.pdf import IntervalPdf, interval_pdf, poisson_reference_pdf
 from repro.core.poisson import PoissonComparison, compare_to_poisson
 from repro.core.report import pdf_figure_text
 from repro.experiments.common import Scale, current_scale
-from repro.faults import (
-    FaultPlan,
-    checkpoint_path_from_env,
-    fault_seed_from_env,
-    on_error_from_env,
-)
+from repro.faults import FaultPlan
 from repro.internet.campaign import Campaign, CampaignResult
 from repro.internet.probe import ProbeConfig
 from repro.obs.runtime import open_flight_log
@@ -100,17 +96,16 @@ def run_fig4(
     ``fig4.jsonl`` there and an interrupted run resumes from it.
     """
     sc = current_scale(scale)
-    if fault_plan is None:
-        fault_seed = fault_seed_from_env()
-        if fault_seed is not None:
-            fault_plan = FaultPlan.sample_campaign(
-                fault_seed,
-                n_experiments=sc.campaign_experiments,
-                span_seconds=Campaign.CAMPAIGN_SPAN_SECONDS,
-            )
+    cfg = RunConfig.from_env()
+    if fault_plan is None and cfg.fault_seed is not None:
+        fault_plan = FaultPlan.sample_campaign(
+            cfg.fault_seed,
+            n_experiments=sc.campaign_experiments,
+            span_seconds=Campaign.CAMPAIGN_SPAN_SECONDS,
+        )
     if on_error is None:
         # An armed plan *will* crash probes; default to riding them out.
-        on_error = on_error_from_env("retry" if fault_plan is not None else "raise")
+        on_error = cfg.on_error or ("retry" if fault_plan is not None else "raise")
     camp = Campaign(
         seed=seed,
         probe_config=ProbeConfig(duration=sc.campaign_probe_duration),
@@ -135,7 +130,8 @@ def run_fig4(
             sc.campaign_experiments,
             workers=workers,
             on_error=on_error,
-            checkpoint=checkpoint_path_from_env("fig4"),
+            checkpoint=(None if cfg.checkpoint_dir is None
+                        else cfg.checkpoint_dir / "fig4.jsonl"),
             tracer=flight.tracer,
         )
     intervals = result.all_intervals_rtt()

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.report import format_series
-from repro.experiments.common import Scale, current_scale, observe_experiment
+from repro.experiments.common import Scale, current_scale
+from repro.obs.runtime import observe_run
 from repro.obs.spans import maybe_tracer, span
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -120,7 +121,7 @@ def run_fig7(
             flows.append((snd, sink))
             snd.start(float(start_rng.uniform(0.0, 0.1)))
 
-        obs = observe_experiment(
+        obs = observe_run(
             sim, db=db, name="fig7", flows=flows, tracer=tracer,
             manifest={
                 "seed": seed,

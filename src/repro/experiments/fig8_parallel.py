@@ -18,9 +18,10 @@ import numpy as np
 
 from repro.apps.latency import LatencyStats, summarize_latencies
 from repro.apps.parallel_transfer import ParallelTransfer, ParallelTransferConfig
+from repro.config import RunConfig
 from repro.core.report import format_table
 from repro.experiments.common import Scale, add_noise_fleet, current_scale
-from repro.faults import Result, on_error_from_env
+from repro.faults import Result
 from repro.obs.runtime import open_flight_log
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -161,7 +162,7 @@ def run_fig8(
     from repro.experiments.parallel import parallel_map
 
     if on_error is None:
-        on_error = on_error_from_env()
+        on_error = RunConfig.from_env().on_error or "raise"
     jobs = [
         (n, rtt, seed * 10_000 + rep * 100 + n, sc)
         for rtt in sc.fig8_rtts

@@ -37,7 +37,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.experiments.common import Scale, current_scale, observe_experiment
+from repro.experiments.common import Scale, current_scale
+from repro.obs.runtime import observe_run
 from repro.obs.spans import maybe_tracer, span
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidClass, FluidScenario, run_fluid
@@ -284,7 +285,7 @@ def run_manyflows_packet(
                                          + snd.stats.timeouts)
 
         sim.schedule(warmup, snapshot)
-        obs = observe_experiment(
+        obs = observe_run(
             sim, db=db, name="manyflows", flows=flows, tracer=tracer,
             manifest={"seed": seed, "n": n, "scale": sc.name},
         )

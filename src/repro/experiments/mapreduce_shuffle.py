@@ -19,9 +19,10 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.mapreduce import MapReduceShuffle, ShuffleConfig
+from repro.config import RunConfig
 from repro.core.report import format_table
 from repro.experiments.common import Scale, current_scale
-from repro.faults import Result, on_error_from_env
+from repro.faults import Result
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.tcp.newreno import NewRenoSender
@@ -179,7 +180,7 @@ def run_mapreduce(
     """
     sc = current_scale(scale)
     if on_error is None:
-        on_error = on_error_from_env()
+        on_error = RunConfig.from_env().on_error or "raise"
     # Shuffle sizing follows the scale's Figure 8 budget.  Partitions must
     # be long enough that congestion-avoidance dynamics (not slow-start
     # quantization) set the reducer skew: half the per-reducer share at

@@ -22,9 +22,9 @@ process fan-out it provides what a lossy measurement harness needs
   ``completed_indices`` attribute listing the items that *did* finish, so
   callers can report progress instead of losing it silently.
 
-Worker counts resolve explicitly (``workers=``), then from the
-``REPRO_WORKERS`` environment variable (the CLI's ``--workers`` flag),
-then serial.
+Worker counts resolve explicitly (``workers=``), then from
+:class:`repro.config.RunConfig`'s ``workers`` (``REPRO_WORKERS``, the
+CLI's ``--workers`` flag), then serial.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
+from repro.config import RunConfig
 from repro.faults.resilient import (
     ON_ERROR_POLICIES,
     ItemTimeoutError,
@@ -45,32 +46,16 @@ from repro.faults.resilient import (
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["parallel_map", "default_workers", "ENV_WORKERS", "Result", "RetryPolicy"]
-
-#: Environment knob pinning the worker count (the CLI's ``--workers``).
-ENV_WORKERS = "REPRO_WORKERS"
-
-
-def _env_workers() -> Optional[int]:
-    raw = os.environ.get(ENV_WORKERS, "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"{ENV_WORKERS} must be >= 1, got {n}")
-    return n
+__all__ = ["parallel_map", "default_workers", "Result", "RetryPolicy"]
 
 
 def default_workers() -> int:
     """The worker count to use when fanning out: ``REPRO_WORKERS`` when
     set (CI and users pin it there), else physical parallelism minus one,
     always >= 1."""
-    env = _env_workers()
-    if env is not None:
-        return env
+    workers = RunConfig.from_env().workers
+    if workers is not None:
+        return workers
     return max(1, (os.cpu_count() or 2) - 1)
 
 
@@ -142,7 +127,7 @@ def parallel_map(
 
     items = list(items)
     if workers is None:
-        workers = _env_workers()
+        workers = RunConfig.from_env().workers
     if workers is None or workers <= 1 or len(items) <= 1:
         return _serial_map(fn, items, on_error, policy, pass_attempt, on_result)
     return _pool_map(

@@ -24,12 +24,13 @@ paper's Eq. (1)/(2) mechanism for challengers that, like TCP Pacing,
 *react per loss event*; BBR ignores individual losses by design, so for
 its cells the throughput split is the meaningful number, not the ratio.
 
-Grid cells run through the shared resilience machinery: with
-``REPRO_CHECKPOINT_DIR`` set, each completed cell streams to
-``zoo.jsonl`` and an interrupted grid resumes (identically — each cell
-re-derives its RNG from the run seed); ``REPRO_WORKERS`` fans cells over
-processes; ``REPRO_FAULTS``/``REPRO_ON_ERROR`` inject and police faults
-per cell like campaign shards.
+Grid cells run through the shared resilience machinery, steered by
+:class:`repro.config.RunConfig`: with ``REPRO_CHECKPOINT_DIR`` set, each
+completed cell streams to ``zoo.jsonl`` and an interrupted grid resumes
+(identically — each cell re-derives its RNG from the run seed);
+``REPRO_WORKERS`` fans cells over processes; ``REPRO_FAULTS`` arms link
+flaps in every cell and ``REPRO_ON_ERROR`` polices failed cells like
+campaign shards.
 """
 
 from __future__ import annotations
@@ -39,19 +40,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.config import RunConfig
 from repro.core.detection import DetectionModel  # noqa: F401  (re-export context)
 from repro.core.events import distinct_flows_per_event, event_spans
 from repro.core.report import format_table
-from repro.experiments.common import Scale, current_scale, observe_experiment
+from repro.experiments.common import Scale, current_scale
 from repro.experiments.parallel import parallel_map
-from repro.faults import (
-    Checkpoint,
-    Result,
-    checkpoint_path_from_env,
-    on_error_from_env,
-)
+from repro.faults import Checkpoint, Result
 from repro.obs.bus import open_bus
 from repro.obs.httpd import maybe_obs_server
+from repro.obs.runtime import observe_run
 from repro.obs.spans import maybe_tracer, span
 from repro.sim.engine import Simulator
 from repro.sim.queues import make_queue
@@ -315,7 +313,7 @@ def run_zoo_cell(
             flows.append((snd, sink))
             snd.start(float(start_rng.uniform(0.0, 0.1)))
 
-        obs = observe_experiment(
+        obs = observe_run(
             sim, db=db, name=f"zoo.{protocol}.{aqm}.{rtt_name}", flows=flows,
             tracer=tracer,
             manifest={
@@ -490,12 +488,12 @@ def run_zoo(
                     f"{protocol}/{aqm}/{rtt_name} (fluid unsupported: {exc})"
                 )
 
+    cfg = RunConfig.from_env()
     ckpt: Optional[Checkpoint] = None
     records: dict[int, dict] = {}
-    ckpt_path = checkpoint_path_from_env("zoo")
     bus = server = None
-    if ckpt_path is not None:
-        ckpt = Checkpoint(ckpt_path, meta={
+    if cfg.checkpoint_dir is not None:
+        ckpt = Checkpoint(cfg.checkpoint_dir / "zoo.jsonl", meta={
             "kind": "zoo", "seed": seed, "scale": sc.name,
             "n": len(cells_spec),
         })
@@ -503,8 +501,8 @@ def run_zoo(
         # The checkpoint directory doubles as the grid's observable state
         # directory: the event bus and the opt-in /metrics endpoint live
         # next to zoo.jsonl, so `repro top` works on zoo runs too.
-        bus = open_bus(ckpt_path.parent, source="zoo")
-        server = maybe_obs_server(ckpt_path.parent)
+        bus = open_bus(cfg.checkpoint_dir, source="zoo")
+        server = maybe_obs_server(cfg.checkpoint_dir)
     resumed = len(records)
 
     todo_idx = [
@@ -516,7 +514,7 @@ def run_zoo(
          cells_spec[i][0], cells_spec[i][1], backend)
         for i in todo_idx
     ]
-    on_error = on_error_from_env()
+    on_error = cfg.on_error or "raise"
     failed: list[str] = list(unsupported.values())
 
     def cell_label(idx: int) -> str:

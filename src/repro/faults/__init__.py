@@ -21,14 +21,8 @@ truncated.  This package makes failure a first-class, *injectable*,
 degraded-but-valid completion (``pytest -k faults``).
 """
 
-from repro.faults.checkpoint import (
-    ENV_CHECKPOINT_DIR,
-    Checkpoint,
-    CheckpointError,
-    checkpoint_path_from_env,
-)
+from repro.faults.checkpoint import Checkpoint, CheckpointError
 from repro.faults.plan import (
-    ENV_FAULTS,
     ClockSkew,
     FaultPlan,
     InjectedFault,
@@ -39,14 +33,11 @@ from repro.faults.plan import (
     TraceTruncation,
     WorkerHang,
     WorkerKill,
-    fault_seed_from_env,
 )
 from repro.faults.resilient import (
-    ENV_ON_ERROR,
     ItemTimeoutError,
     Result,
     RetryPolicy,
-    on_error_from_env,
     run_with_retry,
 )
 
@@ -54,9 +45,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "ClockSkew",
-    "ENV_CHECKPOINT_DIR",
-    "ENV_FAULTS",
-    "ENV_ON_ERROR",
     "FaultPlan",
     "InjectedFault",
     "ItemTimeoutError",
@@ -69,8 +57,5 @@ __all__ = [
     "TraceTruncation",
     "WorkerHang",
     "WorkerKill",
-    "checkpoint_path_from_env",
-    "fault_seed_from_env",
-    "on_error_from_env",
     "run_with_retry",
 ]

@@ -29,23 +29,9 @@ from typing import IO, Optional, Union
 __all__ = [
     "Checkpoint",
     "CheckpointError",
-    "ENV_CHECKPOINT_DIR",
-    "checkpoint_path_from_env",
 ]
 
 _FORMAT_VERSION = 1
-
-#: Environment knob: directory experiment drivers write their checkpoint
-#: files into (set by the CLI's ``--checkpoint-dir``; unset: no checkpoints).
-ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
-
-
-def checkpoint_path_from_env(name: str) -> Optional[Path]:
-    """``$REPRO_CHECKPOINT_DIR/<name>.jsonl``, or ``None`` when unset."""
-    raw = os.environ.get(ENV_CHECKPOINT_DIR, "").strip()
-    if not raw:
-        return None
-    return Path(raw) / f"{name}.jsonl"
 
 
 class CheckpointError(RuntimeError):

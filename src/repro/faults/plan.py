@@ -51,26 +51,7 @@ __all__ = [
     "WorkerKill",
     "WorkerHang",
     "FaultPlan",
-    "ENV_FAULTS",
-    "fault_seed_from_env",
 ]
-
-#: Environment knob: an integer seed arms a sampled fault plan for the run
-#: (set by the CLI's ``--inject-faults``; empty/unset means no injection).
-ENV_FAULTS = "REPRO_FAULTS"
-
-
-def fault_seed_from_env() -> Optional[int]:
-    """The ``REPRO_FAULTS`` seed, or ``None`` when injection is off."""
-    raw = os.environ.get(ENV_FAULTS, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_FAULTS} must be an integer seed, got {raw!r}"
-        ) from None
 
 
 class InjectedFault(RuntimeError):

@@ -12,7 +12,6 @@ identically from the same seed.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -24,28 +23,10 @@ __all__ = [
     "RetryPolicy",
     "ItemTimeoutError",
     "run_with_retry",
-    "ENV_ON_ERROR",
-    "on_error_from_env",
 ]
 
 #: Valid ``on_error`` policies for resilient mappers.
 ON_ERROR_POLICIES = ("raise", "skip", "retry")
-
-#: Environment knob: default ``on_error`` policy for experiment drivers
-#: (set by the CLI's ``--on-error``; empty/unset means ``"raise"``).
-ENV_ON_ERROR = "REPRO_ON_ERROR"
-
-
-def on_error_from_env(default: str = "raise") -> str:
-    """The ``REPRO_ON_ERROR`` policy, or ``default`` when unset."""
-    raw = os.environ.get(ENV_ON_ERROR, "").strip().lower()
-    if not raw:
-        return default
-    if raw not in ON_ERROR_POLICIES:
-        raise ValueError(
-            f"{ENV_ON_ERROR} must be one of {ON_ERROR_POLICIES}, got {raw!r}"
-        )
-    return raw
 
 
 class ItemTimeoutError(RuntimeError):

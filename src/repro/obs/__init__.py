@@ -52,7 +52,6 @@ from repro.obs.bus import (
     EventBus,
     RunLog,
     TailState,
-    log_mode,
     open_bus,
     read_json_tolerant,
     tail_jsonl,
@@ -81,21 +80,9 @@ from repro.obs.report import (
     validate_report,
     write_report,
 )
-from repro.obs.runtime import (
-    FlightLog,
-    RunObservation,
-    observation_config,
-    observe_run,
-    open_flight_log,
-    report_enabled,
-)
+from repro.obs.runtime import FlightLog, RunObservation, observe_run, open_flight_log
 from repro.obs.spans import SpanTracer, maybe_tracer, span
-from repro.obs.telemetry import (
-    FlightRecorder,
-    TimeSeries,
-    loss_raster,
-    telemetry_config,
-)
+from repro.obs.telemetry import FlightRecorder, TimeSeries, loss_raster
 
 __all__ = [
     "Counter",
@@ -124,20 +111,16 @@ __all__ = [
     "check_queue",
     "generate_html_report",
     "generate_report",
-    "log_mode",
     "loss_raster",
     "maybe_tracer",
-    "observation_config",
     "observe_run",
     "open_bus",
     "open_flight_log",
     "read_json_tolerant",
-    "report_enabled",
     "snapshot_to_prometheus",
     "span",
     "sparkline",
     "tail_jsonl",
-    "telemetry_config",
     "validate_report",
     "write_report",
 ]

@@ -26,10 +26,11 @@ deleting it loses nothing but history.  Durable truth stays in the
 fsynced shard ledger (:mod:`repro.faults.checkpoint`).
 
 :class:`RunLog` is the structured-logging half: subcommands route their
-diagnostic prints through it, and ``--log-json`` (or ``REPRO_LOG=json``)
-switches the emission format from the historical human text to one JSON
-record per line — mirrored onto the bus when one is attached, so a
-campaign's stderr chatter and its fleet feed are the same records.
+diagnostic prints through it, and ``mode="json"`` (the CLI passes
+``--log-json`` that way) switches the emission format from the
+historical human text to one JSON record per line — mirrored onto the
+bus when one is attached, so a campaign's stderr chatter and its fleet
+feed are the same records.
 """
 
 from __future__ import annotations
@@ -45,11 +46,9 @@ from typing import IO, Optional, Union
 __all__ = [
     "BUS_FILE",
     "BUS_VERSION",
-    "ENV_LOG",
     "EventBus",
     "RunLog",
     "TailState",
-    "log_mode",
     "open_bus",
     "read_json_tolerant",
     "tail_jsonl",
@@ -61,16 +60,6 @@ BUS_FILE = "events.jsonl"
 #: Schema version stamped into every record (bump on breaking changes;
 #: readers skip-and-count versions they do not understand).
 BUS_VERSION = 1
-
-#: Environment knob selecting the log emission format: ``json`` for one
-#: structured record per line (the CLI's ``--log-json``), anything else
-#: (or unset) for the historical human text.
-ENV_LOG = "REPRO_LOG"
-
-
-def log_mode() -> str:
-    """The active log format: ``"json"`` or ``"text"``."""
-    return "json" if os.environ.get(ENV_LOG, "").strip().lower() == "json" else "text"
 
 
 class EventBus:
@@ -229,11 +218,7 @@ class RunLog:
     component: str
     bus: Optional[EventBus] = None
     stream: Optional[IO[str]] = field(default_factory=lambda: sys.stderr)
-    mode: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.mode is None:
-            self.mode = log_mode()
+    mode: str = "text"
 
     @property
     def json_mode(self) -> bool:

@@ -23,32 +23,24 @@ campaign.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.config import RunConfig
 from repro.obs.aggregate import FleetAggregator, FleetSnapshot
 from repro.obs.metrics import prometheus_metric_name
 
 __all__ = [
-    "ENV_METRICS_PORT",
     "ObsServer",
     "PORT_FILE",
     "maybe_obs_server",
-    "metrics_port_from_env",
     "snapshot_to_prometheus",
 ]
 
 #: File inside the state directory naming the bound metrics port.
 PORT_FILE = "metrics-port"
-
-#: Environment knob (the CLI's ``--metrics-port``): an integer port to
-#: serve ``/metrics`` on during campaign/zoo runs; ``0`` = auto-assign
-#: (read the bound port back from the ``metrics-port`` file).  Unset or
-#: empty: no server.
-ENV_METRICS_PORT = "REPRO_METRICS_PORT"
 
 _STATUS_CODES = {"EMPTY": 0, "RUNNING": 1, "COMPLETE": 2, "DEGRADED": 3}
 
@@ -194,26 +186,17 @@ class ObsServer:
         self.close()
 
 
-def metrics_port_from_env() -> Optional[int]:
-    """``$REPRO_METRICS_PORT`` as an int, or ``None`` when unset/empty."""
-    raw = os.environ.get(ENV_METRICS_PORT, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
 def maybe_obs_server(
     state_dir: Optional[Union[str, Path]], registry=None
 ) -> Optional[ObsServer]:
-    """Start an :class:`ObsServer` when the env knob asks for one.
+    """Start an :class:`ObsServer` when ``REPRO_METRICS_PORT`` asks for one
+    (:class:`repro.config.RunConfig`'s ``metrics_port``; ``0`` =
+    auto-assign, read the bound port back from the ``metrics-port`` file).
 
     Returns the started server (caller closes it), or ``None`` when the
     knob is unset or there is no state directory to aggregate.
     """
-    port = metrics_port_from_env()
+    port = RunConfig.from_env().metrics_port
     if port is None or state_dir is None:
         return None
     return ObsServer(state_dir, port=port, registry=registry).start()

@@ -2,7 +2,7 @@
 
 :func:`observe_run` is the one-line hook experiment drivers call after
 building their scenario: it resolves the observability configuration
-(explicit arguments > environment), attaches a
+(explicit arguments > :class:`repro.config.RunConfig`), attaches a
 :class:`~repro.obs.metrics.MetricsRegistry` to the simulator / links /
 queues / flows, arms periodic conservation checks, optionally arms the
 :class:`~repro.obs.telemetry.FlightRecorder` samplers and a
@@ -19,28 +19,15 @@ Drivers with no single simulator (the fig8 grid, Internet campaigns) use
 carries the manifest and span tracer and writes the same run-directory
 layout at the end.
 
-Environment variables (set by ``repro.cli``'s flags, or directly):
-
-``REPRO_METRICS_OUT``
-    Path to write the metrics JSON to (empty/unset: no file).
-``REPRO_CHECK_INVARIANTS``
-    Truthy ("1"/"true"/"yes"/"on") to verify conservation invariants
-    periodically and at teardown.
-``REPRO_CHECK_INTERVAL``
-    Sim-seconds between periodic sweeps (default 1.0).
-``REPRO_FAULTS``
-    Integer seed arming a sampled :class:`repro.faults.FaultPlan` on the
-    run's bottleneck links (reproducible link flaps; the CLI's
-    ``--inject-faults``).  Injected drops are accounted separately
-    (``packets_dropped_down``, ``faults.injected.*`` counters), so the
-    conservation invariants hold with injection armed.
-``REPRO_TELEMETRY_OUT`` / ``REPRO_TELEMETRY`` /
-``REPRO_TELEMETRY_STRIDE`` / ``REPRO_TELEMETRY_SAMPLES``
-    Flight-recorder knobs — see :mod:`repro.obs.telemetry`.  The CLI's
-    ``--telemetry-out`` sets the first.
-``REPRO_REPORT``
-    Truthy to auto-render ``report.md`` into the telemetry run directory
-    at finalize (the CLI's ``--report``).
+Configuration comes from :class:`repro.config.RunConfig` (the ``repro``
+CLI's flags set its ``REPRO_*`` variables): ``metrics_out`` names the
+metrics JSON, ``check_invariants`` verifies conservation every
+:data:`DEFAULT_CHECK_INTERVAL` sim-seconds and at teardown,
+``fault_seed`` arms a sampled :class:`repro.faults.FaultPlan` on the
+run's bottleneck links (injected drops are accounted separately, so the
+invariants hold with injection armed), ``telemetry_out`` arms the flight
+recorder and names its run directory, and ``report`` renders
+``report.md`` there at finalize.
 
 When no knob is on, :func:`observe_run` returns a disabled observation
 whose every method is a cheap no-op, so instrumented drivers cost nothing
@@ -51,70 +38,28 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
+from repro.config import RunConfig
 from repro.obs.invariants import InvariantChecker
 from repro.obs.metrics import MetricsRegistry, atomic_write_text
 from repro.obs.spans import SpanTracer
-from repro.obs.telemetry import FlightRecorder, telemetry_config
+from repro.obs.telemetry import FlightRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.topology import Dumbbell
 
 __all__ = [
-    "observation_config",
     "observe_run",
     "RunObservation",
     "FlightLog",
     "open_flight_log",
-    "report_enabled",
-    "ENV_REPORT",
 ]
 
-ENV_METRICS_OUT = "REPRO_METRICS_OUT"
-ENV_CHECK_INVARIANTS = "REPRO_CHECK_INVARIANTS"
-ENV_CHECK_INTERVAL = "REPRO_CHECK_INTERVAL"
-ENV_REPORT = "REPRO_REPORT"
-
-#: Default sim-time spacing of periodic conservation sweeps (seconds).
+#: Sim-time spacing of periodic conservation sweeps (seconds).
 DEFAULT_CHECK_INTERVAL = 1.0
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-#: REPRO_* knobs snapshotted into run manifests.  Path-valued knobs
-#: (REPRO_*_OUT, REPRO_CHECKPOINT_DIR) are deliberately excluded: the
-#: report must be byte-identical for the same seed regardless of where
-#: the artifacts land.
-_MANIFEST_KNOBS = (
-    "REPRO_SCALE",
-    "REPRO_FAULTS",
-    "REPRO_CHECK_INVARIANTS",
-    "REPRO_CHECK_INTERVAL",
-    "REPRO_TELEMETRY_STRIDE",
-    "REPRO_TELEMETRY_SAMPLES",
-)
-
-
-def observation_config() -> tuple[Optional[str], bool, float]:
-    """Resolve ``(metrics_out, check_invariants, check_interval)`` from the
-    environment (the CLI flags set these variables)."""
-    out = os.environ.get(ENV_METRICS_OUT) or None
-    check = os.environ.get(ENV_CHECK_INVARIANTS, "").strip().lower() in _TRUTHY
-    interval = float(os.environ.get(ENV_CHECK_INTERVAL, DEFAULT_CHECK_INTERVAL))
-    return out, check, interval
-
-
-def report_enabled() -> bool:
-    """True when ``$REPRO_REPORT`` asks for auto-rendered run reports."""
-    return os.environ.get(ENV_REPORT, "").strip().lower() in _TRUTHY
-
-
-def _knob_snapshot() -> dict[str, str]:
-    """The manifest's view of the non-path REPRO_* environment knobs."""
-    return {k: os.environ[k] for k in _MANIFEST_KNOBS if os.environ.get(k)}
 
 
 def _write_run_dir(
@@ -138,7 +83,7 @@ def _write_run_dir(
         tracer.write_jsonl(run_dir / "spans.jsonl")
     if registry is not None:
         registry.write_json(run_dir / "metrics.json")
-    if report_enabled():
+    if RunConfig.from_env().report:
         from repro.obs.report import write_report
 
         write_report(run_dir)
@@ -284,7 +229,7 @@ class RunObservation:
             manifest = {
                 "name": self.name,
                 "duration": duration,
-                "env": _knob_snapshot(),
+                "env": RunConfig.manifest_env(),
                 **self.manifest,
             }
             if self.fault_plan is not None:
@@ -341,10 +286,12 @@ class FlightLog:
             self.tracer.event(name, **attrs)
 
     def finalize(self) -> Optional[Path]:
-        """Write the run directory (``None`` when disabled or in-memory)."""
+        """Write the run directory (``None`` when disabled)."""
         if self.run_dir is None:
             return None
-        manifest = {"name": self.name, "env": _knob_snapshot(), **self.manifest}
+        manifest = {
+            "name": self.name, "env": RunConfig.manifest_env(), **self.manifest
+        }
         return _write_run_dir(
             self.run_dir, manifest, self.telemetry, self.tracer, registry=None
         )
@@ -356,11 +303,11 @@ def open_flight_log(name: str, manifest: Optional[dict] = None) -> FlightLog:
     Returns a disabled (inert) log unless telemetry is armed — the same
     zero-cost contract as :func:`observe_run`'s disabled path.
     """
-    cfg = telemetry_config()
-    if not cfg.enabled:
+    run_dir = RunConfig.from_env().telemetry_out
+    if run_dir is None:
         return FlightLog(name)
     return FlightLog(
-        name, manifest=manifest, run_dir=cfg.out_dir, tracer=SpanTracer(name)
+        name, manifest=manifest, run_dir=run_dir, tracer=SpanTracer(name)
     )
 
 
@@ -381,7 +328,8 @@ def observe_run(
     ``sim.run``.  ``flows`` is an iterable of ``(sender, sink)`` pairs;
     with a dumbbell they are bound to the forward bottleneck drop trace,
     making their teardown conservation check exact.  Arguments left at
-    ``None`` fall back to the environment (see module docstring); when
+    ``None`` fall back to :class:`repro.config.RunConfig` (see module
+    docstring; ``check_interval`` to :data:`DEFAULT_CHECK_INTERVAL`); when
     everything is off, the returned observation is disabled and free.
 
     ``tracer`` (usually from :func:`repro.obs.spans.maybe_tracer`) attaches
@@ -389,24 +337,23 @@ def observe_run(
     events on it.  ``manifest`` seeds the run manifest written alongside
     the telemetry export (drivers put seed/scale/parameters there).
     """
-    env_out, env_check, env_interval = observation_config()
+    cfg = RunConfig.from_env()
     if metrics_out is None:
-        metrics_out = env_out
+        metrics_out = cfg.metrics_out
     if check_invariants is None:
-        check_invariants = env_check
+        check_invariants = cfg.check_invariants
     if check_interval is None:
-        check_interval = env_interval
-    tcfg = telemetry_config()
+        check_interval = DEFAULT_CHECK_INTERVAL
+    run_dir = cfg.telemetry_out
 
-    from repro.faults.plan import FaultPlan, fault_seed_from_env
+    from repro.faults.plan import FaultPlan
 
-    fault_seed = fault_seed_from_env()
     fault_plan = None
-    if fault_seed is not None and db is not None:
+    if cfg.fault_seed is not None and db is not None:
         # Arm reproducible link flaps on the bottleneck pair.  This works
         # with or without the metrics/invariant layer: injection is a
         # scenario input, observability an optional lens on it.
-        fault_plan = FaultPlan.sample_sim(fault_seed)
+        fault_plan = FaultPlan.sample_sim(cfg.fault_seed)
         fault_plan.arm_links(sim, (db.bottleneck_fwd, db.bottleneck_rev))
         if tracer is not None:
             # Every injection the plan records becomes a span event,
@@ -415,12 +362,11 @@ def observe_run(
                 lambda kind, amount: tracer.event(f"fault.{kind}", count=amount)
             )
 
-    if not metrics_out and not check_invariants and not tcfg.enabled:
+    if not metrics_out and not check_invariants and run_dir is None:
         obs = RunObservation(sim, name=name, tracer=tracer)
         obs.fault_plan = fault_plan
         return obs
 
-    run_dir = tcfg.out_dir
     if run_dir is not None and not metrics_out:
         metrics_out = run_dir / "metrics.json"
 
@@ -429,11 +375,7 @@ def observe_run(
         fault_plan.attach_metrics(registry)
     sim.attach_metrics(registry)
     checker = InvariantChecker(registry) if check_invariants else None
-    recorder = (
-        FlightRecorder(sim, stride=tcfg.stride, max_samples=tcfg.max_samples)
-        if tcfg.enabled
-        else None
-    )
+    recorder = FlightRecorder(sim) if run_dir is not None else None
     obs = RunObservation(
         sim, name=name, registry=registry, checker=checker,
         metrics_path=metrics_out, recorder=recorder, tracer=tracer,

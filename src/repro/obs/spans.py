@@ -23,9 +23,9 @@ Wall-clock fields (``wall_*``) are included for humans reading the raw
 trace but are **never** consumed by the report generator — reports must
 be byte-identical across runs of the same seed.
 
-``maybe_tracer`` is the env-gated constructor: it returns ``None``
-unless telemetry is armed (see :mod:`repro.obs.telemetry`), so the
-disabled path allocates nothing.
+``maybe_tracer`` is the gated constructor: it returns ``None`` unless
+telemetry is armed (:class:`repro.config.RunConfig`'s ``telemetry_out``),
+so the disabled path allocates nothing.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
 
+from repro.config import RunConfig
 from repro.obs.metrics import atomic_write_text
-from repro.obs.telemetry import telemetry_config
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -213,7 +213,7 @@ def maybe_tracer(
     ``if tracer is not None`` (or hand None to ``observe_run``, which
     treats it as "no tracing") and nothing is allocated or recorded.
     """
-    if not telemetry_config().enabled:
+    if RunConfig.from_env().telemetry_out is None:
         return None
     return SpanTracer(name, clock=clock, sim=sim)
 

@@ -23,28 +23,19 @@ flight recorder.  When telemetry is disabled nothing is scheduled and
 nothing is sampled — the no-op path costs a handful of ``None`` checks at
 setup time only (bounded by ``benchmarks/test_perf_micro.py``).
 
-Environment knobs (set by the ``repro`` CLI's ``--telemetry-out`` flag,
-or directly):
-
-``REPRO_TELEMETRY_OUT``
-    Run-directory path: arms telemetry and makes
-    :meth:`repro.obs.runtime.RunObservation.finalize` write the flight
-    record there (``manifest.json`` / ``telemetry.json`` /
-    ``spans.jsonl`` / ``metrics.json``).
-``REPRO_TELEMETRY``
-    Truthy ("1"/"true"/"yes"/"on") to arm in-memory telemetry without
-    writing a run directory (tests, interactive use).
-``REPRO_TELEMETRY_STRIDE``
-    Sim-seconds between samples (default 0.05).
-``REPRO_TELEMETRY_SAMPLES``
-    Per-series retained-sample bound before decimation (default 512).
+Telemetry is armed by a run directory — ``REPRO_TELEMETRY_OUT`` (the
+``repro`` CLI's ``--telemetry-out``), read through
+:class:`repro.config.RunConfig` by :func:`repro.obs.runtime.observe_run`
+— which makes :meth:`repro.obs.runtime.RunObservation.finalize` write the
+flight record there (``manifest.json`` / ``telemetry.json`` /
+``spans.jsonl`` / ``metrics.json``).  Samplers tick every
+:data:`DEFAULT_STRIDE` sim-seconds and keep :data:`DEFAULT_MAX_SAMPLES`
+points per series; code that builds a :class:`FlightRecorder` itself
+may pass others.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -55,22 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.queues import Queue
 
 __all__ = [
-    "ENV_TELEMETRY",
-    "ENV_TELEMETRY_OUT",
-    "ENV_TELEMETRY_STRIDE",
-    "ENV_TELEMETRY_SAMPLES",
-    "TelemetryConfig",
-    "telemetry_config",
     "TimeSeries",
     "FlightRecorder",
     "loss_raster",
     "flow_summary",
 ]
-
-ENV_TELEMETRY = "REPRO_TELEMETRY"
-ENV_TELEMETRY_OUT = "REPRO_TELEMETRY_OUT"
-ENV_TELEMETRY_STRIDE = "REPRO_TELEMETRY_STRIDE"
-ENV_TELEMETRY_SAMPLES = "REPRO_TELEMETRY_SAMPLES"
 
 #: Default sim-time spacing between samples (seconds).  0.05 s resolves
 #: sub-RTT structure for the FAST-scale RTT spread (2-200 ms) while
@@ -82,37 +62,6 @@ DEFAULT_MAX_SAMPLES = 512
 
 #: Default bin count of the loss-burst raster.
 RASTER_BINS = 120
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Resolved telemetry knobs for one run."""
-
-    out_dir: Optional[Path]
-    enabled: bool
-    stride: float
-    max_samples: int
-
-
-def telemetry_config() -> TelemetryConfig:
-    """Resolve the telemetry configuration from the environment.
-
-    Telemetry is armed by ``REPRO_TELEMETRY_OUT`` (a run-directory path)
-    or ``REPRO_TELEMETRY`` (truthy, in-memory only).
-    """
-    raw_out = os.environ.get(ENV_TELEMETRY_OUT) or None
-    out_dir = Path(raw_out) if raw_out else None
-    enabled = (
-        out_dir is not None
-        or os.environ.get(ENV_TELEMETRY, "").strip().lower() in _TRUTHY
-    )
-    stride = float(os.environ.get(ENV_TELEMETRY_STRIDE, DEFAULT_STRIDE))
-    max_samples = int(os.environ.get(ENV_TELEMETRY_SAMPLES, DEFAULT_MAX_SAMPLES))
-    return TelemetryConfig(
-        out_dir=out_dir, enabled=enabled, stride=stride, max_samples=max_samples
-    )
 
 
 class TimeSeries:

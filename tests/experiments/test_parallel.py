@@ -7,7 +7,6 @@ import pytest
 
 from repro.experiments import Scale
 from repro.experiments.parallel import (
-    ENV_WORKERS,
     Result,
     RetryPolicy,
     default_workers,
@@ -72,6 +71,9 @@ class TestParallelMap:
         assert default_workers() >= 1
 
 
+ENV_WORKERS = "REPRO_WORKERS"
+
+
 class TestEnvWorkers:
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv(ENV_WORKERS, "3")
@@ -84,11 +86,13 @@ class TestEnvWorkers:
 
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv(ENV_WORKERS, "zero")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=ENV_WORKERS):
             default_workers()
         monkeypatch.setenv(ENV_WORKERS, "0")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=ENV_WORKERS):
             default_workers()
+        with pytest.raises(ValueError, match=ENV_WORKERS):
+            parallel_map(square, [1, 2])
 
     def test_unset_env_means_cpu_based(self, monkeypatch):
         monkeypatch.delenv(ENV_WORKERS, raising=False)

@@ -2,11 +2,13 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
+from repro.config import RunConfig
+from repro.experiments import FAST, run_fig4
 from repro.faults import Checkpoint, CheckpointError
-from repro.faults.checkpoint import ENV_CHECKPOINT_DIR, checkpoint_path_from_env
 
 pytestmark = pytest.mark.faults
 
@@ -120,10 +122,16 @@ class TestCheckpointCorruption:
 
 
 class TestEnvPath:
+    """``REPRO_CHECKPOINT_DIR`` as drivers read it: a directory each
+    driver joins with its own ``<name>.jsonl``."""
+
     def test_unset_means_none(self, monkeypatch):
-        monkeypatch.delenv(ENV_CHECKPOINT_DIR, raising=False)
-        assert checkpoint_path_from_env("fig4") is None
+        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+        assert RunConfig.from_env().checkpoint_dir is None
 
     def test_dir_joined_with_name(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(ENV_CHECKPOINT_DIR, str(tmp_path))
-        assert checkpoint_path_from_env("fig4") == tmp_path / "fig4.jsonl"
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        assert RunConfig.from_env().checkpoint_dir == tmp_path
+        tiny = replace(FAST, campaign_experiments=3, campaign_probe_duration=10.0)
+        run_fig4(seed=7, scale=tiny)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig4.jsonl"]

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.faults import (
     ClockSkew,
     FaultPlan,
@@ -13,9 +14,7 @@ from repro.faults import (
     ProbeCrash,
     ProbeCrashError,
     TraceTruncation,
-    fault_seed_from_env,
 )
-from repro.faults.plan import ENV_FAULTS
 
 pytestmark = pytest.mark.faults
 
@@ -170,15 +169,17 @@ class TestPlanObject:
 
 
 class TestEnvSeed:
+    """``REPRO_FAULTS`` as drivers read it: ``RunConfig.fault_seed``."""
+
     def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv(ENV_FAULTS, raising=False)
-        assert fault_seed_from_env() is None
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        assert RunConfig.from_env().fault_seed is None
 
     def test_integer_seed(self, monkeypatch):
-        monkeypatch.setenv(ENV_FAULTS, "42")
-        assert fault_seed_from_env() == 42
+        monkeypatch.setenv("REPRO_FAULTS", "42")
+        assert RunConfig.from_env().fault_seed == 42
 
     def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_FAULTS, "not-a-seed")
-        with pytest.raises(ValueError):
-            fault_seed_from_env()
+        monkeypatch.setenv("REPRO_FAULTS", "not-a-seed")
+        with pytest.raises(ValueError, match="REPRO_FAULTS"):
+            RunConfig.from_env()

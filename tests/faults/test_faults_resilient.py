@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.config import RunConfig
 from repro.faults import ItemTimeoutError, Result, RetryPolicy, run_with_retry
-from repro.faults.resilient import ENV_ON_ERROR, on_error_from_env
 
 pytestmark = pytest.mark.faults
 
@@ -105,16 +105,18 @@ class TestItemTimeoutError:
 
 
 class TestOnErrorFromEnv:
+    """``REPRO_ON_ERROR`` as drivers read it: ``RunConfig.on_error``, with
+    ``None`` leaving each driver its own default."""
+
     def test_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_ON_ERROR, raising=False)
-        assert on_error_from_env() == "raise"
-        assert on_error_from_env("retry") == "retry"
+        monkeypatch.delenv("REPRO_ON_ERROR", raising=False)
+        assert RunConfig.from_env().on_error is None
 
     def test_env_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_ON_ERROR, "skip")
-        assert on_error_from_env() == "skip"
+        monkeypatch.setenv("REPRO_ON_ERROR", "skip")
+        assert RunConfig.from_env().on_error == "skip"
 
     def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_ON_ERROR, "explode")
-        with pytest.raises(ValueError):
-            on_error_from_env()
+        monkeypatch.setenv("REPRO_ON_ERROR", "explode")
+        with pytest.raises(ValueError, match="REPRO_ON_ERROR"):
+            RunConfig.from_env()

@@ -14,8 +14,9 @@ from repro.experiments.fig7_competition import run_fig7
 from repro.experiments.fig8_parallel import run_fig8
 from repro.faults.plan import FaultPlan
 from repro.obs.report import validate_report
-from repro.obs.runtime import ENV_REPORT
-from repro.obs.telemetry import ENV_TELEMETRY_OUT
+
+ENV_TELEMETRY_OUT = "REPRO_TELEMETRY_OUT"
+ENV_REPORT = "REPRO_REPORT"
 
 TINY = Scale(
     name="tiny",
@@ -120,7 +121,6 @@ class TestFaultSpanEvents:
 
     def test_disabled_path_writes_nothing(self, monkeypatch, tmp_path):
         monkeypatch.delenv(ENV_TELEMETRY_OUT, raising=False)
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         monkeypatch.delenv(ENV_REPORT, raising=False)
         cwd_before = set(os.listdir(tmp_path))
         run_fig2(seed=3, scale=TINY)

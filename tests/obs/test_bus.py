@@ -10,11 +10,9 @@ import pytest
 from repro.obs.bus import (
     BUS_FILE,
     BUS_VERSION,
-    ENV_LOG,
     EventBus,
     RunLog,
     TailState,
-    log_mode,
     open_bus,
     read_json_tolerant,
     tail_jsonl,
@@ -152,19 +150,17 @@ class TestReadJsonTolerant:
 
 
 class TestLogMode:
-    def test_default_text(self, monkeypatch):
-        monkeypatch.delenv(ENV_LOG, raising=False)
-        assert log_mode() == "text"
+    """The log format is RunLog's ``mode`` argument, nothing else."""
 
-    def test_json(self, monkeypatch):
-        monkeypatch.setenv(ENV_LOG, "json")
-        assert log_mode() == "json"
-        monkeypatch.setenv(ENV_LOG, " JSON ")
-        assert log_mode() == "json"
+    def test_default_text(self):
+        log = RunLog("c", stream=None)
+        assert log.mode == "text" and not log.json_mode
 
-    def test_other_values_are_text(self, monkeypatch):
-        monkeypatch.setenv(ENV_LOG, "verbose")
-        assert log_mode() == "text"
+    def test_json(self):
+        assert RunLog("c", stream=None, mode="json").json_mode
+
+    def test_other_values_are_text(self):
+        assert not RunLog("c", stream=None, mode="verbose").json_mode
 
 
 class TestRunLog:
@@ -189,10 +185,6 @@ class TestRunLog:
         assert rec["message"] == "[human text]"
         assert "wall" in rec
 
-    def test_mode_resolves_from_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_LOG, "json")
-        assert RunLog("c", stream=None).json_mode
-
     def test_mirrors_to_bus_in_both_modes(self, tmp_path):
         for mode in ("text", "json"):
             with EventBus(tmp_path / mode, source="cli") as bus:
@@ -212,12 +204,13 @@ class TestRunLog:
 
 
 class TestCliLogJson:
-    def test_log_json_flag_restores_env(self, capsys, monkeypatch):
+    def test_log_json_flag_restores_env(self, capsys):
         from repro.cli import main
 
-        monkeypatch.delenv(ENV_LOG, raising=False)
+        before = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
         assert main(["table1", "--log-json"]) == 0
-        assert ENV_LOG not in os.environ
+        assert {k: v for k, v in os.environ.items()
+                if k.startswith("REPRO_")} == before
         out = capsys.readouterr().out
         first = out.splitlines()[0]
         rec = json.loads(first)
@@ -225,10 +218,9 @@ class TestCliLogJson:
         # The result block itself still prints as plain text.
         assert "PlanetLab" in out
 
-    def test_text_mode_output_unchanged(self, capsys, monkeypatch):
+    def test_text_mode_output_unchanged(self, capsys):
         from repro.cli import main
 
-        monkeypatch.delenv(ENV_LOG, raising=False)
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("=== Table 1 ")

@@ -4,14 +4,13 @@ import json
 import urllib.error
 import urllib.request
 
-from repro.obs.httpd import (
-    ENV_METRICS_PORT,
-    PORT_FILE,
-    ObsServer,
-    maybe_obs_server,
-    metrics_port_from_env,
-)
+import pytest
+
+from repro.config import RunConfig
+from repro.obs.httpd import PORT_FILE, ObsServer, maybe_obs_server
 from repro.obs.metrics import MetricsRegistry
+
+ENV_METRICS_PORT = "REPRO_METRICS_PORT"
 
 
 def _state_dir(tmp_path):
@@ -92,15 +91,17 @@ class TestObsServer:
 
 
 class TestEnvGate:
-    def test_port_parsing(self, monkeypatch):
+    def test_port_parsing(self, monkeypatch, tmp_path):
         monkeypatch.delenv(ENV_METRICS_PORT, raising=False)
-        assert metrics_port_from_env() is None
+        assert RunConfig.from_env().metrics_port is None
         monkeypatch.setenv(ENV_METRICS_PORT, "")
-        assert metrics_port_from_env() is None
+        assert RunConfig.from_env().metrics_port is None
         monkeypatch.setenv(ENV_METRICS_PORT, " 9100 ")
-        assert metrics_port_from_env() == 9100
+        assert RunConfig.from_env().metrics_port == 9100
+        # A typo fails loudly instead of silently serving nothing.
         monkeypatch.setenv(ENV_METRICS_PORT, "not-a-port")
-        assert metrics_port_from_env() is None
+        with pytest.raises(ValueError, match=ENV_METRICS_PORT):
+            maybe_obs_server(tmp_path)
 
     def test_maybe_obs_server_unset(self, monkeypatch, tmp_path):
         monkeypatch.delenv(ENV_METRICS_PORT, raising=False)

@@ -4,12 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import InvariantViolation, observation_config, observe_run
-from repro.obs.runtime import (
-    ENV_CHECK_INTERVAL,
-    ENV_CHECK_INVARIANTS,
-    ENV_METRICS_OUT,
-)
+from repro.config import RunConfig
+from repro.obs import InvariantViolation, observe_run
 from repro.sim import DumbbellConfig, Simulator, build_dumbbell
 from repro.tcp import NewRenoSender, TcpSink
 
@@ -25,27 +21,32 @@ def build_scenario():
     return sim, db, snd, sink
 
 
-class TestObservationConfig:
-    def test_defaults_off(self, monkeypatch):
-        for k in (ENV_METRICS_OUT, ENV_CHECK_INVARIANTS, ENV_CHECK_INTERVAL):
-            monkeypatch.delenv(k, raising=False)
-        out, check, interval = observation_config()
-        assert out is None
-        assert check is False
-        assert interval == 1.0
+ENV_METRICS_OUT = "REPRO_METRICS_OUT"
+ENV_CHECK_INVARIANTS = "REPRO_CHECK_INVARIANTS"
 
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(ENV_METRICS_OUT, "/tmp/m.json")
+
+class TestObservationConfig:
+    """The two observe_run knobs as RunConfig reads them."""
+
+    def test_defaults_off(self, monkeypatch):
+        for k in (ENV_METRICS_OUT, ENV_CHECK_INVARIANTS):
+            monkeypatch.delenv(k, raising=False)
+        cfg = RunConfig.from_env()
+        assert cfg.metrics_out is None
+        assert cfg.check_invariants is False
+
+    def test_env_resolution(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(ENV_METRICS_OUT, str(tmp_path / "m.json"))
         monkeypatch.setenv(ENV_CHECK_INVARIANTS, "TRUE")
-        monkeypatch.setenv(ENV_CHECK_INTERVAL, "0.25")
-        assert observation_config() == ("/tmp/m.json", True, 0.25)
+        cfg = RunConfig.from_env()
+        assert (cfg.metrics_out, cfg.check_invariants) == (tmp_path / "m.json", True)
 
     def test_falsy_strings_are_off(self, monkeypatch):
         monkeypatch.setenv(ENV_CHECK_INVARIANTS, "0")
         monkeypatch.setenv(ENV_METRICS_OUT, "")
-        out, check, _ = observation_config()
-        assert out is None
-        assert check is False
+        cfg = RunConfig.from_env()
+        assert cfg.metrics_out is None
+        assert cfg.check_invariants is False
 
 
 class TestDisabledObservation:
@@ -126,7 +127,6 @@ class TestEnabledObservation:
         path = tmp_path / "env.json"
         monkeypatch.setenv(ENV_CHECK_INVARIANTS, "1")
         monkeypatch.setenv(ENV_METRICS_OUT, str(path))
-        monkeypatch.setenv(ENV_CHECK_INTERVAL, "0.5")
         sim, db, snd, sink = build_scenario()
         obs = observe_run(sim, db=db, flows=[(snd, sink)])
         assert obs.enabled is True

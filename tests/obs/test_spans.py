@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs.spans import SpanTracer, maybe_tracer, span
-from repro.obs.telemetry import ENV_TELEMETRY, ENV_TELEMETRY_OUT
 from repro.sim.engine import Simulator
 
 
@@ -88,12 +87,11 @@ class TestSpanTracer:
 
 class TestMaybeTracer:
     def test_disabled_returns_none(self, monkeypatch):
-        for k in (ENV_TELEMETRY, ENV_TELEMETRY_OUT):
-            monkeypatch.delenv(k, raising=False)
+        monkeypatch.delenv("REPRO_TELEMETRY_OUT", raising=False)
         assert maybe_tracer("x") is None
 
-    def test_enabled_returns_tracer(self, monkeypatch):
-        monkeypatch.setenv(ENV_TELEMETRY, "1")
+    def test_enabled_returns_tracer(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_TELEMETRY_OUT", str(tmp_path))
         tr = maybe_tracer("x")
         assert isinstance(tr, SpanTracer)
         assert tr.name == "x"

@@ -6,16 +6,12 @@ import pytest
 from repro.obs.telemetry import (
     DEFAULT_MAX_SAMPLES,
     DEFAULT_STRIDE,
-    ENV_TELEMETRY,
-    ENV_TELEMETRY_OUT,
-    ENV_TELEMETRY_SAMPLES,
-    ENV_TELEMETRY_STRIDE,
     FlightRecorder,
     TimeSeries,
     flow_summary,
     loss_raster,
-    telemetry_config,
 )
+from repro.obs.runtime import observe_run
 from repro.sim.engine import Simulator
 
 
@@ -163,35 +159,21 @@ class TestFlightRecorder:
 
 
 class TestTelemetryConfig:
+    """``REPRO_TELEMETRY_OUT`` is the one telemetry knob; stride and
+    retention are the module defaults."""
+
     def test_disabled_by_default(self, monkeypatch):
-        for k in (ENV_TELEMETRY, ENV_TELEMETRY_OUT):
-            monkeypatch.delenv(k, raising=False)
-        cfg = telemetry_config()
-        assert not cfg.enabled
-        assert cfg.out_dir is None
-        assert cfg.stride == DEFAULT_STRIDE
-        assert cfg.max_samples == DEFAULT_MAX_SAMPLES
+        monkeypatch.delenv("REPRO_TELEMETRY_OUT", raising=False)
+        obs = observe_run(Simulator())
+        assert obs.recorder is None
+        assert obs.run_dir is None
 
     def test_out_dir_arms(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(ENV_TELEMETRY_OUT, str(tmp_path / "run"))
-        cfg = telemetry_config()
-        assert cfg.enabled
-        assert cfg.out_dir == tmp_path / "run"
-
-    def test_in_memory_arms(self, monkeypatch):
-        monkeypatch.delenv(ENV_TELEMETRY_OUT, raising=False)
-        monkeypatch.setenv(ENV_TELEMETRY, "1")
-        cfg = telemetry_config()
-        assert cfg.enabled
-        assert cfg.out_dir is None
-
-    def test_stride_and_samples_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_TELEMETRY, "1")
-        monkeypatch.setenv(ENV_TELEMETRY_STRIDE, "0.25")
-        monkeypatch.setenv(ENV_TELEMETRY_SAMPLES, "99")
-        cfg = telemetry_config()
-        assert cfg.stride == 0.25
-        assert cfg.max_samples == 99
+        monkeypatch.setenv("REPRO_TELEMETRY_OUT", str(tmp_path / "run"))
+        obs = observe_run(Simulator())
+        assert obs.run_dir == tmp_path / "run"
+        assert obs.recorder.stride == DEFAULT_STRIDE
+        assert obs.recorder.max_samples == DEFAULT_MAX_SAMPLES
 
 
 class TestFlowSummary:

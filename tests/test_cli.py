@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import re
+from dataclasses import fields
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.config import RunConfig
+
+#: The ten RunConfig variables, the only REPRO_* knobs the CLI knows.
+CONFIG_VARS = {f.metadata["var"] for f in fields(RunConfig)}
 
 
 class TestCli:
@@ -61,13 +69,80 @@ class TestHelpEpilog:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
-        out = capsys.readouterr().out
-        for knob in ("REPRO_TELEMETRY_OUT", "REPRO_TELEMETRY",
-                     "REPRO_TELEMETRY_STRIDE", "REPRO_TELEMETRY_SAMPLES",
-                     "REPRO_REPORT", "REPRO_SCALE", "REPRO_FAULTS"):
-            assert knob in out, knob
-        assert "--telemetry-out" in out
-        assert "--report" in out
+        epilog = capsys.readouterr().out.split("environment knobs")[1]
+        # Exactly the ten RunConfig variables: a retired knob is gone from
+        # the help, not just unset.
+        assert len(CONFIG_VARS) == 10
+        assert set(re.findall(r"REPRO_[A-Z_]+", epilog)) == CONFIG_VARS
+        assert "--telemetry-out" in epilog and "--report" in epilog
+
+
+class TestRunConfigRoundTrip:
+    """Every table flag reaches RunConfig.from_env() inside the driver,
+    and the environment is exactly restored afterwards."""
+
+    def _argv(self, tmp_path):
+        return [
+            "stub",
+            "--scale", "paper",
+            "--workers", "3",
+            "--on-error", "skip",
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+            "--inject-faults", "11",
+            "--metrics-out", str(tmp_path / "m.json"),
+            "--check-invariants",
+            "--telemetry-out", str(tmp_path / "run"),
+            "--report",
+            "--metrics-port", "0",
+        ]
+
+    def _repro_env(self) -> dict:
+        return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+
+    def test_every_flag_reaches_the_driver(self, monkeypatch, tmp_path, capsys):
+        seen = []
+
+        def stub(seed, scale):
+            seen.append(RunConfig.from_env())
+            return "stub result"
+
+        monkeypatch.setitem(EXPERIMENTS, "stub", (stub, "stub experiment"))
+        monkeypatch.setenv("REPRO_WORKERS", "5")  # a value to restore
+        for var in CONFIG_VARS - {"REPRO_WORKERS"}:
+            monkeypatch.delenv(var, raising=False)
+        before = self._repro_env()
+        assert main(self._argv(tmp_path)) == 0
+        assert self._repro_env() == before
+        expected = {
+            "scale": "paper",
+            "workers": 3,
+            "on_error": "skip",
+            "checkpoint_dir": tmp_path / "ckpt",
+            "fault_seed": 11,
+            "metrics_out": tmp_path / "m.json",
+            "check_invariants": True,
+            "telemetry_out": tmp_path / "run",
+            "report": True,
+            "metrics_port": 0,
+        }
+        assert [f.name for f in fields(RunConfig)] == list(expected)
+        (cfg,) = seen
+        for name, value in expected.items():
+            assert getattr(cfg, name) == value, name
+        assert "stub result" in capsys.readouterr().out
+
+    def test_environment_restored_when_driver_raises(self, monkeypatch, tmp_path):
+        def stub(seed, scale):
+            assert RunConfig.from_env().fault_seed == 11
+            raise RuntimeError("driver died")
+
+        monkeypatch.setitem(EXPERIMENTS, "stub", (stub, "stub experiment"))
+        monkeypatch.setenv("REPRO_SCALE", "fast")
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        before = self._repro_env()
+        with pytest.raises(RuntimeError, match="driver died"):
+            main(self._argv(tmp_path))
+        assert self._repro_env() == before
 
 
 class TestReportCommand:
@@ -107,6 +182,5 @@ class TestTelemetryFlags:
                      "report.md"):
             assert (d / name).exists(), name
         # Flag-set env must not leak past main().
-        import os
         assert "REPRO_TELEMETRY_OUT" not in os.environ
         assert "REPRO_REPORT" not in os.environ
