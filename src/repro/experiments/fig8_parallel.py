@@ -21,7 +21,6 @@ from repro.apps.parallel_transfer import ParallelTransfer, ParallelTransferConfi
 from repro.config import RunConfig
 from repro.core.report import format_table
 from repro.experiments.common import Scale, add_noise_fleet, current_scale
-from repro.faults import Result
 from repro.obs.runtime import open_flight_log
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -193,14 +192,11 @@ def run_fig8(
     by_cell: dict[tuple[int, float], list[float]] = {}
     failures: list[tuple[int, float, str]] = []
     for res in results:
-        if isinstance(res, Result):
-            if not res.ok:
-                n, rtt, _, _ = jobs[res.index]
-                failures.append((n, rtt, res.error_text))
-                continue
-            key, sample = res.value
-        else:  # raise mode returns raw values (legacy contract)
-            key, sample = res
+        if not res.ok:
+            n, rtt, _, _ = jobs[res.index]
+            failures.append((n, rtt, res.error_text))
+            continue
+        key, sample = res.value
         by_cell.setdefault(key, []).append(sample)
 
     cells: dict[tuple[int, float], LatencyStats] = {}

@@ -22,7 +22,6 @@ from repro.apps.mapreduce import MapReduceShuffle, ShuffleConfig
 from repro.config import RunConfig
 from repro.core.report import format_table
 from repro.experiments.common import Scale, current_scale
-from repro.faults import Result
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.tcp.newreno import NewRenoSender
@@ -145,16 +144,13 @@ def _run_class(
     out = parallel_map(_shuffle_worker, jobs, workers=workers, on_error=on_error)
     lats, spreads = [], []
     for res in out:
-        if isinstance(res, Result):
-            if not res.ok:
-                if failures is not None:
-                    failures.append(
-                        (sender_cls.variant, seeds[res.index], res.error_text)
-                    )
-                continue
-            lat, spread = res.value
-        else:  # raise mode returns raw values (legacy contract)
-            lat, spread = res
+        if not res.ok:
+            if failures is not None:
+                failures.append(
+                    (sender_cls.variant, seeds[res.index], res.error_text)
+                )
+            continue
+        lat, spread = res.value
         lats.append(lat)
         spreads.append(spread)
     return ShuffleClassStats(

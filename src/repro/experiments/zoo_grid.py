@@ -538,10 +538,7 @@ def run_zoo(
         bus.emit("zoo.start", n=len(cells_spec), seed=seed, scale=sc.name,
                  resumed=resumed, pending=len(todo_idx))
     try:
-        out = parallel_map(
-            _zoo_worker, items,
-            on_error=on_error, on_result=note, span_name="zoo.cell",
-        )
+        out = parallel_map(_zoo_worker, items, on_error=on_error, on_result=note)
     finally:
         if ckpt is not None:
             ckpt.close()
@@ -550,19 +547,7 @@ def run_zoo(
         if server is not None:
             server.close()
 
-    if on_error == "raise":
-        # Raw records come back; on_result already filed them, but a
-        # serial raise-mode run with no checkpoint skips note() only on
-        # error paths — ensure everything is filed.
-        for pos, rec in enumerate(out):
-            if not isinstance(rec, Result):
-                records.setdefault(todo_idx[pos], rec)
-    else:
-        for res in out:
-            if isinstance(res, Result) and not res.ok:
-                rtt_name, _, protocol, aqm = cells_spec[todo_idx[res.index]]
-                failed.append(f"{protocol}/{aqm}/{rtt_name}")
-
+    failed += [cell_label(todo_idx[res.index]) for res in out if not res.ok]
     cells = [
         ZooCellResult.from_record(records[i])
         for i in sorted(records)

@@ -10,9 +10,10 @@ truncated.  This package makes failure a first-class, *injectable*,
     transient loss spikes, clock skew, probe-process crashes, tracefile
     truncation — armed on the simulator leg (link down/up events) or the
     campaign leg (path outages, mid-run crashes).
-:class:`Result` / :class:`RetryPolicy`
-    Per-item outcomes and bounded backoff for the resilient
-    :func:`repro.experiments.parallel.parallel_map` and the campaign.
+:class:`Result` / :class:`RetryPolicy` / :func:`run_with_retry`
+    Per-item outcomes, bounded backoff, and the one retry loop behind
+    the resilient :func:`repro.experiments.parallel.parallel_map` (and so
+    the campaign); the sharded supervisor reuses the policy.
 :class:`Checkpoint`
     JSON-lines completion logs so an interrupted campaign resumes exactly
     where it stopped, bit-identical to an uninterrupted run.
@@ -34,12 +35,7 @@ from repro.faults.plan import (
     WorkerHang,
     WorkerKill,
 )
-from repro.faults.resilient import (
-    ItemTimeoutError,
-    Result,
-    RetryPolicy,
-    run_with_retry,
-)
+from repro.faults.resilient import Result, RetryPolicy, run_with_retry
 
 __all__ = [
     "Checkpoint",
@@ -47,7 +43,6 @@ __all__ = [
     "ClockSkew",
     "FaultPlan",
     "InjectedFault",
-    "ItemTimeoutError",
     "LinkFlap",
     "LossSpike",
     "ProbeCrash",

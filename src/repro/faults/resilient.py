@@ -7,7 +7,9 @@ value or the exception plus how many attempts it took.  A
 :class:`RetryPolicy` bounds the retries and spaces them with exponential
 backoff whose jitter is *deterministic* (derived from the item key via
 :func:`repro.sim.rng.stable_hash`), so a retried campaign replays
-identically from the same seed.
+identically from the same seed.  :func:`run_with_retry` is the one retry
+loop: :func:`repro.experiments.parallel.parallel_map` calls it per item,
+in the parent when serial and as the worker job in a process pool.
 """
 
 from __future__ import annotations
@@ -18,19 +20,10 @@ from typing import Any, Optional
 
 from repro.sim.rng import stable_hash
 
-__all__ = [
-    "Result",
-    "RetryPolicy",
-    "ItemTimeoutError",
-    "run_with_retry",
-]
+__all__ = ["Result", "RetryPolicy", "run_with_retry"]
 
 #: Valid ``on_error`` policies for resilient mappers.
 ON_ERROR_POLICIES = ("raise", "skip", "retry")
-
-
-class ItemTimeoutError(RuntimeError):
-    """A work item exceeded its per-item timeout."""
 
 
 @dataclass
@@ -111,7 +104,7 @@ def run_with_retry(
     key: str = "",
     sleep=time.sleep,
 ) -> Result:
-    """Execute ``fn(item)`` serially under ``policy``; never raises.
+    """Execute ``fn(item)`` under ``policy`` in this process; never raises.
 
     With ``pass_attempt`` the callable receives the 1-based attempt number
     as a second argument — the hook fault plans use to crash an experiment

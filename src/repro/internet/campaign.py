@@ -15,8 +15,10 @@ re-derived from ``(seed, path name, index)``, so:
   (:func:`repro.experiments.parallel.parallel_map`) with results
   bit-identical to a serial run;
 * failures (real or injected by a :class:`repro.faults.FaultPlan`) are
-  retried, or recorded as :class:`ExperimentFailure` and *skipped* — the
-  surviving cells still form a valid, explicitly degraded dataset;
+  retried under the default :class:`repro.faults.RetryPolicy` — in the
+  process that ran the first attempt — or recorded as
+  :class:`ExperimentFailure` and *skipped*; the surviving cells still
+  form a valid, explicitly degraded dataset;
 * completed experiments stream into a JSON-lines
   :class:`~repro.faults.Checkpoint`, so an interrupted campaign resumes
   exactly where it stopped and finishes bit-identical to an uninterrupted
@@ -33,7 +35,7 @@ import numpy as np
 
 from repro.faults.checkpoint import Checkpoint
 from repro.faults.plan import FaultPlan
-from repro.faults.resilient import Result, RetryPolicy
+from repro.faults.resilient import Result
 from repro.internet.analytic import injected_since, run_experiment_fast
 from repro.internet.pathmodel import PathLossModel, sample_path_loss_model
 from repro.internet.paths import PathRtt, RttMatrix
@@ -65,7 +67,7 @@ class Experiment:
 
 @dataclass(frozen=True)
 class ExperimentFailure:
-    """One experiment that never produced data (crashed/timed out/skipped)."""
+    """One experiment that never produced data (crashed, then skipped)."""
 
     index: int
     error: str
@@ -268,8 +270,6 @@ class Campaign:
         n_experiments: int,
         workers: Optional[int] = None,
         on_error: str = "raise",
-        retry: Optional[RetryPolicy] = None,
-        timeout: Optional[float] = None,
         checkpoint: Optional[Union[str, Path]] = None,
         tracer=None,
     ) -> CampaignResult:
@@ -278,10 +278,9 @@ class Campaign:
 
         ``workers`` fans experiments over a process pool (``None``: the
         ``REPRO_WORKERS`` environment variable, then serial) with results
-        bit-identical to serial execution.  ``on_error`` / ``retry`` /
-        ``timeout`` are the resilience policy
-        (:func:`repro.experiments.parallel.parallel_map`): with ``"skip"``
-        or ``"retry"``, permanently failed experiments land in
+        bit-identical to serial execution.  ``on_error`` is the resilience
+        policy (:func:`repro.experiments.parallel.parallel_map`): with
+        ``"skip"`` or ``"retry"``, permanently failed experiments land in
         ``result.failures`` instead of aborting the campaign.
         ``checkpoint`` names a JSON-lines file: completed experiments are
         durably logged as they finish, and a rerun pointing at the same
@@ -357,26 +356,19 @@ class Campaign:
         try:
             out = parallel_map(
                 _experiment_worker, todo, workers=workers,
-                on_error=on_error, retry=retry, timeout=timeout,
-                pass_attempt=True, on_result=note,
+                on_error=on_error, pass_attempt=True, on_result=note,
                 tracer=tracer, span_name="campaign.experiment",
             )
         finally:
             if ckpt is not None:
                 ckpt.close()
 
-        failures: list[ExperimentFailure] = []
-        if on_error != "raise":
-            for res in out:
-                if isinstance(res, Result) and not res.ok:
-                    failures.append(
-                        ExperimentFailure(
-                            index=int(todo[res.index][3]),
-                            error=res.error_text,
-                            attempts=res.attempts,
-                        )
-                    )
-        failures.sort(key=lambda f: f.index)
+        failures = sorted(
+            (ExperimentFailure(index=int(todo[res.index][3]),
+                               error=res.error_text, attempts=res.attempts)
+             for res in out if not res.ok),
+            key=lambda f: f.index,
+        )
 
         result = CampaignResult(failures=failures)
         injected: dict[str, int] = {}

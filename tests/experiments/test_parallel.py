@@ -2,16 +2,10 @@
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.experiments import Scale
-from repro.experiments.parallel import (
-    Result,
-    RetryPolicy,
-    default_workers,
-    parallel_map,
-)
+from repro.experiments.parallel import Result, default_workers, parallel_map
 
 
 def square(x):
@@ -28,40 +22,49 @@ def boom_on_two(x):
     return x * x
 
 
+def die_on_two(x):
+    if x == 2:
+        os._exit(1)  # the worker process dies: no exception, no result
+    return x * x
+
+
 def succeed_second_attempt(x, attempt):
     if attempt < 2:
         raise RuntimeError(f"transient failure on {x}")
     return x * x
 
 
-def slow(x):
-    import time
-
-    time.sleep(2.0)
-    return x
+def values(results):
+    return [r.value for r in results]
 
 
 class TestParallelMap:
     def test_serial_fallback_matches(self):
         items = list(range(20))
-        assert parallel_map(square, items, workers=1) == [x * x for x in items]
-        assert parallel_map(square, items, workers=None) == [x * x for x in items]
+        assert values(parallel_map(square, items, workers=1)) == [x * x for x in items]
+        assert values(parallel_map(square, items, workers=None)) == [x * x for x in items]
 
     def test_parallel_preserves_order(self):
         items = list(range(50))
         out = parallel_map(square, items, workers=2)
-        assert out == [x * x for x in items]
+        assert values(out) == [x * x for x in items]
 
     def test_single_item_stays_serial(self):
-        assert parallel_map(square, [7], workers=8) == [49]
+        assert values(parallel_map(square, [7], workers=8)) == [49]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("on_error", ["raise", "skip", "retry"])
+    def test_every_policy_returns_results(self, on_error, workers):
+        """One return shape: a first-try ``Result`` per item, in item
+        order, whatever the policy or the execution mode."""
+        out = parallel_map(square, [1, 2, 3], workers=workers, on_error=on_error)
+        assert all(isinstance(r, Result) for r in out)
+        assert [(r.index, r.ok, r.value, r.attempts) for r in out] == [
+            (0, True, 1, 1), (1, True, 4, 1), (2, True, 9, 1)]
 
     def test_worker_exception_propagates(self):
         with pytest.raises(RuntimeError):
             parallel_map(boom, [1, 2, 3], workers=2)
-
-    def test_chunksize_validated(self):
-        with pytest.raises(ValueError):
-            parallel_map(square, [1, 2, 3], workers=2, chunksize=0)
 
     def test_on_error_validated(self):
         with pytest.raises(ValueError):
@@ -82,7 +85,7 @@ class TestEnvWorkers:
     def test_env_reaches_parallel_map(self, monkeypatch):
         monkeypatch.setenv(ENV_WORKERS, "2")
         items = list(range(12))
-        assert parallel_map(square, items) == [x * x for x in items]
+        assert values(parallel_map(square, items)) == [x * x for x in items]
 
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv(ENV_WORKERS, "zero")
@@ -125,32 +128,40 @@ class TestFaultsResilientModes:
     def test_retry_mode_recovers_transients(self, workers):
         out = parallel_map(
             succeed_second_attempt, [1, 2, 3], workers=workers,
-            on_error="retry", retry=RetryPolicy(retries=2, base=0.0),
-            pass_attempt=True,
+            on_error="retry", pass_attempt=True,
         )
         assert [r.ok for r in out] == [True, True, True]
-        assert [r.value for r in out] == [1, 4, 9]
+        assert values(out) == [1, 4, 9]
         assert all(r.attempts == 2 for r in out)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_retry_mode_exhausts_to_failure(self, workers):
-        out = parallel_map(
-            boom, [5], workers=workers,
-            on_error="retry", retry=RetryPolicy(retries=1, base=0.0),
-        )
+        out = parallel_map(boom, [5], workers=workers, on_error="retry")
         assert not out[0].ok
-        assert out[0].attempts == 2
+        assert out[0].attempts == 3  # RetryPolicy(): 1 try + 2 retries
 
-    def test_timeout_produces_item_timeout(self):
-        out = parallel_map(
-            slow, [1, 2], workers=2, on_error="skip", timeout=0.25,
-        )
-        assert all(not r.ok for r in out)
-        assert all("ItemTimeoutError" in r.error_text for r in out)
 
-    def test_timeout_validated(self):
-        with pytest.raises(ValueError):
-            parallel_map(square, [1], timeout=0.0)
+class TestWorkerDeath:
+    """A worker process that dies breaks the pool; the items it takes
+    down are failed ``Result``s, never a raise under skip/retry."""
+
+    @pytest.mark.parametrize("on_error", ["skip", "retry"])
+    def test_dead_worker_fails_items_without_raising(self, on_error):
+        out = parallel_map(die_on_two, [1, 2, 3, 4], workers=2, on_error=on_error)
+        assert [r.index for r in out] == [0, 1, 2, 3]
+        assert all(isinstance(r, Result) for r in out)
+        assert not out[1].ok and out[1].attempts == 1
+        assert "BrokenProcessPool" in out[1].error_text
+        for r in out:  # the rest either finished or went down with the pool
+            assert (r.ok and r.value == (r.index + 1) ** 2) or (
+                "BrokenProcessPool" in r.error_text)
+
+    def test_raise_mode_reraises_the_broken_pool(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with pytest.raises(BrokenProcessPool) as exc_info:
+            parallel_map(die_on_two, [1, 2, 3, 4], workers=2)
+        assert 1 not in exc_info.value.completed_indices
 
 
 TINY = Scale(
@@ -170,9 +181,15 @@ class TestParallelFig8:
 
         serial = run_fig8(seed=3, scale=TINY, workers=1)
         parallel = run_fig8(seed=3, scale=TINY, workers=2)
-        assert set(serial.cells) == set(parallel.cells)
-        for key in serial.cells:
-            np.testing.assert_allclose(
-                np.sort(serial.cells[key].samples),
-                np.sort(parallel.cells[key].samples),
-            )
+        assert parallel.to_text() == serial.to_text()
+        assert parallel.failures == serial.failures
+
+
+class TestParallelMapReduce:
+    def test_parallel_equals_serial(self):
+        from repro.experiments.mapreduce_shuffle import run_mapreduce
+
+        serial = run_mapreduce(seed=3, scale=TINY, n_seeds=2, workers=1)
+        parallel = run_mapreduce(seed=3, scale=TINY, n_seeds=2, workers=2)
+        assert parallel.to_text() == serial.to_text()
+        assert parallel.failures == serial.failures

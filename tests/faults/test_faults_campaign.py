@@ -52,6 +52,17 @@ class TestArmedCampaign:
         serial = make_campaign(armed_plan()).run(N, on_error="retry")
         parallel = make_campaign(armed_plan()).run(N, workers=2, on_error="retry")
         assert serial.fingerprint() == parallel.fingerprint()
+        assert parallel.meta["retried"] == serial.meta["retried"]
+
+    def test_skip_equals_skip_across_workers(self):
+        """Under skip a crashed experiment fails on its only attempt, in
+        a pool exactly as serially: same data, same failures."""
+        serial = make_campaign(armed_plan()).run(N, on_error="skip")
+        parallel = make_campaign(armed_plan()).run(N, workers=2, on_error="skip")
+        assert len(serial.failures) == 2
+        assert parallel.fingerprint() == serial.fingerprint()
+        assert parallel.failures == serial.failures
+        assert parallel.meta["retried"] == serial.meta["retried"]
 
     def test_faults_actually_change_the_data(self):
         clean = make_campaign().run(N)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import RunConfig
-from repro.faults import ItemTimeoutError, Result, RetryPolicy, run_with_retry
+from repro.faults import Result, RetryPolicy, run_with_retry
 
 pytestmark = pytest.mark.faults
 
@@ -97,11 +97,6 @@ class TestRunWithRetry:
         pol = RetryPolicy(retries=2, base=0.1, factor=2.0, jitter=0.0)
         run_with_retry(fail, 1, policy=pol, sleep=slept.append)
         assert slept == pytest.approx([0.1, 0.2])
-
-
-class TestItemTimeoutError:
-    def test_is_runtime_error(self):
-        assert issubclass(ItemTimeoutError, RuntimeError)
 
 
 class TestOnErrorFromEnv:

@@ -5,6 +5,11 @@ lane attacks from *outside* the process tree — SIGKILLing the whole CLI
 supervisor mid-campaign — and with randomized in-worker kill/hang
 injection, then checks the recovered campaign is byte-identical to a
 clean one.  Run directly via ``make chaos`` (part of ``make test``).
+
+The campaigns here are the paper's 26-site mesh; meshes past it are
+covered by ``test_shards.py``: ``test_scales_to_thousands_of_sites``
+(1,500 sites) and ``test_run_shard_peak_memory_independent_of_path_count``
+(10,000 paths of a 120-site mesh through ``run_shard``).
 """
 
 import os
@@ -34,6 +39,7 @@ FLAGS = [
     "--probe-duration", "30.0", "--workers", "2", "--hang-timeout", "0.6",
 ]
 _FINGERPRINT = re.compile(r"fingerprint\s*:\s*([0-9a-f]{64})")
+_GAPS_POOLED = re.compile(r"loss gaps pooled\s*:\s*(\d+)")
 
 
 def campaign(state_dir, *extra, check=True, timeout=180):
@@ -48,6 +54,16 @@ def campaign(state_dir, *extra, check=True, timeout=180):
             f"campaign CLI failed ({proc.returncode}):\n{proc.stderr}"
         )
     return proc
+
+
+def ledger_done(state) -> int:
+    """Shards the ledger records as done: whole lines only, since the
+    supervisor trusts nothing else on resume."""
+    try:
+        lines = (state / "shards.jsonl").read_text().splitlines(keepends=True)
+    except OSError:
+        return 0
+    return sum(1 for ln in lines if ln.endswith("\n") and '"status":"done"' in ln)
 
 
 def fingerprint_of(proc) -> str:
@@ -74,11 +90,12 @@ class TestSupervisorKilledFromOutside:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, cwd=REPO,
             env=cli_env(),
         )
-        # Wait until some shards have landed but the campaign cannot be
-        # finished, then SIGKILL the supervisor — no cleanup handlers run.
+        # Wait until some shards are durably in the ledger but the campaign
+        # cannot be finished, then SIGKILL the supervisor — no cleanup
+        # handlers run.  Loose shard files would race the ledger append.
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline and proc.poll() is None:
-            if len(list(state.glob("shard-*.json"))) >= 2:
+            if ledger_done(state) >= 2:
                 break
             time.sleep(0.01)
         killed = proc.poll() is None
@@ -86,13 +103,19 @@ class TestSupervisorKilledFromOutside:
             proc.kill()
             proc.wait(timeout=30)
             assert proc.returncode == -signal.SIGKILL
+        done_at_kill = ledger_done(state)
         # Orphaned fork workers may still land their shard files while we
         # resume; that is safe by design — shard records are atomic and
         # byte-identical no matter who writes them.
         resumed = campaign(state, "--resume")
         assert killed, "campaign finished before the kill landed"
+        assert 1 <= done_at_kill <= 15, (
+            f"kill landed outside the useful window: {done_at_kill}/16 done"
+        )
         assert fingerprint_of(resumed) == clean_fingerprint
         assert "COMPLETE" in resumed.stdout
+        gaps = _GAPS_POOLED.search(resumed.stdout)
+        assert gaps and int(gaps.group(1)) > 0, resumed.stdout
 
     def test_double_kill_double_resume_converges(self, tmp_path,
                                                  clean_fingerprint):
