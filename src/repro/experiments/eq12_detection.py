@@ -7,10 +7,11 @@ flows do (``K`` = packets a flow sends in that RTT), because window-based
 traffic arrives in per-flow clumps while rate-based traffic is evenly
 interleaved.
 
-Empirical validation runs the *mixed* Figure 7 scenario — N window-based
-(NewReno) and N rate-based (paced) flows sharing the bottleneck — clusters
-the drop trace into loss events, and counts the distinct flows of each
-class actually hit per event.  The measured rate/window detection ratio
+Empirical validation runs the *mixed* Figure 7 scenario (``fig7_spec``:
+N window-based NewReno and N rate-based paced flows sharing the
+bottleneck), clusters the drop trace into loss events, and counts the
+distinct flows of each class actually hit per event
+(``ScenarioRun.detection``).  The measured rate/window detection ratio
 must exceed 1 and track the model's prediction at the measured M and K.
 """
 
@@ -19,22 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro.core.detection import DetectionModel
-from repro.core.events import distinct_flows_per_event, event_spans
 from repro.core.report import format_table
 from repro.experiments.common import Scale, current_scale
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.tcp.registry import create_sender
-from repro.tcp.sink import TcpSink
+from repro.experiments.fig7_competition import fig7_spec
+from repro.experiments.scenario import run_scenario
 
 __all__ = ["Eq12Result", "run_eq12", "analytic_table"]
-
-_WINDOW_BASE = 100
-_RATE_BASE = 200
 
 
 @dataclass
@@ -95,57 +86,20 @@ def run_eq12(
 ) -> Eq12Result:
     """Run the mixed competition and compare detection counts to the model."""
     sc = current_scale(scale)
-    streams = RngStreams(seed)
-    sim = Simulator()
-    cfg = DumbbellConfig(bottleneck_rate_bps=sc.fig7_capacity_bps)
-    cfg.buffer_pkts = max(4, int(cfg.bdp_packets(rtt) * buffer_bdp_fraction))
-    db = build_dumbbell(sim, cfg)
     n = sc.fig7_flows_per_class
-
-    start_rng = streams.stream("starts")
-    for i in range(n):
-        pair = db.add_pair(rtt=rtt, name=f"win{i}")
-        fid = _WINDOW_BASE + i
-        snd = create_sender("newreno", sim, pair.left, fid, pair.right.node_id)
-        TcpSink(sim, pair.right, fid, pair.left.node_id)
-        snd.start(float(start_rng.uniform(0.0, 0.1)))
-    for i in range(n):
-        pair = db.add_pair(rtt=rtt, name=f"rate{i}")
-        fid = _RATE_BASE + i
-        snd = create_sender("paced", sim, pair.left, fid, pair.right.node_id, rtt=rtt)
-        TcpSink(sim, pair.right, fid, pair.left.node_id)
-        snd.start(float(start_rng.uniform(0.0, 0.1)))
-    sim.run(until=sc.fig7_duration)
-
-    trace = db.drop_trace
-    # Vectorized per-event detection counts on the columnar trace: event
-    # boundary indices once, then distinct (event, flow) pairs per class —
-    # no Python loop over events.
-    all_fids = trace.flow_ids
-    spans = event_spans(trace.drop_times(), rtt)
-    n_ev = len(spans) - 1
-    sizes = np.diff(spans)
-    win_mask = (all_fids >= _WINDOW_BASE) & (all_fids < _RATE_BASE)
-    rate_mask = all_fids >= _RATE_BASE
-    win_hits = distinct_flows_per_event(spans, all_fids, record_mask=win_mask)
-    rate_hits = distinct_flows_per_event(spans, all_fids, record_mask=rate_mask)
-    # Per-class drop counts, to evaluate the model at each class's own M.
-    n_events = max(1, n_ev)
-    m_win = float(np.sum(win_mask)) / n_events
-    m_rate = float(np.sum(rate_mask)) / n_events
-
+    run = run_scenario(fig7_spec(sc, rtt, buffer_bdp_fraction, None), seed, "eq12")
+    det = run.detection(rtt)
+    # Per-class drops per event, to evaluate the model at each class's own M.
+    m_win, m_rate = (d / max(1, det.events) for d in det.drops)
     # K: packets a window flow sends per RTT, from delivered throughput.
-    delivered = db.forward_queue.dequeued
-    k = max(1e-9, delivered / (2 * n) * rtt / sc.fig7_duration)
-    model = DetectionModel(n=n, k=k)
-
+    k = max(1e-9, run.queue.dequeued / (2 * n) * rtt / sc.fig7_duration)
     return Eq12Result(
         n_flows_per_class=n,
-        n_events=n_ev,
-        mean_event_size=float(sizes.mean()) if len(sizes) else float("nan"),
+        n_events=det.events,
+        mean_event_size=det.mean_m,
         k_packets_per_rtt=float(k),
-        measured_window_hits=float(np.mean(win_hits)) if len(win_hits) else float("nan"),
-        measured_rate_hits=float(np.mean(rate_hits)) if len(rate_hits) else float("nan"),
+        measured_window_hits=det.hits[0],
+        measured_rate_hits=det.hits[1],
         # The paper's Eqs. (1)/(2) are uncapped ideals; when evaluating them
         # against a measured event we cap at N (no event can be detected by
         # more flows than exist), so huge events saturate both classes.

@@ -23,21 +23,12 @@ from repro.core.intervals import intervals_from_trace
 from repro.core.pdf import IntervalPdf, interval_pdf, poisson_reference_pdf
 from repro.core.poisson import PoissonComparison, compare_to_poisson
 from repro.core.report import pdf_figure_text
-from repro.experiments.common import (
-    Scale,
-    add_noise_fleet,
-    current_scale,
-    random_rtts,
-)
-from repro.obs.runtime import observe_run
-from repro.obs.spans import maybe_tracer, span
-from repro.sim.engine import Simulator
+from repro.experiments.common import Scale, current_scale, random_rtts
+from repro.experiments.scenario import FlowClass, Scenario, run_scenario
 from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.sink import TcpSink
+from repro.sim.topology import DumbbellConfig
 
-__all__ = ["Fig2Result", "run_fig2"]
+__all__ = ["Fig2Result", "fleet_spec", "run_fig2"]
 
 
 @dataclass
@@ -64,11 +55,36 @@ class Fig2Result:
         )
 
 
+def fleet_spec(
+    seed: int, sc: Scale, buffer_bdp_fraction: float, **fields
+) -> tuple[Scenario, float]:
+    """The Figure 2 population as data, and its mean RTT.
+
+    ``n_tcp_flows`` NewReno flows (ids 100+, pairs ``tcp<i>``, starts in
+    the first 0.5 s) over RTTs uniform in 2–200 ms, drawn from ``seed``'s
+    ``"rtts"`` stream, plus the scale's noise fleet.  The buffer is
+    ``buffer_bdp_fraction`` of the BDP at the mean RTT (at least 4
+    packets); ``fields`` override the rest of the spec.
+    """
+    rtts = random_rtts(sc.n_tcp_flows, RngStreams(seed))
+    mean_rtt = float(rtts.mean())
+    bdp = DumbbellConfig(bottleneck_rate_bps=sc.capacity_bps).bdp_packets(mean_rtt)
+    fields = {"noise_flows": sc.n_noise_flows, "noise_load": sc.noise_load,
+              "bin_width": None, **fields}
+    spec = Scenario(
+        classes=(FlowClass("newreno", tuple(map(float, rtts)), "tcp", start_window=0.5),),
+        capacity_bps=sc.capacity_bps,
+        buffer_pkts=max(4, int(bdp * buffer_bdp_fraction)),
+        duration=sc.measure_duration,
+        **fields,
+    )
+    return spec, mean_rtt
+
+
 def run_fig2(
     seed: int = 1,
     scale: Optional[Scale] = None,
     buffer_bdp_fraction: float = 0.5,
-    sender_cls=NewRenoSender,
 ) -> Fig2Result:
     """Run the Figure 2 scenario and analyze the drop trace.
 
@@ -78,57 +94,23 @@ def run_fig2(
     if not (0 < buffer_bdp_fraction <= 4):
         raise ValueError(f"buffer fraction out of range: {buffer_bdp_fraction}")
     sc = current_scale(scale)
-    streams = RngStreams(seed)
-    sim = Simulator()
-    tracer = maybe_tracer("fig2", sim=sim)
-
-    with span(tracer, "setup", seed=seed, scale=sc.name):
-        rtts = random_rtts(sc.n_tcp_flows, streams)
-        mean_rtt = float(rtts.mean())
-        cfg = DumbbellConfig(bottleneck_rate_bps=sc.capacity_bps)
-        buffer_pkts = max(4, int(cfg.bdp_packets(mean_rtt) * buffer_bdp_fraction))
-        cfg.buffer_pkts = buffer_pkts
-        db = build_dumbbell(sim, cfg)
-
-        start_rng = streams.stream("starts")
-        flows = []
-        for i, rtt in enumerate(rtts):
-            pair = db.add_pair(rtt=float(rtt), name=f"tcp{i}")
-            fid = 100 + i
-            snd = sender_cls(sim, pair.left, fid, pair.right.node_id, total_packets=None)
-            sink = TcpSink(sim, pair.right, fid, pair.left.node_id)
-            flows.append((snd, sink))
-            snd.start(float(start_rng.uniform(0.0, 0.5)))
-
-        add_noise_fleet(sim, db, streams, sc.n_noise_flows, sc.noise_load)
-        obs = observe_run(
-            sim, db=db, name="fig2", flows=flows, tracer=tracer,
-            manifest={
-                "seed": seed,
-                "scale": sc.name,
-                "buffer_bdp_fraction": buffer_bdp_fraction,
-                "buffer_pkts": buffer_pkts,
-                "sender": sender_cls.__name__,
-                "mean_rtt": round(mean_rtt, 9),
-            },
-        )
-    with span(tracer, "run", until=sc.measure_duration), obs.profiled():
-        sim.run(until=sc.measure_duration)
-
-    with span(tracer, "analyze"):
-        drop_times = db.drop_trace.drop_times()
-        intervals = intervals_from_trace(drop_times, mean_rtt)
-        pdf = interval_pdf(intervals)
-        poisson = poisson_reference_pdf(pdf.rate_per_rtt(), pdf.edges)
-        result = Fig2Result(
-            pdf=pdf,
-            poisson=poisson,
-            frac_001=fraction_within(intervals, 0.01),
-            frac_1=fraction_within(intervals, 1.0),
-            comparison=compare_to_poisson(intervals),
-            n_drops=len(drop_times),
-            mean_rtt=mean_rtt,
-            bottleneck_utilization=db.bottleneck_fwd.utilization(sc.measure_duration),
-        )
-    obs.finalize(duration=sc.measure_duration)
-    return result
+    spec, mean_rtt = fleet_spec(seed, sc, buffer_bdp_fraction)
+    run = run_scenario(spec, seed, "fig2", manifest={
+        "scale": sc.name,
+        "buffer_bdp_fraction": buffer_bdp_fraction,
+        "buffer_pkts": spec.buffer_pkts,
+        "sender": "NewRenoSender",
+        "mean_rtt": round(mean_rtt, 9),
+    })
+    intervals = intervals_from_trace(run.drop_times, mean_rtt)
+    pdf = interval_pdf(intervals)
+    return Fig2Result(
+        pdf=pdf,
+        poisson=poisson_reference_pdf(pdf.rate_per_rtt(), pdf.edges),
+        frac_001=fraction_within(intervals, 0.01),
+        frac_1=fraction_within(intervals, 1.0),
+        comparison=compare_to_poisson(intervals),
+        n_drops=len(run.drop_times),
+        mean_rtt=mean_rtt,
+        bottleneck_utilization=run.utilization,
+    )

@@ -5,6 +5,14 @@ Both classes run identical window/loss-reaction logic; only the sub-RTT
 emission pattern differs.  The paper reports the paced aggregate ending
 up ~17% below NewReno's — the bursty loss process penalizes the class
 whose packets are spread evenly.
+
+:func:`fig7_spec` is that competition as a
+:class:`~repro.experiments.scenario.Scenario`; :func:`run_fig7` runs it
+and reads the two throughput series.  The same spec, with the challenger,
+queue, buffer or sender kwargs swapped, is the Eq. (1)/(2) run
+(:mod:`~repro.experiments.eq12_detection`), every zoo cell
+(:mod:`~repro.experiments.zoo_grid`) and both ECN-fairness legs
+(:mod:`repro.extensions.ecn_fairness`).
 """
 
 from __future__ import annotations
@@ -16,19 +24,10 @@ import numpy as np
 
 from repro.core.report import format_series
 from repro.experiments.common import Scale, current_scale
-from repro.obs.runtime import observe_run
-from repro.obs.spans import maybe_tracer, span
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.sim.trace import ThroughputTrace
-from repro.tcp.registry import create_sender
-from repro.tcp.sink import TcpSink
+from repro.experiments.scenario import FlowClass, Scenario, run_scenario
+from repro.sim.topology import DumbbellConfig
 
-__all__ = ["Fig7Result", "run_fig7"]
-
-GROUP_NEWRENO = 0
-GROUP_PACING = 1
+__all__ = ["Fig7Result", "fig7_spec", "run_fig7"]
 
 
 @dataclass
@@ -78,6 +77,35 @@ class Fig7Result:
         return head + "\n" + series + "\n" + series2
 
 
+def fig7_spec(
+    sc: Scale,
+    rtt: float,
+    buffer_bdp_fraction: float,
+    bin_width: Optional[float],
+    challenger: str = "paced",
+    kwargs: Optional[dict] = None,
+    **fields,
+) -> Scenario:
+    """The Figure 7 competition as data: ``fig7_flows_per_class`` NewReno
+    flows (ids 100+, pairs ``nr<i>``) against as many ``challenger`` flows
+    (ids 200+, pairs ``pc<i>``), all at ``rtt``, every sender built with
+    ``kwargs``.  The buffer is ``buffer_bdp_fraction`` of the BDP at
+    ``rtt`` (at least 4 packets); ``fields`` set the rest of the
+    :class:`~repro.experiments.scenario.Scenario` (e.g. ``queue``)."""
+    n = sc.fig7_flows_per_class
+    kwargs = kwargs or {}
+    bdp = DumbbellConfig(bottleneck_rate_bps=sc.fig7_capacity_bps).bdp_packets(rtt)
+    return Scenario(
+        classes=(FlowClass("newreno", (rtt,) * n, "nr", kwargs=kwargs),
+                 FlowClass(challenger, (rtt,) * n, "pc", fid_base=200, kwargs=kwargs)),
+        capacity_bps=sc.fig7_capacity_bps,
+        buffer_pkts=max(4, int(bdp * buffer_bdp_fraction)),
+        duration=sc.fig7_duration,
+        bin_width=bin_width,
+        **fields,
+    )
+
+
 def run_fig7(
     seed: int = 1,
     scale: Optional[Scale] = None,
@@ -87,63 +115,17 @@ def run_fig7(
 ) -> Fig7Result:
     """Run the Figure 7 competition and return both throughput series."""
     sc = current_scale(scale)
-    streams = RngStreams(seed)
-    sim = Simulator()
-    tracer = maybe_tracer("fig7", sim=sim)
-
-    with span(tracer, "setup", seed=seed, scale=sc.name):
-        cfg = DumbbellConfig(bottleneck_rate_bps=sc.fig7_capacity_bps)
-        cfg.buffer_pkts = max(4, int(cfg.bdp_packets(rtt) * buffer_bdp_fraction))
-        db = build_dumbbell(sim, cfg)
-        tp = ThroughputTrace(bin_width=bin_width)
-
-        start_rng = streams.stream("starts")
-        n = sc.fig7_flows_per_class
-        flows = []
-        # Senders resolve through the protocol registry; "newreno" and
-        # "paced" are the paper's two Fig. 7 classes.
-        for i in range(n):
-            pair = db.add_pair(rtt=rtt, name=f"nr{i}")
-            fid = 100 + i
-            snd = create_sender("newreno", sim, pair.left, fid, pair.right.node_id)
-            sink = TcpSink(sim, pair.right, fid, pair.left.node_id, throughput=tp)
-            tp.assign(fid, GROUP_NEWRENO)
-            flows.append((snd, sink))
-            snd.start(float(start_rng.uniform(0.0, 0.1)))
-        for i in range(n):
-            pair = db.add_pair(rtt=rtt, name=f"pc{i}")
-            fid = 200 + i
-            snd = create_sender(
-                "paced", sim, pair.left, fid, pair.right.node_id, rtt=rtt
-            )
-            sink = TcpSink(sim, pair.right, fid, pair.left.node_id, throughput=tp)
-            tp.assign(fid, GROUP_PACING)
-            flows.append((snd, sink))
-            snd.start(float(start_rng.uniform(0.0, 0.1)))
-
-        obs = observe_run(
-            sim, db=db, name="fig7", flows=flows, tracer=tracer,
-            manifest={
-                "seed": seed,
-                "scale": sc.name,
-                "rtt": rtt,
-                "buffer_bdp_fraction": buffer_bdp_fraction,
-                "flows_per_class": n,
-            },
-        )
-    with span(tracer, "run", until=sc.fig7_duration), obs.profiled():
-        sim.run(until=sc.fig7_duration)
-
-    with span(tracer, "analyze"):
-        t, nr = tp.series(GROUP_NEWRENO, until=sc.fig7_duration - 1e-9)
-        _, pc = tp.series(GROUP_PACING, until=sc.fig7_duration - 1e-9)
-    obs.finalize(duration=sc.fig7_duration)
+    run = run_scenario(
+        fig7_spec(sc, rtt, buffer_bdp_fraction, bin_width), seed, "fig7",
+        manifest={"scale": sc.name, "rtt": rtt, "buffer_bdp_fraction": buffer_bdp_fraction,
+                  "flows_per_class": sc.fig7_flows_per_class},
+    )
     return Fig7Result(
-        times=t,
-        newreno_mbps=nr,
-        pacing_mbps=pc,
-        mean_newreno_mbps=tp.mean_mbps(GROUP_NEWRENO, sc.fig7_duration),
-        mean_pacing_mbps=tp.mean_mbps(GROUP_PACING, sc.fig7_duration),
+        times=run.times,
+        newreno_mbps=run.mbps[0],
+        pacing_mbps=run.mbps[1],
+        mean_newreno_mbps=run.mean_mbps[0],
+        mean_pacing_mbps=run.mean_mbps[1],
         rtt=rtt,
         capacity_bps=sc.fig7_capacity_bps,
         duration=sc.fig7_duration,

@@ -21,12 +21,12 @@ from typing import Optional
 from repro.apps.churn import ChurnConfig, FlowChurn
 from repro.core.burstiness import BurstinessSummary, burstiness_summary
 from repro.core.report import format_table
-from repro.experiments.common import Scale, current_scale, random_rtts
+from repro.experiments.common import Scale, current_scale
+from repro.experiments.fig2_ns2 import fleet_spec
+from repro.experiments.scenario import run_scenario
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.sink import TcpSink
 
 __all__ = ["ShortFlowResult", "run_shortflows"]
 
@@ -58,22 +58,9 @@ class ShortFlowResult:
 
 
 def _long_lived(seed: int, sc: Scale) -> BurstinessSummary:
-    streams = RngStreams(seed)
-    sim = Simulator()
-    rtts = random_rtts(sc.n_tcp_flows, streams)
-    mean_rtt = float(rtts.mean())
-    cfg = DumbbellConfig(bottleneck_rate_bps=sc.capacity_bps)
-    cfg.buffer_pkts = max(4, cfg.bdp_packets(mean_rtt) // 2)
-    db = build_dumbbell(sim, cfg)
-    starts = streams.stream("starts")
-    for i, rtt in enumerate(rtts):
-        pair = db.add_pair(rtt=float(rtt))
-        fid = 100 + i
-        snd = NewRenoSender(sim, pair.left, fid, pair.right.node_id)
-        TcpSink(sim, pair.right, fid, pair.left.node_id)
-        snd.start(float(starts.uniform(0.0, 0.5)))
-    sim.run(until=sc.measure_duration)
-    return burstiness_summary(db.drop_trace.drop_times(), mean_rtt)
+    spec, mean_rtt = fleet_spec(seed, sc, 0.5, noise_flows=0)
+    run = run_scenario(spec, seed, "shortflows.longlived")
+    return burstiness_summary(run.drop_times, mean_rtt)
 
 
 def _churn(seed: int, sc: Scale) -> tuple[BurstinessSummary, FlowChurn]:

@@ -8,15 +8,14 @@ through the registries (:func:`repro.tcp.registry.create_sender`,
 :func:`repro.sim.queues.make_queue`): every cell pits a NewReno baseline
 class against a challenger protocol over the cell's queue discipline.
 
-The ``(paced, droptail)`` cell *is* the paper's Figure 7 scenario — same
-topology, flow ids, and RNG stream consumption as
-:func:`repro.experiments.fig7_competition.run_fig7` — so its series
-reproduce the seed outputs byte-identically (a pinned test enforces
-this).  The other cells answer the ROADMAP's modernization question: does
-the burstiness penalty on smooth senders survive BBR's model-based rate
-control, QUIC's gain-and-burst pacing, and sojourn-time AQMs that were
-built to kill standing queues (and with them, the synchronized overflow
-bursts the paper blames)?
+Every cell is :func:`~repro.experiments.fig7_competition.fig7_spec` with
+the challenger and queue swapped; the ``(paced, droptail)`` cell is
+``run_fig7``'s own spec, so it reproduces the paper's Figure 7 series
+byte-identically by construction.  The other cells answer the ROADMAP's
+modernization question: does the burstiness penalty on smooth senders
+survive BBR's model-based rate control, QUIC's gain-and-burst pacing,
+and sojourn-time AQMs that were built to kill standing queues (and with
+them, the synchronized overflow bursts the paper blames)?
 
 Reading BBR/QUIC cells against the paper's Reno-era numbers: see
 ``docs/TUTORIAL.md`` — the detection-ratio column only speaks to the
@@ -41,23 +40,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.config import RunConfig
-from repro.core.detection import DetectionModel  # noqa: F401  (re-export context)
-from repro.core.events import distinct_flows_per_event, event_spans
 from repro.core.report import format_table
 from repro.experiments.common import Scale, current_scale
+from repro.experiments.fig7_competition import fig7_spec
 from repro.experiments.parallel import parallel_map
+from repro.experiments.scenario import Scenario, run_scenario
 from repro.faults import Checkpoint, Result
 from repro.obs.bus import open_bus
 from repro.obs.httpd import maybe_obs_server
-from repro.obs.runtime import observe_run
-from repro.obs.spans import maybe_tracer, span
-from repro.sim.engine import Simulator
-from repro.sim.queues import make_queue
-from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.sim.trace import ThroughputTrace
-from repro.tcp.registry import create_sender, sender_spec
-from repro.tcp.sink import TcpSink
+from repro.tcp.registry import sender_spec
 
 __all__ = [
     "ZooCellResult",
@@ -84,13 +75,6 @@ DEFAULT_RTT_CLASSES = (
     ("wan", 0.050),
     ("intercont", 0.150),
 )
-
-#: Throughput-trace groups; fid bases match run_fig7/run_eq12 so the
-#: detection analysis classifies by the same id split.
-GROUP_BASELINE = 0
-GROUP_CHALLENGER = 1
-_BASELINE_FID = 100
-_CHALLENGER_FID = 200
 
 
 @dataclass
@@ -243,15 +227,15 @@ def run_zoo_cell(
 ) -> ZooCellResult:
     """Run one grid cell: NewReno baseline vs ``protocol`` over ``aqm``.
 
-    Construction mirrors :func:`~repro.experiments.fig7_competition.run_fig7`
-    exactly — same topology, flow-id bases, pair names, and RNG stream
-    consumption order — so the ``(paced, droptail, wan)`` cell replays the
-    paper's Figure 7 scenario bit-for-bit.  The AQM draws randomness from
-    its own ``"aqm"`` stream, so swapping disciplines never perturbs the
-    flow-start randomness (variance isolation).
+    The cell is :func:`~repro.experiments.fig7_competition.fig7_spec`
+    with ``challenger=protocol`` and ``queue=aqm``, so the ``(paced,
+    droptail, wan)`` cell replays the paper's Figure 7 scenario
+    bit-for-bit.  The AQM draws randomness from its own ``"aqm"``
+    stream, so swapping disciplines never perturbs the flow-start
+    randomness (variance isolation).
 
-    ``backend="fluid"`` runs the same cell on the mean-field engine
-    (:mod:`repro.sim.fluid`) instead: protocols/AQMs without a fluid
+    ``backend="fluid"`` runs the same spec on the mean-field engine
+    (``Scenario.fluid``) instead: protocols/AQMs without a fluid
     reduction raise :class:`~repro.sim.queues.FluidNotSupported` (the
     grid reports those cells as failed rather than silently degrading),
     and the detection columns are NaN — per-drop flow attribution is a
@@ -262,153 +246,52 @@ def run_zoo_cell(
     limit integrates away (see docs/TUTORIAL.md §12).
     """
     sc = current_scale(scale)
+    if backend not in ("packet", "fluid"):
+        raise ValueError(f"backend must be 'packet' or 'fluid', got {backend!r}")
+    cell = {"protocol": protocol, "aqm": aqm, "rtt_name": rtt_name, "rtt": rtt,
+            # Validates the protocol before anything is simulated.
+            "rate_based": sender_spec(protocol).rate_based}
+    spec = fig7_spec(sc, rtt, buffer_bdp_fraction, bin_width,
+                     challenger=protocol, queue=aqm)
     if backend == "fluid":
-        return _run_zoo_cell_fluid(
-            seed, sc, protocol, aqm, rtt=rtt, rtt_name=rtt_name,
-            buffer_bdp_fraction=buffer_bdp_fraction, bin_width=bin_width,
-        )
-    if backend != "packet":
-        raise ValueError(
-            f"backend must be 'packet' or 'fluid', got {backend!r}"
-        )
-    spec = sender_spec(protocol)  # validate before simulating
-    streams = RngStreams(seed)
-    sim = Simulator()
-    tracer = maybe_tracer(f"zoo.{protocol}.{aqm}.{rtt_name}", sim=sim)
-
-    with span(tracer, "setup", seed=seed, protocol=protocol, aqm=aqm, rtt=rtt):
-        cfg = DumbbellConfig(bottleneck_rate_bps=sc.fig7_capacity_bps)
-        cfg.buffer_pkts = max(4, int(cfg.bdp_packets(rtt) * buffer_bdp_fraction))
-        db = build_dumbbell(sim, cfg)
-        if aqm != "droptail":
-            # The default bottleneck is already DropTail; leaving it in
-            # place keeps the droptail cells on run_fig7's exact path.
-            db.set_forward_queue(make_queue(
-                aqm,
-                cfg.buffer_pkts,
-                rng=streams.stream("aqm"),
-                name="bottleneck",
-                service_rate_pps=sc.fig7_capacity_bps / 8.0 / cfg.packet_size,
-            ))
-        tp = ThroughputTrace(bin_width=bin_width)
-
-        start_rng = streams.stream("starts")
-        n = sc.fig7_flows_per_class
-        flows = []
-        for i in range(n):
-            pair = db.add_pair(rtt=rtt, name=f"nr{i}")
-            fid = _BASELINE_FID + i
-            snd = create_sender("newreno", sim, pair.left, fid, pair.right.node_id)
-            sink = TcpSink(sim, pair.right, fid, pair.left.node_id, throughput=tp)
-            tp.assign(fid, GROUP_BASELINE)
-            flows.append((snd, sink))
-            snd.start(float(start_rng.uniform(0.0, 0.1)))
-        for i in range(n):
-            pair = db.add_pair(rtt=rtt, name=f"pc{i}")
-            fid = _CHALLENGER_FID + i
-            snd = create_sender(protocol, sim, pair.left, fid, pair.right.node_id,
-                                rtt=rtt)
-            sink = TcpSink(sim, pair.right, fid, pair.left.node_id, throughput=tp)
-            tp.assign(fid, GROUP_CHALLENGER)
-            flows.append((snd, sink))
-            snd.start(float(start_rng.uniform(0.0, 0.1)))
-
-        obs = observe_run(
-            sim, db=db, name=f"zoo.{protocol}.{aqm}.{rtt_name}", flows=flows,
-            tracer=tracer,
-            manifest={
-                "seed": seed,
-                "scale": sc.name,
-                "protocol": protocol,
-                "aqm": aqm,
-                "rtt": rtt,
-                "rtt_class": rtt_name,
-                "flows_per_class": n,
-            },
-        )
-    with span(tracer, "run", until=sc.fig7_duration), obs.profiled():
-        sim.run(until=sc.fig7_duration)
-
-    with span(tracer, "analyze"):
-        t, base = tp.series(GROUP_BASELINE, until=sc.fig7_duration - 1e-9)
-        _, chal = tp.series(GROUP_CHALLENGER, until=sc.fig7_duration - 1e-9)
-
-        # Eq. (1)/(2) detection over the same run's drop trace.
-        trace = db.drop_trace
-        all_fids = trace.flow_ids
-        spans_idx = event_spans(trace.drop_times(), rtt)
-        n_ev = len(spans_idx) - 1
-        sizes = np.diff(spans_idx)
-        base_mask = (all_fids >= _BASELINE_FID) & (all_fids < _CHALLENGER_FID)
-        chal_mask = all_fids >= _CHALLENGER_FID
-        base_hits = distinct_flows_per_event(spans_idx, all_fids,
-                                             record_mask=base_mask)
-        chal_hits = distinct_flows_per_event(spans_idx, all_fids,
-                                             record_mask=chal_mask)
-        q = db.forward_queue
-    obs.finalize(duration=sc.fig7_duration)
-
+        return _run_zoo_cell_fluid(spec, bin_width, cell)
+    run = run_scenario(spec, seed, f"zoo.{protocol}.{aqm}.{rtt_name}", manifest={
+        "scale": sc.name,
+        "protocol": protocol,
+        "aqm": aqm,
+        "rtt": rtt,
+        "rtt_class": rtt_name,
+        "flows_per_class": sc.fig7_flows_per_class,
+    })
+    det = run.detection(rtt)
+    q = run.queue
     return ZooCellResult(
-        protocol=protocol,
-        aqm=aqm,
-        rtt_name=rtt_name,
-        rtt=rtt,
-        rate_based=spec.rate_based,
-        mean_baseline_mbps=tp.mean_mbps(GROUP_BASELINE, sc.fig7_duration),
-        mean_challenger_mbps=tp.mean_mbps(GROUP_CHALLENGER, sc.fig7_duration),
-        n_events=n_ev,
-        mean_event_size=float(sizes.mean()) if len(sizes) else float("nan"),
-        measured_baseline_hits=(
-            float(np.mean(base_hits)) if len(base_hits) else float("nan")
-        ),
-        measured_challenger_hits=(
-            float(np.mean(chal_hits)) if len(chal_hits) else float("nan")
-        ),
+        **cell,
+        mean_baseline_mbps=run.mean_mbps[0],
+        mean_challenger_mbps=run.mean_mbps[1],
+        n_events=det.events,
+        mean_event_size=det.mean_m,
+        measured_baseline_hits=det.hits[0],
+        measured_challenger_hits=det.hits[1],
         dropped=q.dropped,
         dropped_head=q.dropped_head,
         marked=q.marked,
-        times=t,
-        baseline_mbps=base,
-        challenger_mbps=chal,
+        times=run.times,
+        baseline_mbps=run.mbps[0],
+        challenger_mbps=run.mbps[1],
     )
 
 
-def _run_zoo_cell_fluid(
-    seed: int,
-    sc: Scale,
-    protocol: str,
-    aqm: str,
-    rtt: float,
-    rtt_name: str,
-    buffer_bdp_fraction: float,
-    bin_width: float,
-) -> ZooCellResult:
-    """The cell's mean-field twin: same dimensioning, fluid dynamics."""
-    from repro.sim.fluid import FluidClass, FluidScenario, run_fluid
+def _run_zoo_cell_fluid(spec: Scenario, bin_width: float, cell: dict) -> ZooCellResult:
+    """The cell's mean-field twin: same spec, fluid dynamics."""
+    from repro.sim.fluid import run_fluid
 
-    spec = sender_spec(protocol)
-    cfg = DumbbellConfig(bottleneck_rate_bps=sc.fig7_capacity_bps)
-    buffer_pkts = max(4, int(cfg.bdp_packets(rtt) * buffer_bdp_fraction))
-    n = sc.fig7_flows_per_class
-    scenario = FluidScenario(
-        classes=(
-            FluidClass("baseline", "newreno", n=n, rtt=rtt),
-            FluidClass("challenger", protocol, n=n, rtt=rtt),
-        ),
-        capacity_bps=sc.fig7_capacity_bps,
-        buffer_pkts=buffer_pkts,
-        queue=aqm,
-        packet_size=cfg.packet_size,
-        duration=sc.fig7_duration,
-        # At least ~12 samples per RTT, and never coarser than 4 ms.
-        dt=min(0.004, rtt / 12.0),
-        warmup=0.0,
-    )
+    scenario = spec.fluid()
     scenario.validate()  # FluidNotSupported surfaces before integrating
     res = run_fluid(scenario)
 
     # Bin the per-class delivered rate to the packet driver's cadence.
-    bits_per_pkt = 8.0 * cfg.packet_size
+    bits_per_pkt = 8.0 * scenario.packet_size
     per_bin = max(1, int(round(bin_width / scenario.dt)))
     n_bins = res.steps // per_bin
     trimmed = res.x_trace[: n_bins * per_bin]
@@ -418,11 +301,7 @@ def _run_zoo_cell_fluid(
 
     # Loss events: fluid drop episodes (cf. event_spans on drop traces).
     return ZooCellResult(
-        protocol=protocol,
-        aqm=aqm,
-        rtt_name=rtt_name,
-        rtt=rtt,
-        rate_based=spec.rate_based,
+        **cell,
         mean_baseline_mbps=float(mean_mbps[0]),
         mean_challenger_mbps=float(mean_mbps[1]),
         n_events=res.loss_event_count,

@@ -5,9 +5,11 @@ problem of rate-based implementation and window-based implementations" —
 because every flow sees the signal exactly once per congestion event, the
 detection asymmetry of Eqs. (1)/(2) disappears.
 
-This driver reruns the Figure 7 competition twice — DropTail + loss
-signal vs. PersistentEcnQueue + ECN-capable senders — and reports the
-pacing deficit under each regime.
+This driver reruns the Figure 7 competition
+(:func:`~repro.experiments.fig7_competition.fig7_spec`, half-BDP buffer)
+twice — DropTail + loss signal vs. the ``"pecn"`` PersistentEcnQueue +
+ECN-capable senders (``kwargs={"ecn": True}``) — and reports the pacing
+deficit under each regime.
 """
 
 from __future__ import annotations
@@ -15,15 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import repro.extensions.ecn  # noqa: F401  (registers the "pecn" queue kind)
 from repro.experiments.common import Scale, current_scale
-from repro.extensions.ecn import PersistentEcnQueue
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.sim.trace import ThroughputTrace
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.pacing import PacedSender
-from repro.tcp.sink import TcpSink
+from repro.experiments.fig7_competition import fig7_spec
+from repro.experiments.scenario import run_scenario
 
 __all__ = ["EcnFairnessResult", "run_ecn_fairness"]
 
@@ -71,47 +68,16 @@ def _deficit(newreno: float, pacing: float) -> float:
 def _competition(
     seed: int, sc: Scale, rtt: float, ecn: bool
 ) -> tuple[float, float, int]:
-    streams = RngStreams(seed)
-    sim = Simulator()
-    cfg = DumbbellConfig(bottleneck_rate_bps=sc.fig7_capacity_bps)
     # Half-BDP buffer: congestion onsets are frequent enough that the
-    # signal comparison has plenty of events to average over.
-    cfg.buffer_pkts = max(4, cfg.bdp_packets(rtt) // 2)
-    db = build_dumbbell(sim, cfg)
-    signals = 0
-    if ecn:
-        # [22] calls for a signal persisting one RTT; in practice the echo
-        # takes ~1 RTT to return and bursty flows have phase jitter, so a
-        # 1.5x margin guarantees every flow's next burst sees the signal.
-        q = PersistentEcnQueue(cfg.buffer_pkts, signal_duration=1.5 * rtt)
-        db.set_forward_queue(q)
-    tp = ThroughputTrace(bin_width=0.5)
-    start_rng = streams.stream("starts")
-    n = sc.fig7_flows_per_class
-    for i in range(n):
-        pair = db.add_pair(rtt=rtt, name=f"nr{i}")
-        fid = 100 + i
-        snd = NewRenoSender(sim, pair.left, fid, pair.right.node_id, ecn=ecn)
-        TcpSink(sim, pair.right, fid, pair.left.node_id, throughput=tp)
-        tp.assign(fid, 0)
-        snd.start(float(start_rng.uniform(0.0, 0.1)))
-    for i in range(n):
-        pair = db.add_pair(rtt=rtt, name=f"pc{i}")
-        fid = 200 + i
-        snd = PacedSender(
-            sim, pair.left, fid, pair.right.node_id, base_rtt=rtt, ecn=ecn
-        )
-        TcpSink(sim, pair.right, fid, pair.left.node_id, throughput=tp)
-        tp.assign(fid, 1)
-        snd.start(float(start_rng.uniform(0.0, 0.1)))
-    sim.run(until=sc.fig7_duration)
-    if ecn:
-        signals = db.forward_queue.signals_raised  # type: ignore[attr-defined]
-    return (
-        tp.mean_mbps(0, sc.fig7_duration),
-        tp.mean_mbps(1, sc.fig7_duration),
-        signals,
-    )
+    # signal comparison has plenty of events to average over.  [22] calls
+    # for a signal persisting one RTT; in practice the echo takes ~1 RTT
+    # to return and bursty flows have phase jitter, so a 1.5x margin
+    # guarantees every flow's next burst sees the signal.
+    queue = {"queue": "pecn", "queue_kwargs": {"signal_duration": 1.5 * rtt}} if ecn else {}
+    spec = fig7_spec(sc, rtt, 0.5, 0.5, kwargs={"ecn": ecn}, **queue)
+    run = run_scenario(spec, seed, f"ecn.{spec.queue}")
+    signals = run.queue.signals_raised if ecn else 0  # type: ignore[attr-defined]
+    return run.mean_mbps[0], run.mean_mbps[1], signals
 
 
 def run_ecn_fairness(

@@ -11,19 +11,16 @@ utilization (thresholds too low / max_p too aggressive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.burstiness import fraction_within
 from repro.core.intervals import intervals_from_trace
 from repro.core.report import format_table
-from repro.experiments.common import Scale, add_noise_fleet, current_scale, random_rtts
-from repro.sim.engine import Simulator
-from repro.sim.queues import REDParams, REDQueue
-from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.sink import TcpSink
+from repro.experiments.common import Scale, current_scale
+from repro.experiments.fig2_ns2 import fleet_spec
+from repro.experiments.scenario import run_scenario
+from repro.sim.queues import REDParams
 
 __all__ = ["RedSetting", "RedOutcome", "run_red_sweep", "red_default_grid"]
 
@@ -71,15 +68,9 @@ def _run_one(
     sc: Scale,
     buffer_bdp_fraction: float,
 ) -> RedOutcome:
-    streams = RngStreams(seed)
-    sim = Simulator()
-    rtts = random_rtts(sc.n_tcp_flows, streams)
-    mean_rtt = float(rtts.mean())
-    cfg = DumbbellConfig(bottleneck_rate_bps=sc.capacity_bps)
-    buffer_pkts = max(8, int(cfg.bdp_packets(mean_rtt) * buffer_bdp_fraction))
-    cfg.buffer_pkts = buffer_pkts
-    db = build_dumbbell(sim, cfg)
-
+    spec, mean_rtt = fleet_spec(seed, sc, buffer_bdp_fraction)
+    buffer_pkts = max(8, spec.buffer_pkts)
+    spec = replace(spec, buffer_pkts=buffer_pkts)
     if setting is not None:
         params = REDParams(
             min_th=max(1.0, setting.min_th_frac * buffer_pkts),
@@ -87,31 +78,16 @@ def _run_one(
             max_p=setting.max_p,
             weight=setting.weight,
         )
-        service_pps = sc.capacity_bps / 8.0 / cfg.packet_size
-        red = REDQueue(
-            buffer_pkts, params, rng=streams.stream("red"),
-            service_rate_pps=service_pps,
-        )
-        db.set_forward_queue(red)
+        spec = replace(spec, queue="red", queue_kwargs={"params": params}, aqm_stream="red")
+    run = run_scenario(spec, seed, f"red.{setting.label if setting else 'droptail'}")
 
-    start_rng = streams.stream("starts")
-    for i, rtt in enumerate(rtts):
-        pair = db.add_pair(rtt=float(rtt), name=f"tcp{i}")
-        fid = 100 + i
-        snd = NewRenoSender(sim, pair.left, fid, pair.right.node_id)
-        TcpSink(sim, pair.right, fid, pair.left.node_id)
-        snd.start(float(start_rng.uniform(0.0, 0.5)))
-    add_noise_fleet(sim, db, streams, sc.n_noise_flows, sc.noise_load)
-    sim.run(until=sc.measure_duration)
-
-    drop_times = db.drop_trace.drop_times()
-    intervals = intervals_from_trace(drop_times, mean_rtt)
+    intervals = intervals_from_trace(run.drop_times, mean_rtt)
     return RedOutcome(
         setting=setting,
-        n_drops=len(drop_times),
+        n_drops=len(run.drop_times),
         frac_001=fraction_within(intervals, 0.01) if len(intervals) else float("nan"),
         frac_1=fraction_within(intervals, 1.0) if len(intervals) else float("nan"),
-        utilization=db.bottleneck_fwd.utilization(sc.measure_duration),
+        utilization=run.utilization,
     )
 
 

@@ -17,9 +17,9 @@ from repro.core import (
     cluster_loss_events,
     predicted_throughput_ratio,
 )
-from repro.sim import DumbbellConfig, Simulator, ThroughputTrace, build_dumbbell
-from repro.sim.rng import RngStreams
-from repro.tcp import NewRenoSender, PacedSender, TcpSink
+from repro.experiments import FAST
+from repro.experiments.fig7_competition import fig7_spec
+from repro.experiments.scenario import run_scenario
 
 RTT = 0.05
 DURATION = 20.0
@@ -29,29 +29,11 @@ SEEDS = (1, 2, 3, 4)
 
 
 def _one_run(seed):
-    streams = RngStreams(seed)
-    sim = Simulator()
-    cfg = DumbbellConfig(bottleneck_rate_bps=50e6)
-    cfg.buffer_pkts = max(4, cfg.bdp_packets(RTT) // 2)
-    db = build_dumbbell(sim, cfg)
-    tp = ThroughputTrace(1.0)
-    starts = streams.stream("starts")
-    for i in range(8):
-        pair = db.add_pair(rtt=RTT)
-        fid = 100 + i
-        NewRenoSender(sim, pair.left, fid, pair.right.node_id).start(
-            float(starts.uniform(0, 0.1)))
-        TcpSink(sim, pair.right, fid, pair.left.node_id, throughput=tp)
-        tp.assign(fid, 0)
-    for i in range(8):
-        pair = db.add_pair(rtt=RTT)
-        fid = 200 + i
-        PacedSender(sim, pair.left, fid, pair.right.node_id,
-                    base_rtt=RTT).start(float(starts.uniform(0, 0.1)))
-        TcpSink(sim, pair.right, fid, pair.left.node_id, throughput=tp)
-        tp.assign(fid, 1)
-    sim.run(until=DURATION)
-    return db, tp
+    """The Figure 7 competition at FAST size (50 Mbps, 8 flows per class,
+    20 s) over a half-BDP buffer, throughput in 1 s bins."""
+    spec = fig7_spec(FAST, RTT, 0.5, 1.0)
+    assert (spec.capacity_bps, len(spec.classes[0].rtts), spec.duration) == (50e6, 8, DURATION)
+    return run_scenario(spec, seed, "causal-chain")
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +44,8 @@ def mixed_runs():
     return [_one_run(seed) for seed in SEEDS]
 
 
-def _hit_means(db):
-    tr = db.drop_trace
-    events = cluster_loss_events(tr.drop_times(), RTT, tr.flow_ids)
+def _hit_means(run):
+    events = cluster_loss_events(run.drop_times, RTT, run.drop_fids)
     win = np.mean([np.sum((e.flow_ids >= 100) & (e.flow_ids < 200))
                    for e in events])
     rate = np.mean([np.sum(e.flow_ids >= 200) for e in events])
@@ -73,19 +54,19 @@ def _hit_means(db):
 
 class TestCausalChain:
     def test_link1_drops_are_bursty(self, mixed_runs):
-        for db, _ in mixed_runs:
-            s = burstiness_summary(db.drop_trace.drop_times(), RTT)
+        for run in mixed_runs:
+            s = burstiness_summary(run.drop_times, RTT)
             assert s.is_burstier_than_poisson()
             assert s.mean_burst_size > 2.0
 
     def test_link2_rate_based_flows_hit_more_often_every_seed(self, mixed_runs):
-        for db, _ in mixed_runs:
-            win, rate = _hit_means(db)
+        for run in mixed_runs:
+            win, rate = _hit_means(run)
             assert rate > win
 
     def test_link3_window_class_gets_more_throughput_on_average(self, mixed_runs):
-        win_mbps = np.mean([tp.mean_mbps(0, DURATION) for _, tp in mixed_runs])
-        rate_mbps = np.mean([tp.mean_mbps(1, DURATION) for _, tp in mixed_runs])
+        win_mbps = np.mean([run.mean_mbps[0] for run in mixed_runs])
+        rate_mbps = np.mean([run.mean_mbps[1] for run in mixed_runs])
         assert win_mbps > rate_mbps
 
     def test_link4_sqrt_law_gives_the_right_order_of_magnitude(self, mixed_runs):
@@ -94,12 +75,12 @@ class TestCausalChain:
         within a factor of two of it — the paper's model is a mechanism
         sketch, not a calibrated estimator."""
         hit_ratios = []
-        for db, _ in mixed_runs:
-            win, rate = _hit_means(db)
+        for run in mixed_runs:
+            win, rate = _hit_means(run)
             hit_ratios.append(rate / win)
         predicted = predicted_throughput_ratio(float(np.mean(hit_ratios)))
-        win_mbps = np.mean([tp.mean_mbps(0, DURATION) for _, tp in mixed_runs])
-        rate_mbps = np.mean([tp.mean_mbps(1, DURATION) for _, tp in mixed_runs])
+        win_mbps = np.mean([run.mean_mbps[0] for run in mixed_runs])
+        rate_mbps = np.mean([run.mean_mbps[1] for run in mixed_runs])
         observed = win_mbps / rate_mbps
         assert predicted > 1.0 and observed > 1.0
         assert 0.5 < predicted / observed < 2.0
