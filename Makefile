@@ -78,8 +78,10 @@ report:
 # Two tripwires on the packet path.  Disabled telemetry: inert
 # observe_run wiring must cost < 5% over a bare run (min of five
 # interleaved passes).  Frames per event: a sys.setprofile count over a
-# seeded run_fig2, <= 5.5 Python frames per dispatched event — exact on
-# any box, and a helper frame back on the per-hop path fails it by name.
+# seeded run_fig2, bare and with observability armed, <= 5.5 Python
+# frames per dispatched event — exact on any box, and a helper frame back
+# on the per-hop path (or a per-callback hook on the armed one) fails it
+# by name.
 overhead-tripwire:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/test_perf_micro.py::test_perf_disabled_telemetry_overhead benchmarks/test_perf_micro.py::test_perf_frames_per_event
 

@@ -7,6 +7,7 @@ They catch performance regressions that would make paper-scale runs
 impractical.
 """
 
+import json
 import time
 
 import numpy as np
@@ -210,7 +211,8 @@ def test_perf_enabled_sampler_cost(benchmark, monkeypatch, tmp_path):
 # --------------------------------------------------------------------------
 
 
-def test_perf_frames_per_event(monkeypatch):
+@pytest.mark.parametrize("armed", [False, True], ids=["bare", "armed"])
+def test_perf_frames_per_event(monkeypatch, tmp_path, armed):
     """At most 5.5 Python frames per dispatched event on the Fig. 2 dumbbell.
 
     A count, not a timing: ``sys.setprofile`` sees one ``call`` event per
@@ -220,6 +222,15 @@ def test_perf_frames_per_event(monkeypatch):
     helper frame creeping back onto it (``_transmit``, ``route_for``,
     ``_fits`` / ``_accept``, ``schedule_fast -> _push`` for a same-tick
     entry, ``can_send``'s property chain) shows up here, by name.
+
+    The armed case sets the four knobs the ledger's ``dumbbell_observed``
+    workload sets (metrics, invariant checks, telemetry, report) and must
+    stay under the same bound: invariant sweeps and telemetry samplers
+    scale with sim-seconds, not with events, and the ``event_loop``
+    section is read from engine counters.  A per-callback hook on the
+    armed path (``Simulator.profile()``'s ``record_event`` ->
+    ``callback_name``, ``queued``) costs about three frames per event and
+    fails here by name.
     """
     import sys
     from collections import Counter
@@ -246,8 +257,20 @@ def test_perf_frames_per_event(monkeypatch):
             sys.setprofile(None)
             events += sim.events_processed - before
 
+    if armed:
+        for knob, value in (
+            ("REPRO_METRICS_OUT", str(tmp_path / "metrics.json")),
+            ("REPRO_CHECK_INVARIANTS", "1"),
+            ("REPRO_TELEMETRY_OUT", str(tmp_path / "run")),
+            ("REPRO_REPORT", "1"),
+        ):
+            monkeypatch.setenv(knob, value)
     monkeypatch.setattr(Simulator, "run", counted_run)
     run_fig2(34, replace(FAST, measure_duration=2.0))
+    if armed:
+        gauges = json.loads((tmp_path / "metrics.json").read_text())["gauges"]
+        assert gauges["invariants.checks_run"] > 0
+        assert (tmp_path / "run" / "report.md").exists()
     per_event = sum(frames.values()) / events
     top = ", ".join(f"{name} {n / events:.3f}" for name, n in frames.most_common(12))
     assert events > 50_000

@@ -15,8 +15,9 @@ counters the simulator already keeps into an active regression fence:
     sim-time intervals and at teardown, raising a structured
     :class:`InvariantViolation` carrying a diagnostic snapshot.
 ``EventLoopProfile``
-    Event-loop statistics (events/sec, heap size, cancelled-event ratio,
-    per-callback-type timing) captured by ``Simulator.profile()``.
+    Per-callback event-loop profile (events/sec, heap size, cancelled-event
+    ratio, per-callback-type timing) captured by ``Simulator.profile()``;
+    armed runs export only its counter-derived totals (``loop_totals``).
 ``FlightRecorder`` / ``TimeSeries``
     Flight-recorder telemetry: fixed-stride samplers off the simulator
     clock into bounded (stride-decimating) time series — per-flow cwnd /

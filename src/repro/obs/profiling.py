@@ -1,11 +1,17 @@
 """Event-loop profiling for the discrete-event engine.
 
 ``Simulator.profile()`` installs an :class:`EventLoopProfile` for the
-duration of a ``with`` block; while installed, the run loop reports every
-executed callback (with its wall-clock duration), every cancelled event it
-discards, and the heap size, so a finished profile answers the questions
+duration of a ``with`` block; while installed, ``run`` and ``step`` report
+every executed callback (with its wall-clock duration) and the heap size,
+and the profile reads the engine's cancelled-pop and compaction counters
+at both ends of the block, so a finished profile answers the questions
 that matter for paper-scale runs: events/sec, where the time goes
 per callback type, and how much of the heap is dead (cancelled) weight.
+
+That per-callback hook costs two clock reads and a table update per
+event.  :func:`loop_totals` is the part that costs nothing per event:
+the counter-derived totals, which ``RunObservation.profiled()`` exports
+as the ``event_loop`` metrics section without installing a profile.
 
 The profile is plain data — it never touches the engine, so importing
 this module from :mod:`repro.sim.engine` lazily keeps the dependency
@@ -17,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-__all__ = ["EventLoopProfile", "callback_name"]
+__all__ = ["EventLoopProfile", "callback_name", "loop_totals"]
 
 
 def callback_name(fn: Callable) -> str:
@@ -26,6 +32,30 @@ def callback_name(fn: Callable) -> str:
     if name is None:  # partials, callables without introspection
         name = type(fn).__name__
     return name
+
+
+def loop_totals(
+    events: int,
+    wall_time: float,
+    sim_time: float,
+    cancelled_popped: int,
+    compactions: int,
+) -> dict:
+    """JSON-ready event-loop totals of one capture window.
+
+    ``cancelled_ratio`` is the share of popped entries that were cancelled
+    corpses (``events`` executed plus ``cancelled_popped`` discarded).
+    """
+    popped = events + cancelled_popped
+    return {
+        "events": events,
+        "wall_time_s": wall_time,
+        "events_per_sec": events / wall_time if wall_time > 0 else 0.0,
+        "sim_time_advanced_s": sim_time,
+        "cancelled_popped": cancelled_popped,
+        "cancelled_ratio": cancelled_popped / popped if popped else 0.0,
+        "heap_compactions": compactions,
+    }
 
 
 class CallbackStats:
@@ -49,8 +79,12 @@ class CallbackStats:
 class EventLoopProfile:
     """Statistics captured while installed on a :class:`Simulator`.
 
-    Populated by the engine's run loop; read after the ``with`` block via
-    the properties or :meth:`as_dict`.
+    Populated by the engine's ``run``/``step`` loops (per callback) and by
+    :meth:`start`/:meth:`stop` (counter deltas); read after the ``with``
+    block via the properties or :meth:`as_dict`.  ``events`` counts only
+    callbacks reported to this profile, so a nested profile's events are
+    not double-counted; the counter deltas (``cancelled_popped``,
+    ``compactions``) span the whole block.
     """
 
     def __init__(self) -> None:
@@ -64,6 +98,7 @@ class EventLoopProfile:
         self.sim_end = 0.0
         self.compactions = 0
         self._compactions_at_start = 0
+        self._cancelled_at_start = 0
 
     # -- engine-facing hooks (hot path) ---------------------------------
     def record_event(self, fn: Callable, duration: float, heap_size: int) -> None:
@@ -79,16 +114,13 @@ class EventLoopProfile:
         stats.count += 1
         stats.total_time += duration
 
-    def record_cancelled_pop(self) -> None:
-        """Account one cancelled event discarded by the run loop."""
-        self.cancelled_popped += 1
-
     # -- lifecycle ------------------------------------------------------
     def start(self, sim) -> None:
         """Begin the capture window (called by ``Simulator.profile()``)."""
         self.wall_start = time.perf_counter()
         self.sim_start = sim.now
         self._compactions_at_start = sim.compactions
+        self._cancelled_at_start = sim.cancelled_popped
 
     def stop(self, sim) -> None:
         """Close the capture window and freeze derived totals."""
@@ -97,6 +129,7 @@ class EventLoopProfile:
             self.wall_start = None
         self.sim_end = sim.now
         self.compactions = sim.compactions - self._compactions_at_start
+        self.cancelled_popped = sim.cancelled_popped - self._cancelled_at_start
 
     # -- derived --------------------------------------------------------
     @property
@@ -120,14 +153,11 @@ class EventLoopProfile:
             self.callbacks.items(), key=lambda kv: kv[1].total_time, reverse=True
         )
         return {
-            "events": self.events,
-            "wall_time_s": self.wall_time,
-            "events_per_sec": self.events_per_sec,
-            "sim_time_advanced_s": self.sim_end - self.sim_start,
-            "cancelled_popped": self.cancelled_popped,
-            "cancelled_ratio": self.cancelled_ratio,
+            **loop_totals(
+                self.events, self.wall_time, self.sim_end - self.sim_start,
+                self.cancelled_popped, self.compactions,
+            ),
             "max_heap_size": self.max_heap_size,
-            "heap_compactions": self.compactions,
             "callbacks": {name: cs.as_dict() for name, cs in ranked[:top]},
         }
 

@@ -39,11 +39,13 @@ from __future__ import annotations
 import contextlib
 import json
 from pathlib import Path
+from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.config import RunConfig
 from repro.obs.invariants import InvariantChecker
 from repro.obs.metrics import MetricsRegistry, atomic_write_text
+from repro.obs.profiling import loop_totals
 from repro.obs.spans import SpanTracer
 from repro.obs.telemetry import FlightRecorder
 
@@ -67,7 +69,7 @@ def _write_run_dir(
     manifest: dict,
     telemetry: Optional[dict],
     tracer: Optional[SpanTracer],
-    registry: Optional[MetricsRegistry],
+    metrics_text: Optional[str],
 ) -> Path:
     """Write the flight-record artifacts (each one atomically)."""
     atomic_write_text(
@@ -81,8 +83,8 @@ def _write_run_dir(
         )
     if tracer is not None:
         tracer.write_jsonl(run_dir / "spans.jsonl")
-    if registry is not None:
-        registry.write_json(run_dir / "metrics.json")
+    if metrics_text is not None:
+        atomic_write_text(run_dir / "metrics.json", metrics_text)
     if RunConfig.from_env().report:
         from repro.obs.report import write_report
 
@@ -166,7 +168,13 @@ class RunObservation:
     # -- execution ------------------------------------------------------
     def profiled(self):
         """Context manager for the run's main ``sim.run`` call: captures
-        event-loop statistics into the metrics export when enabled."""
+        event-loop totals into the metrics export when enabled.
+
+        The ``event_loop`` section is read from counters the engine keeps
+        anyway (see :func:`~repro.obs.profiling.loop_totals`), plus one
+        clock read at each end of the block, so arming it costs nothing
+        per event.  ``Simulator.profile()`` is the per-callback profiler.
+        """
         if not self.enabled:
             return contextlib.nullcontext()
         return self._profiled_impl()
@@ -175,15 +183,20 @@ class RunObservation:
     def _profiled_impl(self):
         if self.recorder is not None:
             self.recorder.start()
-        prof = None
+        sim = self.sim
+        events, now = sim.events_processed, sim.now
+        cancelled, compactions = sim.cancelled_popped, sim.compactions
+        t0 = perf_counter()
         try:
-            with self.sim.profile() as prof:
-                yield prof
+            yield
         finally:
-            # Snapshot only after sim.profile() has closed the capture
-            # window, so wall-time-derived stats (events/sec) are final.
-            if prof is not None:
-                self.profile_stats = prof.as_dict()
+            self.profile_stats = loop_totals(
+                sim.events_processed - events,
+                perf_counter() - t0,
+                sim.now - now,
+                sim.cancelled_popped - cancelled,
+                sim.compactions - compactions,
+            )
 
     def finalize(
         self, duration: Optional[float] = None, db: Optional["Dumbbell"] = None
@@ -222,9 +235,12 @@ class RunObservation:
                 self.recorder.set_raster(trace.drop_times(), duration)
             for sender, sink in self._flows:
                 self.recorder.add_flow_summary(sender, sink=sink, duration=duration)
+        # Materialize (every callback gauge read) and encode once; both
+        # metrics files are written from the same text.
         data = self.registry.as_dict()
+        text = json.dumps(data, indent=2) + "\n"
         if self.metrics_path is not None:
-            self.registry.write_json(self.metrics_path)
+            atomic_write_text(self.metrics_path, text)
         if self.run_dir is not None:
             manifest = {
                 "name": self.name,
@@ -239,7 +255,7 @@ class RunObservation:
                 manifest,
                 self.recorder.as_dict() if self.recorder is not None else None,
                 self.tracer,
-                self.registry,
+                text,
             )
         return data
 
@@ -293,7 +309,7 @@ class FlightLog:
             "name": self.name, "env": RunConfig.manifest_env(), **self.manifest
         }
         return _write_run_dir(
-            self.run_dir, manifest, self.telemetry, self.tracer, registry=None
+            self.run_dir, manifest, self.telemetry, self.tracer, metrics_text=None
         )
 
 

@@ -251,6 +251,9 @@ class Simulator:
         # ``pending`` is O(1) and compaction triggers deterministically.
         self._cancelled = 0
         self.compactions = 0
+        #: Cancelled corpses popped off a queue (compaction sweeps are not
+        #: pops); ``RunObservation`` and ``EventLoopProfile`` read deltas.
+        self.cancelled_popped = 0
         self._profiler: Optional["EventLoopProfile"] = None
         self.metrics: Optional["MetricsRegistry"] = None
         # Timer wheel.  ``_pos`` is the last tick consumed (wheel entries
@@ -549,13 +552,12 @@ class Simulator:
         """Uniform bookkeeping for one cancelled corpse leaving a queue.
 
         Shared by :meth:`run`, :meth:`step`, and :meth:`peek_time` so the
-        in-queue cancellation count, the profiler's cancelled-pop counter,
+        in-queue cancellation count, the :attr:`cancelled_popped` counter,
         and handle recycling stay consistent no matter which loop drains
         the corpse.
         """
         self._cancelled -= 1
-        if self._profiler is not None:
-            self._profiler.record_cancelled_pop()
+        self.cancelled_popped += 1
         self._recycle_event(ev)
 
     # ------------------------------------------------------------------
@@ -720,7 +722,13 @@ class Simulator:
             else:
                 fn = entry[2]
             self.now = entry[0]
-            fn(*args)
+            prof = self._profiler
+            if prof is None:
+                fn(*args)
+            else:
+                t0 = perf_counter()
+                fn(*args)
+                prof.record_event(fn, perf_counter() - t0, self.queued)
             self.events_processed += 1
             return True
 
@@ -791,6 +799,9 @@ class Simulator:
         with events/sec, queue size, cancelled-event ratio, and per-callback
         timing while any ``run``/``step`` executes inside the block.
         Nestable; the previous profiler (if any) is restored on exit.
+        This is the per-callback profiler (two clock reads and a table
+        update per event); ``RunObservation.profiled()`` reads the
+        engine's counters instead.
         """
         from repro.obs.profiling import EventLoopProfile
 

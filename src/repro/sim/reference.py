@@ -53,6 +53,7 @@ class ReferenceSimulator:
         self._running = False
         self._cancelled = 0
         self.compactions = 0
+        self.cancelled_popped = 0
         self._profiler: Optional["EventLoopProfile"] = None
         self.metrics: Optional["MetricsRegistry"] = None
         self._id_counters: dict[str, Iterator[int]] = {}
@@ -161,8 +162,7 @@ class ReferenceSimulator:
                 ev.owner = None
                 if ev.cancelled:
                     self._cancelled -= 1
-                    if self._profiler is not None:
-                        self._profiler.record_cancelled_pop()
+                    self.cancelled_popped += 1
                     continue
                 self.now = ev.time
                 fn, args = ev.fn, ev.args
@@ -190,12 +190,19 @@ class ReferenceSimulator:
             ev.owner = None
             if ev.cancelled:
                 self._cancelled -= 1
+                self.cancelled_popped += 1
                 continue
             self.now = ev.time
             fn, args = ev.fn, ev.args
             ev.fn, ev.args = None, ()
             assert fn is not None
-            fn(*args)
+            prof = self._profiler
+            if prof is None:
+                fn(*args)
+            else:
+                t0 = perf_counter()
+                fn(*args)
+                prof.record_event(fn, perf_counter() - t0, len(heap))
             self.events_processed += 1
             return True
         return False
@@ -206,6 +213,7 @@ class ReferenceSimulator:
         while heap and heap[0].cancelled:
             heapq.heappop(heap).owner = None
             self._cancelled -= 1
+            self.cancelled_popped += 1
         return heap[0].time if heap else math.inf
 
     @property

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.profiling import CallbackStats, EventLoopProfile, callback_name
 from repro.sim.engine import Simulator
+from repro.sim.reference import ReferenceSimulator
 
 
 def tick():
@@ -73,11 +74,21 @@ class TestCallbackStats:
         assert prof.callbacks["partial"].count == 2
 
     def test_cancelled_pops_counted_directly(self):
-        prof = EventLoopProfile()
-        for _ in range(3):
-            prof.record_cancelled_pop()
-        prof.record_event(tick, 0.0, 1)
+        # The profile reads the engine's cancelled-pop counter as a delta:
+        # corpses drained before the block stay out of it.
+        sim = Simulator()
+        for h in [sim.schedule(0.1, tick) for _ in range(2)]:
+            h.cancel()
+        sim.run()
+        assert sim.cancelled_popped == 2
+        handles = [sim.schedule(1.0 + 0.1 * i, tick) for i in range(4)]
+        for h in handles[:3]:
+            h.cancel()
+        with sim.profile() as prof:
+            sim.run()
+        assert sim.cancelled_popped == 5
         assert prof.cancelled_popped == 3
+        assert prof.events == 1
         assert prof.cancelled_ratio == pytest.approx(0.75)
 
 
@@ -105,6 +116,32 @@ class TestProfileContext:
         assert prof.events == 6
         assert prof.cancelled_popped == 4
         assert prof.cancelled_ratio == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("engine", [Simulator, ReferenceSimulator])
+    def test_step_reports_to_profile(self, engine):
+        sim = engine()
+        handles = [sim.schedule(0.1 * (i + 1), tick) for i in range(3)]
+        handles[0].cancel()
+        with sim.profile() as prof:
+            assert sim.step()
+            assert sim.step()
+            assert not sim.step()
+        assert prof.events == 2
+        assert prof.callbacks["tick"].count == 2
+        assert prof.cancelled_popped == 1
+        assert prof.max_heap_size == 1
+
+    @pytest.mark.parametrize("engine", [Simulator, ReferenceSimulator])
+    def test_peek_time_discards_are_counted(self, engine):
+        sim = engine()
+        handles = [sim.schedule(0.1 * (i + 1), tick) for i in range(3)]
+        handles[0].cancel()
+        handles[1].cancel()
+        with sim.profile() as prof:
+            assert sim.peek_time() == pytest.approx(0.3)
+            sim.run()
+        assert sim.cancelled_popped == 2
+        assert (prof.events, prof.cancelled_popped) == (1, 2)
 
     def test_profiler_uninstalled_after_block(self):
         sim = Simulator()

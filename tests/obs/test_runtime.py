@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import RunConfig
-from repro.obs import InvariantViolation, observe_run
+from repro.obs import InvariantViolation, MetricsRegistry, observe_run
 from repro.sim import DumbbellConfig, Simulator, build_dumbbell
 from repro.tcp import NewRenoSender, TcpSink
 
@@ -19,6 +19,10 @@ def build_scenario():
     snd.start(0.0)
     sink = TcpSink(sim, pair.right, 1, pair.left.node_id)
     return sim, db, snd, sink
+
+
+def tick():
+    pass
 
 
 ENV_METRICS_OUT = "REPRO_METRICS_OUT"
@@ -91,6 +95,61 @@ class TestEnabledObservation:
         assert loop["events"] > 0
         assert loop["events_per_sec"] > 0
         assert on_disk["warnings"] == []
+
+    def test_event_loop_section_equals_engine_truth(self, tmp_path):
+        # Known corpses: three cancelled timers in a queue too small to
+        # compact, so each one leaves through a pop.  The invariant sweeps
+        # add their own events, which the gauge delta must include.
+        sim = Simulator()
+        fired = []
+        handles = [sim.schedule(0.1 * (i + 1), fired.append, i) for i in range(10)]
+        for h in handles[1::3]:
+            h.cancel()
+        sim.schedule(0.05, tick).cancel()  # cancelled before the block
+        sim.run(until=0.06)
+        obs = observe_run(
+            sim, metrics_out=tmp_path / "m.json", check_invariants=True,
+            check_interval=0.25,
+        )
+        before = obs.registry.gauge("engine.events_processed").value
+        with obs.profiled():
+            sim.run(until=2.0)
+        data = obs.finalize(duration=2.0)
+        loop = data["event_loop"]
+        assert set(loop) == {
+            "events", "wall_time_s", "events_per_sec", "sim_time_advanced_s",
+            "cancelled_popped", "cancelled_ratio", "heap_compactions",
+        }
+        assert len(fired) == 7
+        assert loop["events"] == data["gauges"]["engine.events_processed"] - before
+        assert loop["events"] > len(fired)  # the sweeps ran inside the block
+        assert loop["cancelled_popped"] == 3
+        assert loop["cancelled_ratio"] == pytest.approx(3 / (loop["events"] + 3))
+        assert loop["heap_compactions"] == 0
+        assert loop["sim_time_advanced_s"] == pytest.approx(2.0 - 0.06)
+        assert json.loads((tmp_path / "m.json").read_text())["event_loop"] == loop
+
+    def test_finalize_materializes_registry_once(self, monkeypatch, tmp_path):
+        # metrics_out and the run directory's metrics.json are written from
+        # one as_dict() and one encoding, so they carry the same bytes.
+        monkeypatch.setenv("REPRO_TELEMETRY_OUT", str(tmp_path / "run"))
+        calls = []
+        as_dict = MetricsRegistry.as_dict
+        monkeypatch.setattr(
+            MetricsRegistry, "as_dict", lambda self: calls.append(1) or as_dict(self)
+        )
+        sim, db, snd, sink = build_scenario()
+        obs = observe_run(
+            sim, db=db, flows=[(snd, sink)], metrics_out=tmp_path / "m.json",
+            check_invariants=True,
+        )
+        with obs.profiled():
+            sim.run(until=0.5)
+        data = obs.finalize(duration=0.5)
+        assert len(calls) == 1
+        text = (tmp_path / "m.json").read_text()
+        assert (tmp_path / "run" / "metrics.json").read_text() == text
+        assert json.loads(text) == json.loads(json.dumps(data))
 
     def test_run_to_drain_gets_exact_flow_equality(self):
         sim, db, snd, sink = build_scenario()
