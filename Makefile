@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test import-budget check-invariants faults report zoo-smoke fluid-smoke fluid-convergence chaos top-smoke overhead-tripwire bench-e2e bench-e2e-smoke bench-micro bench-paper figures examples clean
+.PHONY: install test import-budget check-invariants faults report zoo-smoke fluid-smoke fluid-convergence chaos top-smoke overhead-tripwire bench-e2e bench-e2e-smoke bench-micro bench-paper text-hashes figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -100,6 +100,19 @@ bench-micro:
 
 bench-paper:
 	REPRO_SCALE=paper PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# Byte-identity check for a behaviour-preserving change: the sha256 of
+# every deterministic driver's `--seed 1` text with its `[cmd: 1.2s]`
+# timing line stripped, one `<cmd> <sha256>` line each (~1 min).  Run it
+# in both checkouts and diff the two outputs.
+TEXT_HASH_CMDS = fig2 fig3 fig4 fig7 fig8 eq12 ecn red shortflows methodology delay
+
+text-hashes:
+	@out=$$(mktemp) || exit 1; \
+	for c in $(TEXT_HASH_CMDS); do \
+	  PYTHONPATH=src $(PYTHON) -m repro $$c --seed 1 > $$out || { rm -f $$out; exit 1; }; \
+	  echo "$$c $$(grep -v "^\[$$c: " $$out | sha256sum | cut -d' ' -f1)"; \
+	done; rm -f $$out
 
 figures:
 	PYTHONPATH=src $(PYTHON) examples/export_figures.py figures/

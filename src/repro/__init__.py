@@ -8,14 +8,12 @@ Subpackages
     burstiness metrics, Poisson references, the Gilbert–Elliott model, and
     the Eq. (1)/(2) loss-detection model.
 ``repro.sim``
-    Discrete-event network simulator (NS-2 equivalent): engine, links,
+    Discrete-event network simulator (NS-2 equivalent): engine, links
+    (optionally with the Dummynet pipe's per-packet processing noise),
     DropTail/RED queues, dumbbell topology, traces.
 ``repro.tcp``
     Transport protocols: TCP Reno / NewReno (window-based), TCP Pacing and
     TFRC (rate-based), CBR probes, exponential on-off noise.
-``repro.emulation``
-    Dummynet-equivalent emulation: 1 ms clock quantization and
-    service-time noise.
 ``repro.internet``
     PlanetLab-equivalent Internet measurement substrate: 26-site registry,
     synthetic path RTT/loss models, CBR probing campaigns.
@@ -42,7 +40,6 @@ __version__ = "1.0.0"
 __all__ = [
     "apps",
     "core",
-    "emulation",
     "experiments",
     "extensions",
     "faults",

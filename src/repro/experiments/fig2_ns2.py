@@ -64,20 +64,21 @@ def fleet_spec(
     the first 0.5 s) over RTTs uniform in 2–200 ms, drawn from ``seed``'s
     ``"rtts"`` stream, plus the scale's noise fleet.  The buffer is
     ``buffer_bdp_fraction`` of the BDP at the mean RTT (at least 4
-    packets); ``fields`` override the rest of the spec.
+    packets); ``fields`` override any field of the spec.
     """
     rtts = random_rtts(sc.n_tcp_flows, RngStreams(seed))
     mean_rtt = float(rtts.mean())
     bdp = DumbbellConfig(bottleneck_rate_bps=sc.capacity_bps).bdp_packets(mean_rtt)
-    fields = {"noise_flows": sc.n_noise_flows, "noise_load": sc.noise_load,
-              "bin_width": None, **fields}
-    spec = Scenario(
-        classes=(FlowClass("newreno", tuple(map(float, rtts)), "tcp", start_window=0.5),),
-        capacity_bps=sc.capacity_bps,
-        buffer_pkts=max(4, int(bdp * buffer_bdp_fraction)),
-        duration=sc.measure_duration,
+    spec = Scenario(**{
+        "classes": (FlowClass("newreno", tuple(map(float, rtts)), "tcp", start_window=0.5),),
+        "capacity_bps": sc.capacity_bps,
+        "buffer_pkts": max(4, int(bdp * buffer_bdp_fraction)),
+        "duration": sc.measure_duration,
+        "noise_flows": sc.n_noise_flows,
+        "noise_load": sc.noise_load,
+        "bin_width": None,
         **fields,
-    )
+    })
     return spec, mean_rtt
 
 

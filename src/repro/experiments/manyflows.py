@@ -38,21 +38,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.experiments.common import Scale, current_scale
-from repro.obs.runtime import observe_run
-from repro.obs.spans import maybe_tracer, span
-from repro.sim.engine import Simulator
+from repro.experiments.scenario import FlowClass, Scenario, run_scenario
 from repro.sim.fluid import FluidClass, FluidScenario, run_fluid
-from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.sim.trace import ThroughputTrace
-from repro.tcp.registry import create_sender
-from repro.tcp.sink import TcpSink
 
 __all__ = [
     "CLASS_RTTS",
     "ManyFlowsCell",
     "ManyFlowsRow",
     "ManyFlowsResult",
+    "packet_scenario",
     "packet_scenario_events",
     "run_manyflows_fluid",
     "run_manyflows_packet",
@@ -225,100 +219,76 @@ def run_manyflows_fluid(n: int, sc: Optional[Scale] = None) -> ManyFlowsCell:
     )
 
 
+def packet_scenario(n: int, sc: Optional[Scale] = None) -> Scenario:
+    """The packet half of the convergence pair at population size ``n``.
+
+    Each class shares one host pair (hosts demultiplex by flow id), so
+    object count stays O(classes) hosts; access links run at 16x the
+    bottleneck so they never become it.  The run's ``extra`` holds each
+    flow's loss-event count (fast retransmits + timeouts) at the end of
+    warm-up, which the measurement subtracts to match the fluid window.
+    """
+    sc = current_scale(sc)
+    capacity_bps, buffer_pkts = _scenario_dims(n, sc)
+    warmup = WARMUP_FRACTION * sc.manyflows_duration
+
+    def warmup_snapshot(sim, db, streams, flows):
+        base = [0] * len(flows)
+
+        def snapshot():
+            for i, (snd, _) in enumerate(flows):
+                base[i] = snd.stats.fast_retransmits + snd.stats.timeouts
+
+        sim.schedule(warmup, snapshot)
+        return base
+
+    return Scenario(
+        classes=tuple(
+            FlowClass(SENDER, (rtt,) * nk, name, fid_base=(k + 1) * 1_000_000,
+                      start_window=0.5, shared_pair=True,
+                      kwargs={"max_cwnd": w_max, "initial_ssthresh": ssthresh0})
+            for k, ((name, rtt), nk, (w_max, ssthresh0))
+            in enumerate(zip(CLASS_RTTS, _class_counts(n), _class_caps(sc)))
+        ),
+        capacity_bps=capacity_bps,
+        buffer_pkts=buffer_pkts,
+        duration=sc.manyflows_duration,
+        bin_width=0.25,
+        access_rate_bps=max(1e9, 16.0 * capacity_bps),
+        on_build=warmup_snapshot,
+    )
+
+
 def run_manyflows_packet(
     n: int, seed: int = 1, sc: Optional[Scale] = None
 ) -> ManyFlowsCell:
     """Run the packet engine on the same scenario at population size ``n``."""
     sc = current_scale(sc)
-    capacity_bps, buffer_pkts = _scenario_dims(n, sc)
-    duration = sc.manyflows_duration
-    warmup = WARMUP_FRACTION * duration
-    split = _class_counts(n)
-
-    streams = RngStreams(seed)
-    sim = Simulator()
-    tracer = maybe_tracer("manyflows", sim=sim)
+    spec = packet_scenario(n, sc)
     t0 = time.perf_counter()
-
-    with span(tracer, "setup", n=n, seed=seed):
-        cfg = DumbbellConfig(
-            bottleneck_rate_bps=capacity_bps,
-            access_rate_bps=max(1e9, 16.0 * capacity_bps),
-            buffer_pkts=buffer_pkts,
-        )
-        db = build_dumbbell(sim, cfg)
-        tp = ThroughputTrace(bin_width=0.25)
-        start_rng = streams.stream("starts")
-
-        senders: list[list] = []
-        flows = []
-        caps = _class_caps(sc)
-        for k, ((name, rtt), nk) in enumerate(zip(CLASS_RTTS, split)):
-            # All nk flows of a class share one host pair: Host demuxes
-            # by flow id, so object count stays O(classes) hosts.
-            pair = db.add_pair(rtt=rtt, name=name)
-            w_max, ssthresh0 = caps[k]
-            cls_senders = []
-            for i in range(nk):
-                fid = (k + 1) * 1_000_000 + i
-                snd = create_sender(SENDER, sim, pair.left, fid,
-                                    pair.right.node_id,
-                                    max_cwnd=w_max,
-                                    initial_ssthresh=ssthresh0)
-                sink = TcpSink(sim, pair.right, fid, pair.left.node_id,
-                               throughput=tp)
-                tp.assign(fid, k)
-                cls_senders.append(snd)
-                flows.append((snd, sink))
-                snd.start(float(start_rng.uniform(0.0, 0.5)))
-            senders.append(cls_senders)
-
-        # Loss events (fast retransmits + timeouts) are cumulative from
-        # flow start; snapshot at warmup so the measurement window
-        # matches the fluid backend's.
-        base_events = [[0] * len(cls) for cls in senders]
-
-        def snapshot():
-            for k, cls in enumerate(senders):
-                for i, snd in enumerate(cls):
-                    base_events[k][i] = (snd.stats.fast_retransmits
-                                         + snd.stats.timeouts)
-
-        sim.schedule(warmup, snapshot)
-        obs = observe_run(
-            sim, db=db, name="manyflows", flows=flows, tracer=tracer,
-            manifest={"seed": seed, "n": n, "scale": sc.name},
-        )
-    with span(tracer, "run", until=duration), obs.profiled():
-        sim.run(until=duration)
+    run = run_scenario(spec, seed, "manyflows", manifest={"n": n, "scale": sc.name})
     wall = time.perf_counter() - t0
 
-    with span(tracer, "analyze"):
-        measured = duration - warmup
-        shares = []
-        rates = []
-        for k, cls in enumerate(senders):
-            t, mbps = tp.series(k, until=duration - 1e-9)
-            mask = t >= warmup
-            shares.append(float(mbps[mask].mean()) if mask.any() else 0.0)
-            events = sum(
-                snd.stats.fast_retransmits + snd.stats.timeouts - base
-                for snd, base in zip(cls, base_events[k])
-            )
-            rates.append(events / (len(cls) * measured))
-        total = sum(shares)
-        shares = [s / total if total > 0 else 0.0 for s in shares]
-        fq = db.forward_queue
-        loss_rate = (fq.dropped / fq.arrived) if fq.arrived else 0.0
-    obs.finalize(duration=duration)
-
+    warmup = WARMUP_FRACTION * spec.duration
+    mask = run.times >= warmup
+    shares = [float(mbps[mask].mean()) if mask.any() else 0.0 for mbps in run.mbps]
+    total = sum(shares)
+    rates = []
+    lo = 0
+    for c in spec.classes:
+        hi = lo + len(c.rtts)
+        events = sum(snd.stats.fast_retransmits + snd.stats.timeouts - base
+                     for (snd, _), base in zip(run.flows[lo:hi], run.extra[lo:hi]))
+        rates.append(events / (len(c.rtts) * (spec.duration - warmup)))
+        lo = hi
+    fq = run.queue
     return ManyFlowsCell(
         backend="packet",
         n=n,
         wall_s=wall,
-        throughput_share=tuple(shares),
+        throughput_share=tuple(s / total if total > 0 else 0.0 for s in shares),
         class_loss_event_rate=tuple(rates),
-        loss_rate=float(loss_rate),
+        loss_rate=float(fq.dropped / fq.arrived) if fq.arrived else 0.0,
     )
 
 

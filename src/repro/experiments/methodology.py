@@ -25,17 +25,16 @@ import numpy as np
 
 from repro.core.tcptrace import MethodologyComparison, compare_methodologies, \
     reconstruct_losses_from_retransmissions
-from repro.experiments.common import Scale, add_noise_fleet, current_scale, random_rtts
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
+from repro.experiments.common import Scale, current_scale
+from repro.experiments.fig2_ns2 import fleet_spec
+from repro.experiments.scenario import Scenario, run_scenario
 from repro.tcp.cbr import CbrSource
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.sink import ProbeSink, TcpSink
+from repro.tcp.sink import ProbeSink
 
-__all__ = ["MethodologyResult", "run_methodology"]
+__all__ = ["PROBE_FLOW", "MethodologyResult", "methodology_spec", "run_methodology"]
 
-_PROBE_FLOW = 777
+#: Flow id of the CBR probe.
+PROBE_FLOW = 777
 
 
 @dataclass
@@ -52,75 +51,71 @@ class MethodologyResult:
         return self.comparison.to_text()
 
 
+def methodology_spec(
+    seed: int,
+    sc: Scale,
+    buffer_bdp_fraction: float = 0.5,
+    probe_interval: Optional[float] = None,
+) -> tuple[Scenario, float]:
+    """The Figure 2 fleet plus a CBR probe pair, and the mean RTT.
+
+    The probe pair (flow ``PROBE_FLOW``, RTT the fleet's mean) joins
+    after the TCP flows and before the noise fleet; the run's ``extra``
+    is its ``(CbrSource, ProbeSink)``.  ``probe_interval`` defaults to
+    whatever keeps the probe at 4% of the bottleneck (1 ms at the fast
+    scale's 20 Mbps): a fixed wall-clock interval would under-sample the
+    proportionally shorter drop bursts of faster links and bias the
+    cross-scale comparison.
+    """
+    if probe_interval is None:
+        probe_interval = 100 * 8.0 / (0.04 * sc.capacity_bps)
+
+    def probe(sim, db, streams, flows):
+        # The CBR probe must stay thin relative to the bottleneck: 100 B
+        # every probe_interval is 0.8 Mbps at the 1 ms default — 4% of a
+        # fast-scale 20 Mbps link, negligible per the paper's own
+        # validation argument.
+        pair = db.add_pair(rtt=mean_rtt, name="probe")
+        src = CbrSource(sim, pair.left, PROBE_FLOW, pair.right.node_id,
+                        rate_bps=100 * 8 / probe_interval,  # 100 B per interval
+                        packet_size=100, jitter=0.0)
+        sink = ProbeSink(sim, pair.right, PROBE_FLOW)
+        src.start(0.0)
+        return src, sink
+
+    # probe() reads mean_rtt when the run builds it, after this binds it.
+    spec, mean_rtt = fleet_spec(seed, sc, buffer_bdp_fraction, on_build=probe)
+    return spec, mean_rtt
+
+
 def run_methodology(
     seed: int = 1,
     scale: Optional[Scale] = None,
     buffer_bdp_fraction: float = 0.5,
     probe_interval: Optional[float] = None,
 ) -> MethodologyResult:
-    """Run the three-instrument measurement on one congested dumbbell.
-
-    ``probe_interval`` defaults to whatever keeps the probe at 4% of the
-    bottleneck (1 ms at the fast scale's 20 Mbps): a fixed wall-clock
-    interval would under-sample the proportionally shorter drop bursts of
-    faster links and bias the cross-scale comparison.
-    """
+    """Run the three-instrument measurement on one congested dumbbell
+    (:func:`methodology_spec`)."""
     sc = current_scale(scale)
-    if probe_interval is None:
-        probe_interval = 100 * 8.0 / (0.04 * sc.capacity_bps)
-    streams = RngStreams(seed)
-    sim = Simulator()
+    spec, mean_rtt = methodology_spec(seed, sc, buffer_bdp_fraction, probe_interval)
+    run = run_scenario(spec, seed, "methodology", manifest={"scale": sc.name})
+    src, sink = run.extra
 
-    rtts = random_rtts(sc.n_tcp_flows, streams)
-    mean_rtt = float(rtts.mean())
-    cfg = DumbbellConfig(bottleneck_rate_bps=sc.capacity_bps)
-    cfg.buffer_pkts = max(4, int(cfg.bdp_packets(mean_rtt) * buffer_bdp_fraction))
-    db = build_dumbbell(sim, cfg)
-
-    senders: dict[int, NewRenoSender] = {}
-    rtt_map: dict[int, float] = {}
-    start_rng = streams.stream("starts")
-    for i, rtt in enumerate(rtts):
-        pair = db.add_pair(rtt=float(rtt), name=f"tcp{i}")
-        fid = 100 + i
-        snd = NewRenoSender(sim, pair.left, fid, pair.right.node_id)
-        TcpSink(sim, pair.right, fid, pair.left.node_id)
-        snd.start(float(start_rng.uniform(0.0, 0.5)))
-        senders[fid] = snd
-        rtt_map[fid] = float(rtt)
-
-    # The CBR probe must stay thin relative to the bottleneck: 100 B every
-    # probe_interval is 0.8 Mbps at the 1 ms default — 4% of a fast-scale
-    # 20 Mbps link, negligible per the paper's own validation argument.
-    probe_pair = db.add_pair(rtt=mean_rtt, name="probe")
-    probe = CbrSource(
-        sim, probe_pair.left, _PROBE_FLOW, probe_pair.right.node_id,
-        rate_bps=100 * 8 / probe_interval,  # 100 B per interval
-        packet_size=100,
-        jitter=0.0,
-    )
-    probe_sink = ProbeSink(sim, probe_pair.right, _PROBE_FLOW)
-    probe.start(0.0)
-
-    add_noise_fleet(sim, db, streams, sc.n_noise_flows, sc.noise_load)
-    sim.run(until=sc.measure_duration)
-    probe.stop()
-
-    router_times = db.drop_trace.drop_times()
     # Exclude the probe's own drops from the "TCP" view but keep them in
     # ground truth (the router sees everything).
+    rtts = spec.classes[0].rtts
     tcp_estimates = reconstruct_losses_from_retransmissions(
-        {fid: np.asarray(s.retx_times) for fid, s in senders.items()},
-        rtt_map,
+        {snd.flow_id: np.asarray(snd.retx_times) for snd, _ in run.flows},
+        {snd.flow_id: rtt for (snd, _), rtt in zip(run.flows, rtts)},
     )
-    probe_losses = probe.lost_times(probe_sink.received_set())
+    probe_losses = src.lost_times(sink.received_set())
 
     comparison = compare_methodologies(
-        router_times, tcp_estimates, probe_losses, rtt=mean_rtt
+        run.drop_times, tcp_estimates, probe_losses, rtt=mean_rtt
     )
     return MethodologyResult(
         comparison=comparison,
-        n_router_drops=len(router_times),
+        n_router_drops=len(run.drop_times),
         n_tcp_estimates=len(tcp_estimates),
         n_probe_losses=len(probe_losses),
         mean_rtt=mean_rtt,

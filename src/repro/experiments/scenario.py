@@ -6,19 +6,21 @@ discipline, optionally against the paper's two-way on-off noise fleet.  A
 :class:`Scenario` names such a run; :func:`run_scenario` builds, runs,
 observes and measures it on the packet engine, and :meth:`Scenario.fluid`
 is the same spec on the mean-field engine (:mod:`repro.sim.fluid`).
-The figure drivers (fig2, fig7, eq12, the zoo cell, ECN fairness, the RED
-sweep, the long-lived short-flow leg) are a spec plus a view over one
-:class:`ScenarioRun`.
+The figure drivers (fig2, fig3, fig7, eq12, the zoo cell, ECN fairness,
+the RED sweep, both short-flow legs, the methodology comparison, the
+delay-based comparison and the many-flows packet leg) are a spec plus a
+view over one :class:`ScenarioRun`.
 
 The construction rules live here and nowhere else:
 
 * class flow ``i`` has flow id ``fid_base + i`` and host-pair name
-  ``f"{tag}{i}"``;
+  ``f"{tag}{i}"`` (a ``shared_pair`` class has one pair, named ``tag``);
 * each flow's start is drawn uniformly from ``[0, start_window)`` on the
   ``"starts"`` stream as the flow is built, class by class;
 * a non-DropTail bottleneck draws from its own stream (``aqm_stream``),
-  so swapping disciplines never perturbs the flow starts;
-* the noise fleet is added after the flows;
+  and the Dummynet pipe's noise from ``"pipe-noise"``, so neither
+  perturbs the flow starts;
+* ``on_build`` runs after the flows, then the noise fleet is added;
 * :func:`~repro.obs.runtime.observe_run` is wired in (metrics, invariant
   sweeps, fault injection, flight record) with ``setup`` / ``run`` /
   ``analyze`` spans.
@@ -27,7 +29,7 @@ The construction rules live here and nowhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,7 +54,12 @@ __all__ = ["FlowClass", "Scenario", "ScenarioRun", "Detection", "run_scenario"]
 @dataclass(frozen=True)
 class FlowClass:
     """One flow per entry of ``rtts``, each a registry ``sender`` built
-    with ``kwargs`` (and its path RTT, which rate-based senders pace by)."""
+    with ``kwargs`` (and its path RTT, which rate-based senders pace by).
+
+    ``shared_pair`` puts every flow of the class on one host pair (hosts
+    demultiplex by flow id), so a class of thousands of flows costs two
+    hosts; its flows then share one RTT.
+    """
 
     sender: str
     rtts: tuple[float, ...]
@@ -60,6 +67,11 @@ class FlowClass:
     fid_base: int = 100
     start_window: float = 0.1
     kwargs: Mapping = field(default_factory=dict)
+    shared_pair: bool = False
+
+    def __post_init__(self):
+        if self.shared_pair and len(set(self.rtts)) > 1:
+            raise ValueError(f"class {self.tag!r} shares one pair but has several RTTs")
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,13 @@ class Scenario:
     ``queue`` is a :func:`repro.sim.queues.make_queue` kind built with
     ``queue_kwargs``.  ``bin_width`` is the per-class throughput bin
     (seconds); ``None`` records no throughput at all.
+
+    ``pipe_noise`` (seconds) makes the forward bottleneck the paper's
+    Dummynet pipe (§3.1): every transmission there gains a processing
+    time uniform in ``[0, pipe_noise]``.  ``on_build(sim, db, streams,
+    flows)`` runs once the flow classes are built, before the noise
+    fleet, and adds what a class cannot say (a probe, an in-run sampler,
+    a churn workload); its return value is :attr:`ScenarioRun.extra`.
     """
 
     classes: tuple[FlowClass, ...]
@@ -81,6 +100,13 @@ class Scenario:
     noise_flows: int = 0
     noise_load: float = 0.10
     bin_width: Optional[float] = 0.5
+    access_rate_bps: float = 1e9
+    pipe_noise: float = 0.0
+    on_build: Optional[Callable[..., Any]] = None
+
+    def __post_init__(self):
+        if self.pipe_noise < 0:
+            raise ValueError(f"pipe_noise must be non-negative, got {self.pipe_noise}")
 
     def fluid(self) -> "FluidScenario":
         """The same spec on the mean-field engine: one fluid class per
@@ -89,6 +115,8 @@ class Scenario:
 
         if self.noise_flows or any(len(set(c.rtts)) != 1 or c.kwargs for c in self.classes):
             raise ValueError("a fluid scenario needs one RTT and no kwargs per class, no noise")
+        if self.pipe_noise or self.on_build is not None:
+            raise ValueError("a fluid scenario has no Dummynet pipe and no on_build hook")
         rtt = min(c.rtts[0] for c in self.classes)
         return FluidScenario(
             classes=tuple(FluidClass(c.tag, c.sender, n=len(c.rtts), rtt=c.rtts[0])
@@ -126,6 +154,8 @@ class ScenarioRun:
     drop_fids: np.ndarray  # flow id of every forward-bottleneck record
     queue: Queue  # the forward bottleneck discipline, for its counters
     utilization: float  # forward bottleneck over the run
+    flows: list  # (sender, sink) per class flow, in class order
+    extra: Any  # what spec.on_build returned
 
     def detection(self, rtt: float) -> Detection:
         """Cluster the drops into loss events of one ``rtt`` and count the
@@ -155,8 +185,13 @@ def run_scenario(
     tracer = maybe_tracer(name, sim=sim)
 
     with span(tracer, "setup", seed=seed):
-        cfg = DumbbellConfig(bottleneck_rate_bps=spec.capacity_bps, buffer_pkts=spec.buffer_pkts)
+        cfg = DumbbellConfig(bottleneck_rate_bps=spec.capacity_bps,
+                             access_rate_bps=spec.access_rate_bps,
+                             buffer_pkts=spec.buffer_pkts)
         db = build_dumbbell(sim, cfg)
+        if spec.pipe_noise:
+            fwd = db.bottleneck_fwd
+            fwd.rng, fwd.max_noise = streams.stream("pipe-noise"), spec.pipe_noise
         if spec.queue != "droptail":
             # The default bottleneck is already DropTail; leaving it in
             # place keeps DropTail runs free of a queue swap.
@@ -169,8 +204,9 @@ def run_scenario(
         start_rng = streams.stream("starts")
         flows = []
         for k, c in enumerate(spec.classes):
+            shared = db.add_pair(rtt=c.rtts[0], name=c.tag) if c.shared_pair else None
             for i, rtt in enumerate(c.rtts):
-                pair = db.add_pair(rtt=rtt, name=f"{c.tag}{i}")
+                pair = shared or db.add_pair(rtt=rtt, name=f"{c.tag}{i}")
                 fid = c.fid_base + i
                 snd = create_sender(c.sender, sim, pair.left, fid, pair.right.node_id,
                                     rtt=rtt, **c.kwargs)
@@ -179,6 +215,7 @@ def run_scenario(
                 if tp is not None:
                     tp.assign(fid, k)
                 snd.start(float(start_rng.uniform(0.0, c.start_window)))
+        extra = spec.on_build(sim, db, streams, flows) if spec.on_build is not None else None
         add_noise_fleet(sim, db, streams, spec.noise_flows, spec.noise_load)
         obs = observe_run(sim, db=db, name=name, flows=flows, tracer=tracer,
                           manifest={"seed": seed, **(manifest or {})})
@@ -198,6 +235,8 @@ def run_scenario(
             drop_fids=db.drop_trace.flow_ids,
             queue=db.forward_queue,
             utilization=db.bottleneck_fwd.utilization(spec.duration),
+            flows=flows,
+            extra=extra,
         )
     obs.finalize(duration=spec.duration)
     return run

@@ -23,12 +23,10 @@ from repro.core.burstiness import BurstinessSummary, burstiness_summary
 from repro.core.report import format_table
 from repro.experiments.common import Scale, current_scale
 from repro.experiments.fig2_ns2 import fleet_spec
-from repro.experiments.scenario import run_scenario
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
+from repro.experiments.scenario import Scenario, run_scenario
+from repro.sim.topology import DumbbellConfig
 
-__all__ = ["ShortFlowResult", "run_shortflows"]
+__all__ = ["ShortFlowResult", "churn_spec", "run_shortflows"]
 
 
 @dataclass
@@ -63,23 +61,35 @@ def _long_lived(seed: int, sc: Scale) -> BurstinessSummary:
     return burstiness_summary(run.drop_times, mean_rtt)
 
 
-def _churn(seed: int, sc: Scale) -> tuple[BurstinessSummary, FlowChurn]:
-    streams = RngStreams(seed + 1)
-    sim = Simulator()
+def churn_spec(sc: Scale) -> tuple[Scenario, float]:
+    """The churn workload as data, and the RTT it is normalized by.
+
+    No flow classes: Poisson arrivals of short NewReno transfers
+    (:class:`~repro.apps.churn.FlowChurn`, offered load ~1.2x capacity
+    so slow starts keep colliding) over a half-BDP buffer at the 2-200 ms
+    midpoint RTT.  The run's ``extra`` is the ``FlowChurn``.
+    """
     mean_rtt = 0.101  # midpoint of the 2-200ms range
     cfg = DumbbellConfig(bottleneck_rate_bps=sc.capacity_bps)
-    cfg.buffer_pkts = max(4, cfg.bdp_packets(mean_rtt) // 2)
-    db = build_dumbbell(sim, cfg)
-    # Offered load ~ arrival_rate * mean_size; pick ~1.2x capacity so slow
-    # starts keep colliding.
     pkts_per_sec = sc.capacity_bps / 8.0 / cfg.packet_size
     churn_cfg = ChurnConfig(arrival_rate=1.2 * pkts_per_sec / 60.0,
                             mean_flow_packets=60.0)
-    churn = FlowChurn(sim, db, streams, churn_cfg)
-    churn.start(0.0)
-    sim.run(until=sc.measure_duration)
-    churn.stop()
-    return burstiness_summary(db.drop_trace.drop_times(), mean_rtt), churn
+
+    def churn(sim, db, streams, flows):
+        workload = FlowChurn(sim, db, streams, churn_cfg)
+        workload.start(0.0)
+        return workload
+
+    spec = Scenario(classes=(), capacity_bps=sc.capacity_bps,
+                    buffer_pkts=max(4, cfg.bdp_packets(mean_rtt) // 2),
+                    duration=sc.measure_duration, bin_width=None, on_build=churn)
+    return spec, mean_rtt
+
+
+def _churn(seed: int, sc: Scale) -> tuple[BurstinessSummary, FlowChurn]:
+    spec, mean_rtt = churn_spec(sc)
+    run = run_scenario(spec, seed + 1, "shortflows.churn")
+    return burstiness_summary(run.drop_times, mean_rtt), run.extra
 
 
 def run_shortflows(seed: int = 1, scale: Optional[Scale] = None) -> ShortFlowResult:

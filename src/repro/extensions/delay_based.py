@@ -20,19 +20,14 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.fairness import jain_index
 from repro.core.report import format_table
 from repro.experiments.common import Scale, current_scale
-from repro.sim.engine import Simulator
+from repro.experiments.scenario import FlowClass, Scenario, run_scenario
 from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
-from repro.sim.trace import ThroughputTrace
-from repro.tcp.fast import FastSender
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.sink import TcpSink
+from repro.sim.topology import DumbbellConfig
 
-from repro.core.fairness import jain_index
-
-__all__ = ["SignalOutcome", "DelayBasedResult", "run_delay_based", "jain_index"]
+__all__ = ["SignalOutcome", "DelayBasedResult", "delay_spec", "run_delay_based", "jain_index"]
 
 
 @dataclass
@@ -66,54 +61,58 @@ class DelayBasedResult:
         )
 
 
-def _run_signal(
-    sender_cls, label: str, seed: int, sc: Scale, rtts, duration: float,
-    converge_after: float,
-) -> SignalOutcome:
-    streams = RngStreams(seed)
-    sim = Simulator()
-    cfg = DumbbellConfig(bottleneck_rate_bps=sc.fig7_capacity_bps)
-    mean_rtt = float(np.mean(rtts))
-    # Buffer comfortably above N*alpha so the delay-based target fits.
-    cfg.buffer_pkts = max(len(rtts) * 12, cfg.bdp_packets(mean_rtt) // 2)
-    db = build_dumbbell(sim, cfg)
-    tp = ThroughputTrace(1.0)
-    senders = []
-    start_rng = streams.stream("starts")
-    for i, rtt in enumerate(rtts):
-        fid = 100 + i
-        pair = db.add_pair(rtt=float(rtt))
-        kwargs = {"alpha": 10.0} if sender_cls is FastSender else {}
-        snd = sender_cls(sim, pair.left, fid, pair.right.node_id, **kwargs)
-        TcpSink(sim, pair.right, fid, pair.left.node_id, throughput=tp)
-        tp.assign(fid, i)
-        snd.start(float(start_rng.uniform(0.0, 0.2)))
-        senders.append(snd)
+def delay_spec(sender: str, sc: Scale, rtts) -> Scenario:
+    """One ``sender`` flow per entry of ``rtts`` on the Fig. 7 link.
 
-    window_samples: list[list[float]] = [[] for _ in senders]
+    Pairs are ``pair<i>``, flow ids 100+, starts in the first 0.2 s; FAST
+    runs with ``alpha`` = 10 packets.  From half-way through the run every
+    sender's window is sampled each 0.2 s; the run's ``extra`` holds the
+    samples, one list per flow.
+    """
+    duration = sc.fig7_duration
 
-    def sample():
-        """Record every sender's current window (periodic probe)."""
-        for k, s in enumerate(senders):
-            window_samples[k].append(s.cwnd)
-        if sim.now < duration - 0.25:
-            sim.schedule(0.2, sample)
+    def window_sampler(sim, db, streams, flows):
+        samples: list[list[float]] = [[] for _ in flows]
 
-    sim.schedule(converge_after, sample)
-    sim.run(until=duration)
+        def sample():
+            """Record every sender's current window (periodic probe)."""
+            for k, (snd, _) in enumerate(flows):
+                samples[k].append(snd.cwnd)
+            if sim.now < duration - 0.25:
+                sim.schedule(0.2, sample)
 
-    rates = np.array([tp.total_bytes(i) for i in range(len(rtts))], dtype=float)
+        sim.schedule(duration / 2.0, sample)
+        return samples
+
+    bdp = DumbbellConfig(bottleneck_rate_bps=sc.fig7_capacity_bps).bdp_packets(
+        float(np.mean(rtts)))
+    return Scenario(
+        classes=(FlowClass(sender, tuple(map(float, rtts)), "pair", start_window=0.2,
+                           kwargs={"alpha": 10.0} if sender == "fast" else {}),),
+        capacity_bps=sc.fig7_capacity_bps,
+        # Buffer comfortably above N*alpha so the delay-based target fits.
+        buffer_pkts=max(len(rtts) * 12, bdp // 2),
+        duration=duration,
+        bin_width=None,
+        on_build=window_sampler,
+    )
+
+
+def _run_signal(sender: str, label: str, seed: int, sc: Scale, rtts) -> SignalOutcome:
+    run = run_scenario(delay_spec(sender, sc, rtts), seed, f"delay.{sender}")
+    # Jain's index is over flows: each sink's in-order bytes.
+    rates = np.array([sink.stats.bytes_received for _, sink in run.flows], dtype=float)
     cvs = []
-    for ws in window_samples:
+    for ws in run.extra:
         arr = np.array(ws)
         if len(arr) >= 2 and arr.mean() > 0:
             cvs.append(arr.std() / arr.mean())
     return SignalOutcome(
         label=label,
-        drops=len(db.drop_trace),
+        drops=len(run.drop_fids),
         jain=jain_index(rates),
         mean_window_cv=float(np.mean(cvs)) if cvs else float("nan"),
-        utilization=db.bottleneck_fwd.utilization(duration),
+        utilization=run.utilization,
     )
 
 
@@ -125,15 +124,8 @@ def run_delay_based(
 ) -> DelayBasedResult:
     """Run both signals on an identical heterogeneous-RTT population."""
     sc = current_scale(scale)
-    streams = RngStreams(seed)
-    rtts = streams.stream("rtts").uniform(rtt_range[0], rtt_range[1], size=n_flows)
-    duration = sc.fig7_duration
-    converge_after = duration / 2.0
+    rtts = RngStreams(seed).stream("rtts").uniform(*rtt_range, size=n_flows)
     return DelayBasedResult(
-        loss_based=_run_signal(
-            NewRenoSender, "loss (NewReno)", seed, sc, rtts, duration, converge_after
-        ),
-        delay_based=_run_signal(
-            FastSender, "delay (FAST)", seed, sc, rtts, duration, converge_after
-        ),
+        loss_based=_run_signal("newreno", "loss (NewReno)", seed, sc, rtts),
+        delay_based=_run_signal("fast", "delay (FAST)", seed, sc, rtts),
     )

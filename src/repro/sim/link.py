@@ -8,6 +8,12 @@ one propagation delay after its last bit leaves.
 
 Full-duplex connectivity is modelled as two independent ``Link`` objects
 (see :func:`repro.sim.topology.connect`).
+
+Two per-link random draws model non-ideal pipes, both off by default:
+``max_noise`` adds a uniform per-packet processing time to each
+transmission (the paper's Dummynet pipe, §3.1), and ``reorder_prob``
+delays a random subset of deliveries by ``extra_delay`` so later packets
+overtake them (reordering that shows up as dupACKs without loss).
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from repro.sim.queues import DropTailQueue, EnqueueResult, Queue
 from repro.sim.trace import ArrivalTrace, DropTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    import numpy as np
+
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Simulator
     from repro.sim.node import Node
@@ -48,6 +56,14 @@ class Link:
         infinite for access links).
     drop_trace / arrival_trace:
         Optional instrumentation shared across links.
+    rng:
+        Source of the two draws below; required when either is on.
+    max_noise:
+        Upper bound (seconds) of the uniform processing time added to each
+        transmission; 0 draws nothing.
+    reorder_prob / extra_delay:
+        Per-packet probability that a delivery is late by ``extra_delay``
+        seconds; 0 draws nothing.
     """
 
     def __init__(
@@ -60,11 +76,23 @@ class Link:
         name: Optional[str] = None,
         drop_trace: Optional[DropTrace] = None,
         arrival_trace: Optional[ArrivalTrace] = None,
+        rng: Optional[np.random.Generator] = None,
+        max_noise: float = 0.0,
+        reorder_prob: float = 0.0,
+        extra_delay: float = 0.005,
     ):
         if rate_bps <= 0:
             raise ValueError(f"link rate must be positive, got {rate_bps}")
         if delay < 0:
             raise ValueError(f"link delay must be non-negative, got {delay}")
+        if max_noise < 0:
+            raise ValueError(f"max_noise must be non-negative, got {max_noise}")
+        if not (0.0 <= reorder_prob <= 1.0):
+            raise ValueError(f"reorder_prob must be in [0, 1], got {reorder_prob}")
+        if extra_delay <= 0:
+            raise ValueError(f"extra_delay must be positive, got {extra_delay}")
+        if (max_noise or reorder_prob) and rng is None:
+            raise ValueError("a link with max_noise or reorder_prob needs an rng")
         # Auto-generated names draw from a per-simulator sequence so
         # back-to-back runs in one process get identical metric/trace keys.
         self.name = name if name is not None else f"link{sim.next_id('link')}"
@@ -75,6 +103,11 @@ class Link:
         self.queue = queue if queue is not None else DropTailQueue(10**9, name=self.name)
         self.drop_trace = drop_trace
         self.arrival_trace = arrival_trace
+        self.rng = rng
+        self.max_noise = float(max_noise)
+        self.reorder_prob = float(reorder_prob)
+        self.extra_delay = float(extra_delay)
+        self.reordered = 0
         self._install_queue_hooks()
         self.busy = False
         #: Fault-injection state: a downed link drops every offered packet.
@@ -136,6 +169,8 @@ class Link:
             # Transmission/delivery timers are never cancelled: slot-free path.
             self.busy = True
             tx_time = pkt.size * 8.0 / self.rate_bps
+            if self.max_noise:
+                tx_time += float(self.rng.random()) * self.max_noise
             self.busy_time += tx_time
             sim.schedule_fast(tx_time, self._transmission_done, pkt)
             return _ENQUEUED
@@ -158,10 +193,16 @@ class Link:
         schedule_fast = sim.schedule_fast
         self.bytes_forwarded += pkt.size
         self.packets_forwarded += 1
-        schedule_fast(self.delay, self.dst.receive, pkt, self)
+        delay = self.delay
+        if self.reorder_prob and self.rng.random() < self.reorder_prob:
+            delay += self.extra_delay
+            self.reordered += 1
+        schedule_fast(delay, self.dst.receive, pkt, self)
         nxt = self.queue.pop(sim.now)
         if nxt is not None:
             tx_time = nxt.size * 8.0 / self.rate_bps
+            if self.max_noise:
+                tx_time += float(self.rng.random()) * self.max_noise
             self.busy_time += tx_time
             schedule_fast(tx_time, self._transmission_done, nxt)
         else:

@@ -99,9 +99,9 @@ class DropTrace:
         # defaults, bound once here.  The instance attribute shadows the
         # class method; the lists the defaults capture are the live ones,
         # so ``_flush`` must clear them in place, never replace them.
-        # Subclasses that override ``record`` (e.g. QuantizedDropTrace)
-        # must keep their override visible, so skip the binding for them —
-        # their ``super().record(...)`` lands on the class-level fallback.
+        # A subclass that overrides ``record`` must keep its override
+        # visible, so skip the binding for it — its ``super().record(...)``
+        # lands on the class-level fallback.
         if type(self).record is not DropTrace.record:
             return
         def record(

@@ -16,9 +16,14 @@ import pytest
 
 from repro.experiments import FAST
 from repro.experiments.fig2_ns2 import fleet_spec
+from repro.experiments.fig3_dummynet import fig3_spec
 from repro.experiments.fig7_competition import fig7_spec
-from repro.experiments.scenario import run_scenario
+from repro.experiments.manyflows import packet_scenario
+from repro.experiments.methodology import methodology_spec
+from repro.experiments.scenario import FlowClass, run_scenario
+from repro.experiments.shortflows import churn_spec
 from repro.extensions import run_ecn_fairness
+from repro.extensions.delay_based import delay_spec
 from repro.sim.queues import REDParams
 from tests.experiments import dumbbell_oracle as oracle
 
@@ -30,9 +35,10 @@ TINY = replace(
 SEED = 5
 
 
-def _assert_same(run, expected):
+def _assert_same(run, expected, lossless=False):
     drop_times, drop_fids, times, mbps = expected
-    assert len(drop_times) > 0  # a run without drops would prove nothing
+    # A run without drops would prove nothing, unless the extras carry it.
+    assert lossless or len(drop_times) > 0
     assert np.array_equal(run.drop_times, drop_times)
     assert np.array_equal(run.drop_fids, drop_fids)
     if times is None:
@@ -73,6 +79,44 @@ class TestBuilderMatchesHandBuiltDumbbells:
         assert mean_rtt == pytest.approx(float(np.mean(spec.classes[0].rtts)))
         _assert_same(run_scenario(spec, SEED, "t"), oracle.fleet(SEED, TINY, noise=noise))
 
+    def test_dummynet_pipe(self):
+        spec, _ = fig3_spec(TINY)
+        _assert_same(run_scenario(spec, SEED, "t"), oracle.dummynet(SEED, TINY))
+
+    def test_methodology_probe_joins_before_the_noise(self):
+        spec, _ = methodology_spec(SEED, TINY)
+        run = run_scenario(spec, SEED, "t")
+        *expected, (retx, probe_lost) = oracle.methodology(SEED, TINY)
+        _assert_same(run, expected)
+        src, sink = run.extra
+        assert [list(snd.retx_times) for snd, _ in run.flows] == retx
+        assert len(probe_lost) > 0
+        assert np.array_equal(src.lost_times(sink.received_set()), probe_lost)
+
+    @pytest.mark.parametrize("sender", ["newreno", "fast"])
+    def test_delay_signal_samples_every_window(self, sender):
+        rtts = (0.02, 0.05, 0.09, 0.12)
+        run = run_scenario(delay_spec(sender, TINY, rtts), SEED, "t")
+        *expected, (samples, nbytes) = oracle.delay_signal(SEED, TINY, sender == "fast", rtts)
+        _assert_same(run, expected, lossless=sender == "fast")
+        assert run.extra == samples and len(samples[0]) > 2
+        assert [sink.stats.bytes_received for _, sink in run.flows] == nbytes
+
+    def test_manyflows_classes_share_one_pair(self):
+        run = run_scenario(packet_scenario(20, TINY), SEED, "t")
+        *expected, (base, final) = oracle.manyflows_packet(SEED, TINY, 20)
+        _assert_same(run, expected)
+        assert run.extra == base and any(base)
+        assert [s.stats.fast_retransmits + s.stats.timeouts for s, _ in run.flows] == final
+
+    def test_churn_leg(self):
+        spec, _ = churn_spec(TINY)
+        run = run_scenario(spec, SEED + 1, "t")
+        *expected, (started, completed) = oracle.churn(SEED, TINY)
+        _assert_same(run, expected)
+        assert run.flows == []
+        assert (run.extra.flows_started, run.extra.flows_completed) == (started, completed)
+
 
 class TestViews:
     def test_detection_counts_each_class_by_its_flow_ids(self):
@@ -99,6 +143,22 @@ class TestViews:
         ecn = fig7_spec(TINY, 0.05, 0.5, 0.5, kwargs={"ecn": True})
         with pytest.raises(ValueError):
             ecn.fluid()
+
+    @pytest.mark.parametrize("field", [{"pipe_noise": 1e-4}, {"on_build": lambda *a: None}])
+    def test_fluid_refuses_the_packet_only_fields(self, field):
+        spec = fig7_spec(TINY, 0.05, 1.0, 0.5)
+        spec.fluid()  # the spec itself converts
+        with pytest.raises(ValueError):
+            replace(spec, **field).fluid()
+
+    def test_shared_pair_needs_one_rtt(self):
+        with pytest.raises(ValueError):
+            FlowClass("newreno", (0.1, 0.2), "c", shared_pair=True)
+
+
+def test_fleet_spec_fields_override_every_field():
+    spec, _ = fleet_spec(1, FAST, 1.0, duration=8.0, capacity_bps=5e6, noise_flows=0)
+    assert (spec.duration, spec.capacity_bps, spec.noise_flows) == (8.0, 5e6, 0)
 
 
 def test_ecn_fairness_runs_under_observability(tmp_path, monkeypatch):

@@ -204,8 +204,24 @@ def test_utilization_returns_raw_ratio_and_warns_past_one():
 
 
 # ----------------------------------------------------------------------
-# Link, NoisyLink and ReorderingLink each spell the transmit step inline
+# One transmit step: the Dummynet noise and the reorder lag are draws
+# inside Link.send / Link._transmission_done, off unless asked for
 # ----------------------------------------------------------------------
+#: (time, burst length): 10 ms apart singles find the link idle; the
+#: bursts queue, and the 7-packet one overflows (1 in service + 3).
+_SENDS = ((0.000, 1), (0.010, 1), (0.020, 4), (0.0205, 2), (0.040, 7),
+          (0.060, 2), (0.0601, 1), (0.080, 3), (0.090, 2))
+_DOWN = (0.0795, 0.0805)  # the three sends at 0.080 die
+
+
+def _sizes():
+    seq = 0
+    for at, burst in _SENDS:
+        for _ in range(burst):
+            yield at, seq, 200 + 100 * ((seq * 7) % 9)
+            seq += 1
+
+
 def _drive_link(make_link):
     """One packet sequence over a link built by ``make_link``: arrivals
     onto an idle transmitter, bursts that queue behind it and overflow a
@@ -221,18 +237,10 @@ def _drive_link(make_link):
     link = make_link(sim, host, rate_bps=8e6, delay=0.0005,
                      queue=DropTailQueue(3), drop_trace=drops,
                      arrival_trace=arrivals)
-    seq = 0
-    # (time, burst length): 1 ms apart singles find the link idle; the
-    # bursts queue, and the 7-packet one overflows (1 in service + 3).
-    for at, burst in ((0.000, 1), (0.010, 1), (0.020, 4), (0.0205, 2),
-                      (0.040, 7), (0.060, 2), (0.0601, 1), (0.080, 3),
-                      (0.090, 2)):
-        for k in range(burst):
-            size = 200 + 100 * ((seq * 7) % 9)
-            sim.schedule_at(at, link.send, mkpkt(seq=seq, size=size))
-            seq += 1
-    sim.schedule_at(0.0795, link.take_down)  # the three sends at 0.080 die
-    sim.schedule_at(0.0805, link.bring_up)
+    for at, seq, size in _sizes():
+        sim.schedule_at(at, link.send, mkpkt(seq=seq, size=size))
+    sim.schedule_at(_DOWN[0], link.take_down)
+    sim.schedule_at(_DOWN[1], link.bring_up)
     sim.run()
     q = link.queue
     return {
@@ -248,47 +256,60 @@ def _drive_link(make_link):
     }
 
 
+def _fifo_model(rate_bps=8e6, delay=0.0005, capacity=3):
+    """The plain store-and-forward step, computed without a simulator:
+    each packet starts when it arrives or when its predecessor finishes,
+    and an arrival finding ``capacity`` packets waiting is dropped."""
+    finish, starts, deliveries, drops = 0.0, [], [], []
+    for at, seq, size in _sizes():
+        if _DOWN[0] <= at < _DOWN[1] or sum(s > at for s in starts) >= capacity:
+            drops.append((at, seq))
+            continue
+        start = max(at, finish)
+        assert start == at or start > at  # no arrival ties a departure
+        starts.append(start)
+        finish = start + size * 8.0 / rate_bps
+        deliveries.append((finish + delay, seq))
+    return deliveries, drops
+
+
 def test_flat_transmit_paths_agree_across_link_classes():
-    """``Link``, ``NoisyLink`` and ``ReorderingLink`` each carry their own
-    copy of the transmit step (there is no shared ``_transmit`` helper to
-    override).  With the noise and the reorder draw switched off the three
-    copies must be indistinguishable on the idle path, the busy path, the
-    drop path and the link-down path."""
+    """``Link`` is the one transmit step.  With its two draws switched
+    off it must be the plain FIFO on the idle path, the busy path, the
+    drop path and the link-down path, whether or not it holds a
+    generator, and it must not touch that generator."""
     import numpy as np
 
-    from repro.emulation import NoisyLink
-    from repro.sim.reorder import ReorderingLink
-
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     plain = _drive_link(Link)
-    noisy = _drive_link(lambda *a, **kw: NoisyLink(
-        *a, rng=np.random.default_rng(0), max_noise=0.0, **kw))
-    reordering = _drive_link(lambda *a, **kw: ReorderingLink(
-        *a, rng=np.random.default_rng(0), reorder_prob=0.0, **kw))
+    drawless = _drive_link(lambda *a, **kw: Link(
+        *a, rng=rng, max_noise=0.0, reorder_prob=0.0, **kw))
     # The scenario reaches every path.
     offered, dropped_down, forwarded = plain["link"][:3]
     assert dropped_down == 3
     assert plain["queue"][3] > 0 and plain["queue"][4] == 3  # overflowed, peaked
     assert 0 < plain["queue"][0] < offered - dropped_down  # some idle, some queued
     assert forwarded == len(plain["deliveries"])
-    assert noisy == plain
-    assert reordering == plain
+    deliveries, drops = _fifo_model()
+    assert plain["deliveries"] == deliveries
+    assert list(zip(*plain["drops"])) == drops
+    assert drawless == plain
+    assert rng.bit_generator.state == before
 
 
 def test_noisy_link_draws_once_per_transmission():
-    """The noise draw sits where the base class's transmit step sits — in
-    ``send`` for an idle transmitter, in ``_transmission_done`` for a
-    queued packet — so a run consumes exactly one draw per transmission
-    started, in transmission order."""
+    """The noise draw sits in the transmit step — in ``send`` for an idle
+    transmitter, in ``_transmission_done`` for a queued packet — so a run
+    consumes exactly one draw per transmission started, in transmission
+    order."""
     import numpy as np
-
-    from repro.emulation import NoisyLink
 
     sim = Simulator()
     host = Host(sim)
     col = Collector(sim)
     host.attach(1, col)
-    link = NoisyLink(sim, host, 8e6, 0.0, rng=np.random.default_rng(7),
-                     max_noise=300e-6)
+    link = Link(sim, host, 8e6, 0.0, rng=np.random.default_rng(7), max_noise=300e-6)
     link.send(mkpkt(seq=0))        # idle: drawn in send
     link.send(mkpkt(seq=1))        # queued: drawn in _transmission_done
     link.send(mkpkt(seq=2))
@@ -299,3 +320,28 @@ def test_noisy_link_draws_once_per_transmission():
     expected = [tx[0], tx[0] + tx[1], tx[0] + tx[1] + tx[2], 0.010 + tx[3]]
     assert [t for t, _ in col.got] == pytest.approx(expected, abs=1e-12)
     assert link.busy_time == pytest.approx(tx.sum())
+    assert link.reordered == 0
+
+
+def test_reorder_lag_draws_once_per_delivery():
+    """The reorder draw sits ahead of each delivery: one draw per packet
+    forwarded, in forwarding order, and a drawn lag delays that packet
+    alone."""
+    import numpy as np
+
+    sim = Simulator()
+    host = Host(sim)
+    col = Collector(sim)
+    host.attach(1, col)
+    link = Link(sim, host, 8e6, 0.002, rng=np.random.default_rng(3),
+                reorder_prob=0.5, extra_delay=0.004)
+    for i in range(8):
+        link.send(mkpkt(seq=i))  # back to back: packet i leaves at (i+1) ms
+    sim.run()
+    lagged = np.random.default_rng(3).random(8) < 0.5
+    assert 0 < lagged.sum() < 8
+    expected = sorted(((i + 1) * 0.001 + 0.002 + 0.004 * lag, i)
+                      for i, lag in enumerate(lagged))
+    assert [p.seq for _, p in col.got] == [i for _, i in expected]
+    assert [t for t, _ in col.got] == pytest.approx([t for t, _ in expected], abs=1e-12)
+    assert link.reordered == int(lagged.sum())

@@ -1,18 +1,21 @@
-"""Tests for the reordering link and NS-2 trace interop."""
+"""Tests for the link's reorder lag and NS-2 trace interop."""
 
 import numpy as np
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.link import Link
 from repro.sim.node import Host
 from repro.sim.packet import Packet
-from repro.sim.reorder import ReorderingLink
 from repro.sim.trace import DropTrace
 from repro.sim.tracefile import export_ns2_drops, import_ns2_drops
 from repro.tcp import NewRenoSender, SackSender, TcpSink
 
 
 class TestReorderingLink:
+    """``Link(rng, reorder_prob, extra_delay)``: a random subset of
+    deliveries arrives ``extra_delay`` late, so later packets overtake."""
+
     def _run(self, prob, n=500, seed=0):
         sim = Simulator()
         host = Host(sim)
@@ -23,7 +26,7 @@ class TestReorderingLink:
                 got.append(pkt.seq)
 
         host.attach(1, Sink())
-        link = ReorderingLink(
+        link = Link(
             sim, host, 8e6, 0.001, rng=np.random.default_rng(seed),
             reorder_prob=prob, extra_delay=0.01,
         )
@@ -48,11 +51,11 @@ class TestReorderingLink:
         sim = Simulator()
         host = Host(sim)
         with pytest.raises(ValueError):
-            ReorderingLink(sim, host, 1e6, 0.001,
-                           rng=np.random.default_rng(0), reorder_prob=1.5)
+            Link(sim, host, 1e6, 0.001, rng=np.random.default_rng(0), reorder_prob=1.5)
         with pytest.raises(ValueError):
-            ReorderingLink(sim, host, 1e6, 0.001,
-                           rng=np.random.default_rng(0), extra_delay=0.0)
+            Link(sim, host, 1e6, 0.001, rng=np.random.default_rng(0), extra_delay=0.0)
+        with pytest.raises(ValueError):  # a draw needs a generator
+            Link(sim, host, 1e6, 0.001, reorder_prob=0.5)
 
     @pytest.mark.parametrize("cls,sack", [(NewRenoSender, False), (SackSender, True)])
     def test_tcp_survives_reordering(self, cls, sack):
@@ -60,12 +63,10 @@ class TestReorderingLink:
         still complete correctly (possibly with spurious retransmits)."""
         sim = Simulator()
         snd_host, rcv_host = Host(sim), Host(sim)
-        fwd = ReorderingLink(
+        fwd = Link(
             sim, rcv_host, 50e6, 0.01, rng=np.random.default_rng(1),
             reorder_prob=0.02, extra_delay=0.004,
         )
-        from repro.sim.link import Link
-
         rev = Link(sim, snd_host, 50e6, 0.01)
         snd_host.uplink = fwd
         rcv_host.uplink = rev

@@ -11,7 +11,6 @@ PACKAGES = [
     "repro",
     "repro.apps",
     "repro.core",
-    "repro.emulation",
     "repro.experiments",
     "repro.extensions",
     "repro.faults",
