@@ -60,8 +60,9 @@ def methodology_spec(
     """The Figure 2 fleet plus a CBR probe pair, and the mean RTT.
 
     The probe pair (flow ``PROBE_FLOW``, RTT the fleet's mean) joins
-    after the TCP flows and before the noise fleet; the run's ``extra``
-    is its ``(CbrSource, ProbeSink)``.  ``probe_interval`` defaults to
+    after the TCP flows and before the noise fleet and stops sending one
+    drain horizon before the end; the run's ``extra`` is its
+    ``(CbrSource, ProbeSink)``.  ``probe_interval`` defaults to
     whatever keeps the probe at 4% of the bottleneck (1 ms at the fast
     scale's 20 Mbps): a fixed wall-clock interval would under-sample the
     proportionally shorter drop bursts of faster links and bias the
@@ -74,11 +75,17 @@ def methodology_spec(
         # The CBR probe must stay thin relative to the bottleneck: 100 B
         # every probe_interval is 0.8 Mbps at the 1 ms default — 4% of a
         # fast-scale 20 Mbps link, negligible per the paper's own
-        # validation argument.
+        # validation argument.  It stops one drain horizon (its RTT plus
+        # a full buffer's drain time) before the run ends, so none is
+        # still in flight at the end: every probe the sink misses was
+        # dropped at the router.
+        cfg = db.config
+        horizon = mean_rtt + cfg.buffer_pkts * cfg.packet_size * 8.0 / cfg.bottleneck_rate_bps
         pair = db.add_pair(rtt=mean_rtt, name="probe")
         src = CbrSource(sim, pair.left, PROBE_FLOW, pair.right.node_id,
                         rate_bps=100 * 8 / probe_interval,  # 100 B per interval
-                        packet_size=100, jitter=0.0)
+                        packet_size=100, duration=sc.measure_duration - horizon,
+                        jitter=0.0)
         sink = ProbeSink(sim, pair.right, PROBE_FLOW)
         src.start(0.0)
         return src, sink

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import compare_methodologies, reconstruct_losses_from_retransmissions
 from repro.experiments import Scale
-from repro.experiments.methodology import run_methodology
+from repro.experiments.methodology import PROBE_FLOW, methodology_spec, run_methodology
+from repro.experiments.scenario import run_scenario
 
 TINY = Scale(
     name="fast", capacity_bps=10e6, n_tcp_flows=6, n_noise_flows=4, noise_load=0.1,
@@ -103,6 +104,18 @@ class TestMethodologyExperiment:
         assert abs(tcp_n - truth_n) / truth_n > 0.10
         e_tcp, _ = result.comparison.event_count_errors()
         assert e_tcp > 0.15
+
+    def test_every_probe_loss_is_a_router_drop(self, result):
+        """A probe still in flight when the run stops is not a loss.  The
+        probe falls silent one drain horizon before the end, so the
+        losses it reports are exactly the router's drops of its flow."""
+        spec, _ = methodology_spec(1, TINY)
+        run = run_scenario(spec, 1, "t")
+        router = int(np.sum(run.drop_fids == PROBE_FLOW))
+        assert router > 0
+        src, sink = run.extra
+        assert len(src.lost_times(sink.received_set())) == router
+        assert result.n_probe_losses == router
 
     def test_text(self, result):
         assert "three instruments" in result.to_text()

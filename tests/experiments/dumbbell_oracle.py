@@ -165,8 +165,9 @@ def dummynet(seed, sc, buffer_bdp_fraction=0.5):
 
 def methodology(seed, sc, buffer_bdp_fraction=0.5):
     """``run_methodology``: the Figure 2 fleet plus a 4%-of-capacity CBR
-    probe pair (flow 777) between the flows and the noise.  Extra: every
-    flow's retransmission times and the probe's lost send times."""
+    probe pair (flow 777) between the flows and the noise, silent for the
+    last RTT + buffer drain time.  Extra: every flow's retransmission
+    times and the probe's lost send times."""
     probe_interval = 100 * 8.0 / (0.04 * sc.capacity_bps)
     streams = RngStreams(seed)
     sim = Simulator()
@@ -184,8 +185,10 @@ def methodology(seed, sc, buffer_bdp_fraction=0.5):
         snd.start(float(start_rng.uniform(0.0, 0.5)))
         senders.append(snd)
     probe_pair = db.add_pair(rtt=mean_rtt, name="probe")
+    drain = cfg.buffer_pkts * cfg.packet_size * 8.0 / cfg.bottleneck_rate_bps
     probe = CbrSource(sim, probe_pair.left, 777, probe_pair.right.node_id,
-                      rate_bps=100 * 8 / probe_interval, packet_size=100, jitter=0.0)
+                      rate_bps=100 * 8 / probe_interval, packet_size=100,
+                      duration=sc.measure_duration - (mean_rtt + drain), jitter=0.0)
     probe_sink = ProbeSink(sim, probe_pair.right, 777)
     probe.start(0.0)
     add_noise_fleet(sim, db, streams, sc.n_noise_flows, sc.noise_load)

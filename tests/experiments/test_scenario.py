@@ -89,6 +89,9 @@ class TestBuilderMatchesHandBuiltDumbbells:
         *expected, (retx, probe_lost) = oracle.methodology(SEED, TINY)
         _assert_same(run, expected)
         src, sink = run.extra
+        # The probe pair is the next one built after the last flow's pair
+        # (hosts number up in build order), not after the noise fleet.
+        assert src.host.node_id == run.flows[-1][0].host.node_id + 2
         assert [list(snd.retx_times) for snd, _ in run.flows] == retx
         assert len(probe_lost) > 0
         assert np.array_equal(src.lost_times(sink.received_set()), probe_lost)
@@ -106,6 +109,7 @@ class TestBuilderMatchesHandBuiltDumbbells:
         run = run_scenario(packet_scenario(20, TINY), SEED, "t")
         *expected, (base, final) = oracle.manyflows_packet(SEED, TINY, 20)
         _assert_same(run, expected)
+        assert {snd.host.name for snd, _ in run.flows} == {"near.snd", "far.snd"}
         assert run.extra == base and any(base)
         assert [s.stats.fast_retransmits + s.stats.timeouts for s, _ in run.flows] == final
 
