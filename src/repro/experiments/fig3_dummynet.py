@@ -101,9 +101,7 @@ def run_fig3(
     sc = current_scale(scale)
     spec, mean_rtt = fig3_spec(sc, buffer_bdp_fraction)
     run = run_scenario(spec, seed, "fig3", manifest={
-        "scale": sc.name, "buffer_bdp_fraction": buffer_bdp_fraction,
-        "buffer_pkts": spec.buffer_pkts,
-    })
+        "scale": sc.name, "buffer_bdp_fraction": buffer_bdp_fraction})
     drop_times = quantize(run.drop_times)
     intervals = intervals_from_trace(drop_times, mean_rtt)
     pdf = interval_pdf(intervals)

@@ -273,21 +273,19 @@ def run_manyflows_packet(
     mask = run.times >= warmup
     shares = [float(mbps[mask].mean()) if mask.any() else 0.0 for mbps in run.mbps]
     total = sum(shares)
-    rates = []
-    lo = 0
-    for c in spec.classes:
-        hi = lo + len(c.rtts)
-        events = sum(snd.stats.fast_retransmits + snd.stats.timeouts - base
-                     for (snd, _), base in zip(run.flows[lo:hi], run.extra[lo:hi]))
-        rates.append(events / (len(c.rtts) * (spec.duration - warmup)))
-        lo = hi
+    events = [0] * len(spec.classes)
+    for (snd, _), base in zip(run.flows, run.extra):
+        k = snd.flow_id // 1_000_000 - 1  # class k's flow ids are (k + 1) * 1e6 + i
+        events[k] += snd.stats.fast_retransmits + snd.stats.timeouts - base
+    measured = spec.duration - warmup
     fq = run.queue
     return ManyFlowsCell(
         backend="packet",
         n=n,
         wall_s=wall,
         throughput_share=tuple(s / total if total > 0 else 0.0 for s in shares),
-        class_loss_event_rate=tuple(rates),
+        class_loss_event_rate=tuple(e / (len(c.rtts) * measured)
+                                    for e, c in zip(events, spec.classes)),
         loss_rate=float(fq.dropped / fq.arrived) if fq.arrived else 0.0,
     )
 

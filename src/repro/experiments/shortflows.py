@@ -55,12 +55,6 @@ class ShortFlowResult:
         )
 
 
-def _long_lived(seed: int, sc: Scale) -> BurstinessSummary:
-    spec, mean_rtt = fleet_spec(seed, sc, 0.5, noise_flows=0)
-    run = run_scenario(spec, seed, "shortflows.longlived")
-    return burstiness_summary(run.drop_times, mean_rtt)
-
-
 def churn_spec(sc: Scale) -> tuple[Scenario, float]:
     """The churn workload as data, and the RTT it is normalized by.
 
@@ -86,20 +80,17 @@ def churn_spec(sc: Scale) -> tuple[Scenario, float]:
     return spec, mean_rtt
 
 
-def _churn(seed: int, sc: Scale) -> tuple[BurstinessSummary, FlowChurn]:
-    spec, mean_rtt = churn_spec(sc)
-    run = run_scenario(spec, seed + 1, "shortflows.churn")
-    return burstiness_summary(run.drop_times, mean_rtt), run.extra
-
-
 def run_shortflows(seed: int = 1, scale: Optional[Scale] = None) -> ShortFlowResult:
-    """Measure drop-trace burstiness under both §3.3 workloads."""
+    """Measure drop-trace burstiness under both §3.3 workloads: the
+    Figure 2 fleet without noise, then the churn leg on ``seed + 1``."""
     sc = current_scale(scale)
-    longlived = _long_lived(seed, sc)
-    churn_summary, churn = _churn(seed, sc)
+    fleet, fleet_rtt = fleet_spec(seed, sc, 0.5, noise_flows=0)
+    longlived = run_scenario(fleet, seed, "shortflows.longlived")
+    arrivals, churn_rtt = churn_spec(sc)
+    churn = run_scenario(arrivals, seed + 1, "shortflows.churn")
     return ShortFlowResult(
-        longlived=longlived,
-        churn=churn_summary,
-        churn_flows_started=churn.flows_started,
-        churn_flows_completed=churn.flows_completed,
+        longlived=burstiness_summary(longlived.drop_times, fleet_rtt),
+        churn=burstiness_summary(churn.drop_times, churn_rtt),
+        churn_flows_started=churn.extra.flows_started,
+        churn_flows_completed=churn.extra.flows_completed,
     )

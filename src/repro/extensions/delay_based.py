@@ -75,7 +75,6 @@ def delay_spec(sender: str, sc: Scale, rtts) -> Scenario:
         samples: list[list[float]] = [[] for _ in flows]
 
         def sample():
-            """Record every sender's current window (periodic probe)."""
             for k, (snd, _) in enumerate(flows):
                 samples[k].append(snd.cwnd)
             if sim.now < duration - 0.25:

@@ -7,13 +7,9 @@ the transmitter for ``size * 8 / rate`` seconds and arrives at the far node
 one propagation delay after its last bit leaves.
 
 Full-duplex connectivity is modelled as two independent ``Link`` objects
-(see :func:`repro.sim.topology.connect`).
-
-Two per-link random draws model non-ideal pipes, both off by default:
-``max_noise`` adds a uniform per-packet processing time to each
-transmission (the paper's Dummynet pipe, §3.1), and ``reorder_prob``
-delays a random subset of deliveries by ``extra_delay`` so later packets
-overtake them (reordering that shows up as dupACKs without loss).
+(see :func:`repro.sim.topology.connect`).  Two random draws, both off by
+default, make a link a non-ideal pipe: Dummynet processing noise (paper
+§3.1) and a reorder lag (dupACKs without loss).
 """
 
 from __future__ import annotations

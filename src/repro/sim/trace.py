@@ -99,11 +99,6 @@ class DropTrace:
         # defaults, bound once here.  The instance attribute shadows the
         # class method; the lists the defaults capture are the live ones,
         # so ``_flush`` must clear them in place, never replace them.
-        # A subclass that overrides ``record`` must keep its override
-        # visible, so skip the binding for it — its ``super().record(...)``
-        # lands on the class-level fallback.
-        if type(self).record is not DropTrace.record:
-            return
         def record(
             pkt: Packet,
             now: float,

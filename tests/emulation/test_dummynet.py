@@ -52,6 +52,10 @@ class TestQuantizedDropTrace:
         the emulation artifact visible in Figure 3's first bin."""
         assert np.all(np.diff(quantize([0.0101, 0.0105, 0.0109])) == 0.0)
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            quantize([0.5], resolution=-1e-3)
+
 
 class TestNoisyLink:
     def _deliveries(self, **draws):
