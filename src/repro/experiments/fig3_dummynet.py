@@ -47,7 +47,8 @@ def quantize(t, resolution: float = CLOCK_TICK):
 
 @dataclass
 class Fig3Result:
-    """Reproduced Figure 3 plus headline statistics."""
+    """Reproduced Figure 3 plus headline statistics; ``drop_times`` are
+    the bottleneck's drops floored to the 1 ms :data:`CLOCK_TICK`."""
 
     pdf: IntervalPdf
     poisson: np.ndarray
@@ -56,6 +57,7 @@ class Fig3Result:
     comparison: PoissonComparison
     n_drops: int
     mean_rtt: float
+    drop_times: np.ndarray
 
     def to_text(self) -> str:
         """Render the paper-shaped text block for this result."""
@@ -114,4 +116,5 @@ def run_fig3(
         comparison=compare_to_poisson(intervals),
         n_drops=len(drop_times),
         mean_rtt=mean_rtt,
+        drop_times=drop_times,
     )

@@ -273,10 +273,12 @@ def run_manyflows_packet(
     mask = run.times >= warmup
     shares = [float(mbps[mask].mean()) if mask.any() else 0.0 for mbps in run.mbps]
     total = sum(shares)
-    events = [0] * len(spec.classes)
-    for (snd, _), base in zip(run.flows, run.extra):
-        k = snd.flow_id // 1_000_000 - 1  # class k's flow ids are (k + 1) * 1e6 + i
-        events[k] += snd.stats.fast_retransmits + snd.stats.timeouts - base
+    counts = [snd.stats.fast_retransmits + snd.stats.timeouts - base
+              for (snd, _), base in zip(run.flows, run.extra)]
+    events, i = [], 0  # run.flows is in class order
+    for c in spec.classes:
+        events.append(sum(counts[i:i + len(c.rtts)]))
+        i += len(c.rtts)
     measured = spec.duration - warmup
     fq = run.queue
     return ManyFlowsCell(

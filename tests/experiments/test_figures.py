@@ -18,6 +18,7 @@ from repro.experiments import (
     run_fig8_cell,
     run_table1,
 )
+from repro.experiments.fig3_dummynet import CLOCK_TICK
 
 TINY = Scale(
     name="fast",
@@ -76,9 +77,10 @@ class TestFig3:
         assert result.frac_1 > 0.85
 
     def test_timestamps_quantized_to_1ms(self, result):
-        # Quantization leaves the mean interval a multiple-friendly value;
-        # directly: every interval is a multiple of 1 ms / mean_rtt.
-        assert result.n_drops > 20
+        # Every drop time, and so every interval, sits on the 1 ms clock.
+        assert result.n_drops == len(result.drop_times) > 20
+        ticks = result.drop_times / CLOCK_TICK
+        np.testing.assert_allclose(ticks, np.round(ticks), rtol=0, atol=1e-9)
 
     def test_text_output(self, result):
         assert "Figure 3" in result.to_text()

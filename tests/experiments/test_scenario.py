@@ -16,7 +16,7 @@ import pytest
 
 from repro.experiments import FAST
 from repro.experiments.fig2_ns2 import fleet_spec
-from repro.experiments.fig3_dummynet import fig3_spec
+from repro.experiments.fig3_dummynet import fig3_spec, quantize, run_fig3
 from repro.experiments.fig7_competition import fig7_spec
 from repro.experiments.manyflows import packet_scenario
 from repro.experiments.methodology import methodology_spec
@@ -82,6 +82,13 @@ class TestBuilderMatchesHandBuiltDumbbells:
     def test_dummynet_pipe(self):
         spec, _ = fig3_spec(TINY)
         _assert_same(run_scenario(spec, SEED, "t"), oracle.dummynet(SEED, TINY))
+
+    def test_fig3_reads_the_pipe_drops_on_the_clock(self):
+        # run_fig3 floors the pipe's drop times to the 1 ms tick as it reads them.
+        drop_times = oracle.dummynet(SEED, TINY)[0]
+        got = run_fig3(SEED, TINY).drop_times
+        assert not np.array_equal(got, drop_times)
+        assert np.array_equal(got, quantize(drop_times))
 
     def test_methodology_probe_joins_before_the_noise(self):
         spec, _ = methodology_spec(SEED, TINY)
