@@ -26,8 +26,7 @@ bucket it sorts it once (C timsort over tuple keys) and **batch-
 dequeues** the whole same-tick run through a cursor — no compare-and-
 sift per event.  Ties still break by ``seq``: buckets hold the same
 ``(time, seq, ...)`` tuples, so a sorted bucket fires in exactly the
-order the pure heap would have produced.  Set ``REPRO_WHEEL=0`` (or
-``Simulator(use_wheel=False)``) to fall back to the pure-heap path.
+order the pure heap would have produced.
 
 ``schedule_fast`` routes its two common cases itself, in one frame: a
 timer inside the current level-0 span is appended to its bucket, and a
@@ -52,7 +51,6 @@ from __future__ import annotations
 import contextlib
 import heapq
 import math
-import os
 from bisect import insort
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
@@ -91,8 +89,6 @@ _W0 = 1 << _W0_BITS  # 8192 level-0 buckets (~1 s span)
 _W0_MASK = _W0 - 1
 _W1 = 256  # level-1 groups (~256 s horizon)
 _W1_MASK = _W1 - 1
-
-_WHEEL_DEFAULT = os.environ.get("REPRO_WHEEL", "1") != "0"
 
 _INF = math.inf
 
@@ -160,8 +156,8 @@ class RepeatingEvent:
     created), never at ``now + interval`` — re-arming off the drifting
     sum would accumulate one float rounding per firing, so a sampler's
     millionth timestamp would depend on the engine's dispatch history.
-    Anchoring keeps telemetry sampler output byte-identical between the
-    heap and wheel scheduling paths, and across engines.
+    Anchoring keeps telemetry sampler output byte-identical across
+    engines (the timer wheel and :class:`~repro.sim.reference.ReferenceSimulator`).
 
     The underlying event re-arms itself after every firing *only while the
     simulator has other pending work*, so a recurring sampler or checker
@@ -226,9 +222,11 @@ class Simulator:
       wheel bucket), consumed through the ``_due_i`` cursor;
     * ``_w0`` — level-0 wheel buckets (one per tick, current ~1 s);
     * ``_w1`` — level-1 wheel buckets (one per level-0 span, next ~256 s);
-    * ``_heap`` — binary-heap overflow for far timers, and the only
-      queue when the wheel is disabled (``use_wheel=False`` /
-      ``REPRO_WHEEL=0``).
+    * ``_heap`` — binary-heap overflow for far timers (past the level-1
+      horizon, or scheduled while the wheel sits behind the clock).
+
+    :meth:`run` is the one dispatcher: it merges the due batch with the
+    heap by key, so the four places fire as one ``(time, seq)`` order.
 
     Example
     -------
@@ -241,7 +239,7 @@ class Simulator:
     ['b', 'a']
     """
 
-    def __init__(self, use_wheel: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple] = []
         self._seq = 0
         self.now: float = 0.0
@@ -258,20 +256,15 @@ class Simulator:
         self.metrics: Optional["MetricsRegistry"] = None
         # Timer wheel.  ``_pos`` is the last tick consumed (wheel entries
         # always have tick > _pos); ``_w0_group`` is the level-0 span
-        # (tick >> _W0_BITS) the w0 buckets currently cover.  ``_w0`` is
-        # None exactly when the wheel is disabled, so the hot path pays a
-        # single identity check to pick its route.
-        self.use_wheel = _WHEEL_DEFAULT if use_wheel is None else bool(use_wheel)
-        self._w0: Optional[list[list]] = None
-        self._w1: Optional[list[list]] = None
+        # (tick >> _W0_BITS) the w0 buckets currently cover.
+        self._w0: list[list] = [[] for _ in range(_W0)]
+        self._w1: list[list] = [[] for _ in range(_W1)]
         self._w0_count = 0
         self._w1_count = 0
         self._pos = -1
         self._w0_group = 0
         self._due: list[tuple] = []
         self._due_i = 0
-        if self.use_wheel:
-            self._alloc_wheel()
         # Free lists (object pools).  Recycled Events come back through
         # the run loop; recycled Packets through free_packet() at their
         # terminal consumer (sink delivery / drop).
@@ -334,34 +327,28 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         time = self.now + delay
-        w0 = self._w0
-        if w0 is not None:
-            tick = int(time * _TICK_HZ)
-            if tick <= self._pos:
-                # The wheel already released this tick (a transmission
-                # is shorter than one tick): join the batch being
-                # drained; _push says why the cursor bounds the search.
-                insort(self._due, (time, seq, fn, args), self._due_i)
-                return
-            if (tick >> _W0_BITS) == self._w0_group:
-                w0[tick & _W0_MASK].append((time, seq, fn, args))
-                self._w0_count += 1
-                return
+        tick = int(time * _TICK_HZ)
+        if tick <= self._pos:
+            # The wheel already released this tick (a transmission is
+            # shorter than one tick): join the batch being drained;
+            # _push says why the cursor bounds the search.
+            insort(self._due, (time, seq, fn, args), self._due_i)
+            return
+        if (tick >> _W0_BITS) == self._w0_group:
+            self._w0[tick & _W0_MASK].append((time, seq, fn, args))
+            self._w0_count += 1
+            return
         self._push((time, seq, fn, args), time)
 
     def _push(self, entry: tuple, time: float) -> None:
         """Route one entry to the wheel level covering its timestamp (or
         the overflow heap)."""
-        w0 = self._w0
-        if w0 is None:
-            heapq.heappush(self._heap, entry)
-            return
         tick = int(time * _TICK_HZ)
         while True:
             if tick > self._pos:
                 goff = (tick >> _W0_BITS) - self._w0_group
                 if goff == 0:
-                    w0[tick & _W0_MASK].append(entry)
+                    self._w0[tick & _W0_MASK].append(entry)
                     self._w0_count += 1
                     return
                 if 0 < goff <= _W1:
@@ -388,15 +375,6 @@ class Simulator:
             # and its seq is newer than everything already released.
             insort(self._due, entry, self._due_i)
             return
-
-    def _alloc_wheel(self) -> None:
-        self._w0 = [[] for _ in range(_W0)]
-        self._w1 = [[] for _ in range(_W1)]
-        # Anchor the wheel at the current clock so the first group starts
-        # at now's span, not at t=0 (a sim can start scheduling late).
-        tick = int(self.now * _TICK_HZ)
-        self._pos = tick - 1
-        self._w0_group = tick >> _W0_BITS
 
     def schedule_every(self, interval: float, fn: Callable[..., Any], *args: Any) -> RepeatingEvent:
         """Run ``fn(*args)`` every ``interval`` sim-seconds while the
@@ -489,7 +467,10 @@ class Simulator:
         if total >= COMPACT_MIN_HEAP and self._cancelled * 2 > total:
             self._compact()
 
-    def _sweep_live(self, entries: list, out: list) -> list:
+    def _sweep_live(self, entries: list) -> list:
+        """The entries that are not cancelled corpses; corpses are
+        recycled."""
+        out = []
         recycle = self._recycle_event
         for entry in entries:
             if entry[3] is None and entry[2].cancelled:
@@ -498,6 +479,18 @@ class Simulator:
             else:
                 out.append(entry)
         return out
+
+    def _sweep_buckets(self, buckets: list[list]) -> int:
+        """Sweep corpses out of wheel buckets in place; returns the live
+        entries left."""
+        held = 0
+        for bucket in buckets:
+            if bucket:
+                live = self._sweep_live(bucket)
+                if len(live) != len(bucket):
+                    bucket[:] = live
+                held += len(bucket)
+        return held
 
     def _compact(self) -> None:
         """Drop cancelled corpses from every queue and rebuild, in place.
@@ -509,28 +502,13 @@ class Simulator:
         storm against wheel-resident timers is reclaimed just the same.
         """
         heap = self._heap
-        heap[:] = self._sweep_live(heap, [])
+        heap[:] = self._sweep_live(heap)
         heapq.heapify(heap)
-        if self._w0 is not None:
-            w0_count = 0
-            for bucket in self._w0:
-                if bucket:
-                    live = self._sweep_live(bucket, [])
-                    if len(live) != len(bucket):
-                        bucket[:] = live
-                    w0_count += len(bucket)
-            self._w0_count = w0_count
-            w1_count = 0
-            for bucket in self._w1:
-                if bucket:
-                    live = self._sweep_live(bucket, [])
-                    if len(live) != len(bucket):
-                        bucket[:] = live
-                    w1_count += len(bucket)
-            self._w1_count = w1_count
+        self._w0_count = self._sweep_buckets(self._w0)
+        self._w1_count = self._sweep_buckets(self._w1)
         due = self._due
         if self._due_i < len(due):
-            tail = self._sweep_live(due[self._due_i:], [])
+            tail = self._sweep_live(due[self._due_i:])
             del due[self._due_i:]
             due.extend(tail)
         self._cancelled = 0
@@ -547,18 +525,6 @@ class Simulator:
         pool = self._event_pool
         if len(pool) < EVENT_POOL_MAX:
             pool.append(ev)
-
-    def _discard_cancelled_pop(self, ev: Event) -> None:
-        """Uniform bookkeeping for one cancelled corpse leaving a queue.
-
-        Shared by :meth:`run`, :meth:`step`, and :meth:`peek_time` so the
-        in-queue cancellation count, the :attr:`cancelled_popped` counter,
-        and handle recycling stay consistent no matter which loop drains
-        the corpse.
-        """
-        self._cancelled -= 1
-        self.cancelled_popped += 1
-        self._recycle_event(ev)
 
     # ------------------------------------------------------------------
     # wheel dispatch
@@ -671,7 +637,9 @@ class Simulator:
                     ev = entry[2]
                     ev.owner = None
                     if ev.cancelled:
-                        self._discard_cancelled_pop(ev)
+                        self._cancelled -= 1
+                        self.cancelled_popped += 1
+                        self._recycle_event(ev)
                         continue
                     fn, args = ev.fn, ev.args
                     self._recycle_event(ev)
@@ -690,83 +658,6 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
-
-    def step(self) -> bool:
-        """Execute the single next pending event.  Returns False if idle."""
-        heap = self._heap
-        due = self._due
-        while True:
-            i = self._due_i
-            if i < len(due):
-                entry = due[i]
-                if heap and heap[0] < entry:
-                    entry = heapq.heappop(heap)
-                else:
-                    self._due_i = i + 1
-            elif self._w0_count or self._w1_count:
-                self._advance_wheel()
-                continue
-            elif heap:
-                entry = heapq.heappop(heap)
-            else:
-                return False
-            args = entry[3]
-            if args is None:
-                ev = entry[2]
-                ev.owner = None
-                if ev.cancelled:
-                    self._discard_cancelled_pop(ev)
-                    continue
-                fn, args = ev.fn, ev.args
-                self._recycle_event(ev)
-            else:
-                fn = entry[2]
-            self.now = entry[0]
-            prof = self._profiler
-            if prof is None:
-                fn(*args)
-            else:
-                t0 = perf_counter()
-                fn(*args)
-                prof.record_event(fn, perf_counter() - t0, self.queued)
-            self.events_processed += 1
-            return True
-
-    def peek_time(self) -> float:
-        """Timestamp of the next pending event, or ``inf`` when idle."""
-        heap = self._heap
-        due = self._due
-        while True:
-            i = self._due_i
-            if i < len(due):
-                entry = due[i]
-                if entry[3] is None and entry[2].cancelled:
-                    self._due_i = i + 1
-                    entry[2].owner = None
-                    self._discard_cancelled_pop(entry[2])
-                    continue
-                if heap:
-                    h = heap[0]
-                    if h < entry:
-                        if h[3] is None and h[2].cancelled:
-                            heapq.heappop(heap)
-                            h[2].owner = None
-                            self._discard_cancelled_pop(h[2])
-                            continue
-                        return h[0]
-                return entry[0]
-            if self._w0_count or self._w1_count:
-                self._advance_wheel()
-                continue
-            if heap:
-                h = heap[0]
-                if h[3] is None and h[2].cancelled:
-                    heapq.heappop(heap)
-                    h[2].owner = None
-                    self._discard_cancelled_pop(h[2])
-                    continue
-                return h[0]
-            return math.inf
 
     @property
     def queued(self) -> int:
@@ -797,7 +688,7 @@ class Simulator:
 
         Yields an :class:`~repro.obs.profiling.EventLoopProfile` that fills
         with events/sec, queue size, cancelled-event ratio, and per-callback
-        timing while any ``run``/``step`` executes inside the block.
+        timing while any ``run`` executes inside the block.
         Nestable; the previous profiler (if any) is restored on exit.
         This is the per-callback profiler (two clock reads and a table
         update per event); ``RunObservation.profiled()`` reads the

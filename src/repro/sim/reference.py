@@ -182,40 +182,6 @@ class ReferenceSimulator:
         finally:
             self._running = False
 
-    def step(self) -> bool:
-        """Execute the single next pending event.  Returns False if idle."""
-        heap = self._heap
-        while heap:
-            ev = heapq.heappop(heap)
-            ev.owner = None
-            if ev.cancelled:
-                self._cancelled -= 1
-                self.cancelled_popped += 1
-                continue
-            self.now = ev.time
-            fn, args = ev.fn, ev.args
-            ev.fn, ev.args = None, ()
-            assert fn is not None
-            prof = self._profiler
-            if prof is None:
-                fn(*args)
-            else:
-                t0 = perf_counter()
-                fn(*args)
-                prof.record_event(fn, perf_counter() - t0, len(heap))
-            self.events_processed += 1
-            return True
-        return False
-
-    def peek_time(self) -> float:
-        """Timestamp of the next pending event, or ``inf`` when idle."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap).owner = None
-            self._cancelled -= 1
-            self.cancelled_popped += 1
-        return heap[0].time if heap else math.inf
-
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue.  O(1)."""

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.reference import ReferenceSimulator
 
 
 def test_events_run_in_time_order():
@@ -118,24 +119,17 @@ def test_max_events_budget():
 
 
 def test_step_executes_one_event():
+    """``run(max_events=1)`` is the single step: one event, clock at it."""
     sim = Simulator()
     fired = []
     sim.schedule(1.0, fired.append, "a")
     sim.schedule(2.0, fired.append, "b")
-    assert sim.step()
-    assert fired == ["a"]
-    assert sim.step()
-    assert not sim.step()
-
-
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    ev = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    ev.cancel()
-    assert sim.peek_time() == 2.0
-    empty = Simulator()
-    assert empty.peek_time() == math.inf
+    sim.run(max_events=1)
+    assert fired == ["a"] and sim.now == 1.0
+    sim.run(max_events=1)
+    assert fired == ["a", "b"] and sim.now == 2.0
+    sim.run(max_events=1)
+    assert sim.events_processed == 2 and sim.now == 2.0
 
 
 def test_pending_counts_live_events():
@@ -229,12 +223,12 @@ class TestCancelledEventCompaction:
             ev.cancel()
         assert sim.cancelled_ratio == pytest.approx(0.4)
 
-    def test_pending_stays_exact_through_run_and_peek(self):
+    def test_pending_stays_exact_through_run_slices(self):
         sim = Simulator()
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(8)]
         handles[0].cancel()
-        assert sim.peek_time() == 2.0  # pops the corpse
-        assert sim.pending == 7
+        sim.run(until=1.5)  # pops the corpse, fires nothing
+        assert (sim.pending, sim.queued, sim.cancelled_popped) == (7, 7, 1)
         sim.run(until=4.0)
         assert sim.pending == 4
 
@@ -297,8 +291,7 @@ class TestWheelCancelBookkeeping:
     ``pending`` property read through both."""
 
     def test_wheel_cancel_counts_and_pending_exact(self):
-        sim = Simulator()  # wheel on by default
-        assert sim._w0 is not None
+        sim = Simulator()
         handles = [sim.schedule(0.001 * (i + 1), lambda: None) for i in range(10)]
         assert sim._w0_count > 0  # they actually live in the wheel
         for ev in handles[:4]:
@@ -334,8 +327,9 @@ class TestWheelCancelBookkeeping:
         assert sim.pending == 0
 
     def test_cancel_churn_equivalence_wheel_vs_heap(self):
-        """Heavy cancel/reschedule churn: wheel and heap engines must
-        agree on every firing and on final bookkeeping."""
+        """Heavy cancel/reschedule churn: the wheel and the pure-heap
+        reference engine must agree on every firing and on final
+        bookkeeping."""
         import numpy as np
 
         def churn(sim):
@@ -353,5 +347,4 @@ class TestWheelCancelBookkeeping:
             sim.run()
             return log, sim.events_processed, sim.pending
 
-        # identical workloads, wheel on vs off
-        assert churn(Simulator(use_wheel=True)) == churn(Simulator(use_wheel=False))
+        assert churn(Simulator()) == churn(ReferenceSimulator())

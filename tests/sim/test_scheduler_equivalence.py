@@ -16,10 +16,11 @@ from repro.sim.engine import Simulator
 from repro.sim.reference import ReferenceSimulator
 
 
-def _random_workload(sim, rng_seed: int, n_ops: int = 400):
+def _random_workload(sim, rng_seed: int, n_ops: int = 400, spread: float = 1.0):
     """Drive ``sim`` with a seeded mix of schedule/schedule_at/
     schedule_fast/cancel operations (duplicate times included, so the
-    (time, seq) tie-break is exercised) and return the firing log."""
+    (time, seq) tie-break is exercised) and return the firing log.
+    ``spread`` scales every delay (about 1 s at 1.0)."""
     rng = np.random.default_rng(rng_seed)
     log = []
     handles = []
@@ -28,13 +29,14 @@ def _random_workload(sim, rng_seed: int, n_ops: int = 400):
         log.append((sim.now, tag))
         # Some callbacks schedule more work, from inside the dispatch loop.
         if tag % 7 == 0:
-            sim.schedule_fast(float(rng.integers(0, 4)) * 0.125, fire, tag + 10_000)
+            sim.schedule_fast(float(rng.integers(0, 4)) * 0.125 * spread, fire, tag + 10_000)
         if tag % 11 == 0:
-            handles.append(sim.schedule(float(rng.integers(0, 4)) * 0.25, fire, tag + 20_000))
+            handles.append(sim.schedule(float(rng.integers(0, 4)) * 0.25 * spread, fire,
+                                        tag + 20_000))
 
     for i in range(n_ops):
         # Quantized delays force plenty of exact time collisions.
-        delay = float(rng.integers(0, 16)) * 0.0625
+        delay = float(rng.integers(0, 16)) * 0.0625 * spread
         kind = int(rng.integers(0, 4))
         if kind == 0:
             sim.schedule_fast(delay, fire, i)
@@ -182,31 +184,33 @@ def test_schedule_fast_validates_delay():
 
 
 # ----------------------------------------------------------------------
-# Timer wheel vs heap, and same-timestamp batch dequeue
+# Timer wheel vs the pure heap, and same-timestamp batch dequeue
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
 def test_wheel_engine_matches_heap_engine(seed):
-    """The wheel fast path (near timers in slots, far timers in the
-    overflow heap) must fire identically to the pure-heap engine for any
-    workload — same order, same timestamps, same tie-breaks."""
-    wheel_log = _random_workload(Simulator(use_wheel=True), seed)
-    heap_log = _random_workload(Simulator(use_wheel=False), seed)
+    """With delays spread over ~300 s the workload fills every wheel
+    level — level-0 slots, level-1 groups that cascade down, and the
+    overflow heap past the 256 s horizon — and must still fire exactly
+    as the pure-heap reference engine does: same order, same timestamps,
+    same tie-breaks."""
+    wheel_log = _random_workload(Simulator(), seed, spread=300.0)
+    heap_log = _random_workload(ReferenceSimulator(), seed, spread=300.0)
     assert len(wheel_log) > 400
+    assert max(t for t, _ in wheel_log) > 256.0
     assert wheel_log == heap_log
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_wheel_engine_matches_reference(seed):
-    assert (_random_workload(Simulator(use_wheel=True), seed)
+    assert (_random_workload(Simulator(), seed)
             == _random_workload(ReferenceSimulator(), seed))
 
 
-@pytest.mark.parametrize("use_wheel", [True, False], ids=["wheel", "heap"])
-def test_same_timestamp_batches_dequeue_in_schedule_order(use_wheel):
+def test_same_timestamp_batches_dequeue_in_schedule_order():
     """Batch dequeue of a same-timestamp run must preserve the (time,
     seq) contract: FIFO within a timestamp, across every scheduling API
     and across events that append to a batch currently being drained."""
-    sim = Simulator(use_wheel=use_wheel)
+    sim = Simulator()
     ref = ReferenceSimulator()
     def drive(s):
         log = []
@@ -234,7 +238,7 @@ def test_far_timers_overflow_to_heap_and_cascade_back():
     """Timers beyond the wheel horizon start in the overflow heap but
     must still fire in exact order with near timers, including after the
     clock jumps far forward through heap-only regions."""
-    sim = Simulator(use_wheel=True)
+    sim = Simulator()
     log = []
     for t in (1e5, 2.0, 1e5 + 0.001, 0.001, 3e5):
         sim.schedule_at(t, log.append, t)
@@ -245,7 +249,7 @@ def test_far_timers_overflow_to_heap_and_cascade_back():
 
 
 def test_run_until_with_wheel_resident_timers():
-    sim = Simulator(use_wheel=True)
+    sim = Simulator()
     fired = []
     for k in range(100):
         sim.schedule_fast(0.001 * (k + 1), fired.append, k)
@@ -285,12 +289,11 @@ def _fig2_scaled(sim, seed: int = 1):
     return sim.events_processed, db.drop_trace
 
 
-@pytest.mark.parametrize("use_wheel", [True, False], ids=["wheel", "heap"])
-def test_fig2_shape_matches_reference(use_wheel):
+def test_fig2_shape_matches_reference():
     """No other tier-1 test runs TCP flows *and* the on-off noise fleet
     on both engines: event count and every drop-trace column must equal
     the reference engine's."""
-    events, trace = _fig2_scaled(Simulator(use_wheel=use_wheel))
+    events, trace = _fig2_scaled(Simulator())
     ref_events, ref_trace = _fig2_scaled(ReferenceSimulator())
     assert len(trace.times) > 0  # the scenario actually dropped packets
     assert events == ref_events
@@ -311,10 +314,8 @@ SUB_TICK = (0.0, 1e-6, 30e-6, 100e-6, 121e-6)
 def _census(sim):
     """Entries actually held by every queue structure, counted the slow
     way (the engine's ``queued`` is bookkeeping; this is the truth)."""
-    held = len(sim._heap) + len(sim._due) - sim._due_i
-    if sim._w0 is not None:
-        held += sum(len(b) for b in sim._w0) + sum(len(b) for b in sim._w1)
-    return held
+    return (len(sim._heap) + len(sim._due) - sim._due_i
+            + sum(len(b) for b in sim._w0) + sum(len(b) for b in sim._w1))
 
 
 def _same_tick_workload(sim, base):
@@ -367,16 +368,15 @@ def _same_tick_workload(sim, base):
 
 
 @pytest.mark.parametrize("base", [0.25, 1000.0], ids=["near", "heap-overflow"])
-@pytest.mark.parametrize("use_wheel", [True, False], ids=["wheel", "heap"])
-def test_same_tick_schedule_fast_matches_reference(use_wheel, base):
-    sim = Simulator(use_wheel=use_wheel)
+def test_same_tick_schedule_fast_matches_reference(base):
+    sim = Simulator()
     got = _same_tick_workload(sim, base)
     want = _same_tick_workload(ReferenceSimulator(), base)
     assert len(got) > 300
     assert got == want
     assert sim.pending == 0 and sim.queued == 0
-    if use_wheel and base > 256.0:
+    if base > 256.0:
         # The far timers really did wait in the overflow heap.
-        probe = Simulator(use_wheel=True)
+        probe = Simulator()
         probe.schedule_at(base, lambda: None)
         assert len(probe._heap) == 1

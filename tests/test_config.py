@@ -1,6 +1,7 @@
 """Tests for repro.config.RunConfig: the one reader of the REPRO_* knobs."""
 
 import ast
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -153,3 +154,60 @@ def test_imports_only_the_stdlib():
         elif isinstance(node, ast.ImportFrom):
             roots.add(node.module.split(".")[0])
     assert roots - {"__future__"} <= set(sys.stdlib_module_names), roots
+
+
+# -- the knob audit -------------------------------------------------------
+PACKAGE = Path(repro.config.__file__).resolve().parent
+
+#: Where the package may touch the environment: anywhere in ``config.py``
+#: (the one reader), the CLI's flag round trip, and the top-smoke's copy
+#: of the environment for its subprocess.  Keys are (module, function).
+ENVIRON_USERS = {("config.py", None), ("cli.py", "_flags_in_env"),
+                 ("obs/topsmoke.py", "_spawn_campaign")}
+
+#: Spellings that read or write the process environment.
+ENVIRON_NAMES = {"environ", "getenv", "putenv", "unsetenv", "environb", "getenvb"}
+
+
+def _package_sources():
+    return sorted(PACKAGE.rglob("*.py"))
+
+
+def _environ_uses(tree):
+    """``(function, line)`` of every ``os.environ``-style access, where
+    ``function`` is the innermost enclosing ``def`` (None at module level)."""
+    uses = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRON_NAMES
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            uses.append((func, node.lineno))
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            uses.extend((func, node.lineno) for a in node.names if a.name in ENVIRON_NAMES)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return uses
+
+
+def test_run_config_owns_every_repro_variable():
+    """The ``REPRO_*`` names anywhere in the package are exactly
+    ``RunConfig``'s ten variables: a knob outside it would bypass the
+    CLI's flag table, validation and the run manifest."""
+    named = set()
+    for path in _package_sources():
+        named.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    assert named == set(VAR.values())
+
+
+def test_environment_is_touched_only_by_the_knob_plumbing():
+    stray = []
+    for path in _package_sources():
+        module = path.relative_to(PACKAGE).as_posix()
+        for func, line in _environ_uses(ast.parse(path.read_text())):
+            if (module, None) not in ENVIRON_USERS and (module, func) not in ENVIRON_USERS:
+                stray.append(f"{module}:{line} in {func or '<module>'}")
+    assert not stray
