@@ -389,21 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _metrics_path(base: str, experiment: str, multi: bool) -> str:
-    """Per-experiment metrics path: splice the name in when running several."""
-    if not multi:
-        return base
-    p = Path(base)
-    suffix = p.suffix if p.suffix else ".json"
-    return str(p.with_name(f"{p.stem}.{experiment}{suffix}"))
-
-
-def _telemetry_dir(base: str, experiment: str, multi: bool) -> str:
-    """Per-experiment run directory: one subdirectory each when several
-    experiments share one ``--telemetry-out`` root."""
-    return str(Path(base) / experiment) if multi else base
-
-
 def _run_report(target: Optional[str], html: bool) -> int:
     """The ``report`` command: render a recorded run directory."""
     from repro.obs.report import ReportError, generate_report, write_report
@@ -529,10 +514,9 @@ def _flags_in_env(args, experiment: str, multi: bool):
             continue
         if value is True:
             value = "1"
-        elif field == "metrics_out":
-            value = _metrics_path(value, experiment, multi)
-        elif field == "telemetry_out":
-            value = _telemetry_dir(value, experiment, multi)
+        elif multi and field in ("metrics_out", "telemetry_out"):
+            # Several experiments share the paths: each gets its own.
+            value = getattr(RunConfig(**{field: Path(value)}).named(experiment), field)
         os.environ[_ENV_VAR[field]] = str(value)
     try:
         yield

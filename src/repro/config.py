@@ -21,7 +21,7 @@ This module imports only the standard library.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -109,6 +109,19 @@ class RunConfig:
                 except ValueError as exc:
                     raise ValueError(f"{var} must be {exc}, got {raw!r}") from None
         return cls(**values)
+
+    def named(self, name: str) -> "RunConfig":
+        """This configuration for one of several runs sharing its artifact
+        paths: the metrics file ``m.json`` becomes ``m.<name>.json`` and
+        the run directory ``D`` becomes ``D/<name>``, so no run overwrites
+        another's.  The CLI names several experiments this way, and
+        ``observe_run`` a driver's several runs."""
+        m, d = self.metrics_out, self.telemetry_out
+        return replace(
+            self,
+            metrics_out=m and m.with_name(f"{m.stem}.{name}{m.suffix or '.json'}"),
+            telemetry_out=d and d / name,
+        )
 
     @classmethod
     def manifest_env(cls) -> dict[str, str]:

@@ -266,7 +266,7 @@ def run_manyflows_packet(
     sc = current_scale(sc)
     spec = packet_scenario(n, sc)
     t0 = time.perf_counter()
-    run = run_scenario(spec, seed, "manyflows", manifest={"n": n, "scale": sc.name})
+    run = run_scenario(spec, seed, f"manyflows.n{n}", manifest={"n": n, "scale": sc.name})
     wall = time.perf_counter() - t0
 
     warmup = WARMUP_FRACTION * spec.duration

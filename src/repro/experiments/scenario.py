@@ -177,8 +177,11 @@ def run_scenario(
 ) -> ScenarioRun:
     """Build ``spec`` on the packet engine, run it, and measure it.
 
-    ``name`` labels the observation (metrics, spans, flight record);
-    ``manifest`` adds to the run manifest, which always carries ``seed``.
+    ``name`` labels the observation (metrics, spans, flight record); a
+    driver that makes several runs gives each a dotted name
+    (``"shortflows.churn"``), which keeps each run's artifacts apart (see
+    :func:`~repro.obs.runtime.observe_run`).  ``manifest`` adds to the run
+    manifest, which always carries ``seed``.
     """
     streams = RngStreams(seed)
     sim = Simulator()

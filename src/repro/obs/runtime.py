@@ -348,12 +348,20 @@ def observe_run(
     docstring; ``check_interval`` to :data:`DEFAULT_CHECK_INTERVAL`); when
     everything is off, the returned observation is disabled and free.
 
+    A dotted ``name`` (``"shortflows.churn"``, ``"manyflows.n100"``)
+    marks one of a driver's several runs: its configured metrics file and
+    run directory take the name (:meth:`RunConfig.named`), so every run
+    keeps its own artifacts.  A driver's only run (``"fig2"``) writes the
+    configured paths as they are.
+
     ``tracer`` (usually from :func:`repro.obs.spans.maybe_tracer`) attaches
     phase tracing; fault injections recorded by the armed plan become span
     events on it.  ``manifest`` seeds the run manifest written alongside
     the telemetry export (drivers put seed/scale/parameters there).
     """
     cfg = RunConfig.from_env()
+    if "." in name:
+        cfg = cfg.named(name)
     if metrics_out is None:
         metrics_out = cfg.metrics_out
     if check_invariants is None:

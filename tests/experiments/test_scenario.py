@@ -174,11 +174,14 @@ def test_fleet_spec_fields_override_every_field():
 
 def test_ecn_fairness_runs_under_observability(tmp_path, monkeypatch):
     """eq12, ecn, red and shortflows pass through observe_run too: the
-    invariant sweeps run on their bottlenecks and the metrics land."""
+    invariant sweeps run on their bottlenecks and the metrics land, one
+    file per run (ecn makes two)."""
     out = tmp_path / "metrics.json"
     monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
     monkeypatch.setenv("REPRO_METRICS_OUT", str(out))
     run_ecn_fairness(seed=SEED, scale=TINY)
-    gauges = json.loads(out.read_text())["gauges"]
-    assert gauges["invariants.checks_run"] > 0
-    assert gauges["invariants.violations"] == 0
+    for run in ("ecn.droptail", "ecn.pecn"):
+        gauges = json.loads((tmp_path / f"metrics.{run}.json").read_text())["gauges"]
+        assert gauges["invariants.checks_run"] > 0
+        assert gauges["invariants.violations"] == 0
+    assert not out.exists()

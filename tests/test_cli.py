@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import re
 from dataclasses import fields
@@ -169,6 +170,27 @@ class TestReportCommand:
     def test_bad_dir_is_runtime_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 1
         assert "report:" in capsys.readouterr().err
+
+
+class TestSeveralRunsKeepTheirArtifacts:
+    def test_both_shortflows_legs_keep_metrics_and_manifest(self, tmp_path, monkeypatch,
+                                                            capsys):
+        """A driver with several observed runs (shortflows: the long-lived
+        leg, then the churn leg) writes one metrics file and one run
+        directory per run, named by the run; none overwrites another."""
+        for var in CONFIG_VARS:
+            monkeypatch.delenv(var, raising=False)
+        m, d = tmp_path / "m.json", tmp_path / "D"
+        assert main(["shortflows", "--seed", "1", "--metrics-out", str(m),
+                     "--telemetry-out", str(d)]) == 0
+        legs = {"shortflows.longlived": 1, "shortflows.churn": 2}
+        for leg, seed in legs.items():
+            assert json.loads((tmp_path / f"m.{leg}.json").read_text())["name"] == leg
+            manifest = json.loads((d / leg / "manifest.json").read_text())
+            assert (manifest["name"], manifest["seed"]) == (leg, seed)
+            assert json.loads((d / leg / "metrics.json").read_text())["name"] == leg
+        assert not m.exists()
+        assert sorted(p.name for p in d.iterdir()) == sorted(legs)
 
 
 class TestTelemetryFlags:

@@ -145,6 +145,16 @@ def test_manifest_env_keeps_raw_strings(monkeypatch, tmp_path):
     assert RunConfig.manifest_env() == {"REPRO_SCALE": "FAST", "REPRO_FAULTS": "011"}
 
 
+def test_named_gives_each_run_its_own_artifacts(tmp_path):
+    cfg = RunConfig(metrics_out=tmp_path / "m.json", telemetry_out=tmp_path / "D", workers=2)
+    named = cfg.named("shortflows.churn")
+    assert named.metrics_out == tmp_path / "m.shortflows.churn.json"
+    assert named.telemetry_out == tmp_path / "D" / "shortflows.churn"
+    assert named.workers == 2
+    assert RunConfig(metrics_out=Path("m")).named("a").metrics_out == Path("m.a.json")
+    assert RunConfig().named("a") == RunConfig()
+
+
 def test_imports_only_the_stdlib():
     tree = ast.parse(Path(repro.config.__file__).read_text())
     roots = set()
