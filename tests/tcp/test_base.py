@@ -1,6 +1,8 @@
 """Unit tests for the shared TCP sender machinery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.sim.node import Host
@@ -35,7 +37,39 @@ class TestConstruction:
         assert not snd.started and not snd.finished
 
 
+#: RFC 6298 §2: the SRTT and RTTVAR gains, the variance multiplier, and
+#: the clock granularity G the sender assumes.
+ALPHA, BETA, K, G = 1 / 8, 1 / 4, 4, 0.01
+
+
+def rfc6298(samples, min_rto, max_rto):
+    """The RFC 6298 §2 recurrence, spelled from the RFC: ``(SRTT, RTTVAR,
+    RTO)`` after each measurement ``R``."""
+    srtt = rttvar = None
+    states = []
+    for r in samples:
+        if srtt is None:  # (2.2) the first measurement
+            srtt, rttvar = r, r / 2
+        else:  # (2.3) RTTVAR first, from the SRTT before this sample
+            rttvar = (1 - BETA) * rttvar + BETA * abs(srtt - r)
+            srtt = (1 - ALPHA) * srtt + ALPHA * r
+        rto = srtt + max(G, K * rttvar)
+        states.append((srtt, rttvar, min(max_rto, max(min_rto, rto))))  # (2.4), (2.5)
+    return states
+
+
 class TestRttEstimation:
+    @settings(max_examples=200)
+    @given(samples=st.lists(st.floats(1e-4, 30.0), min_size=1, max_size=40),
+           min_rto=st.floats(0.0, 1.5), span=st.floats(0.0, 60.0))
+    def test_rtt_sample_follows_rfc6298(self, samples, min_rto, span):
+        snd = make_sender(min_rto=min_rto, max_rto=min_rto + span)
+        for r, (srtt, rttvar, rto) in zip(samples, rfc6298(samples, min_rto, min_rto + span)):
+            snd._rtt_sample(r)
+            assert snd.srtt == pytest.approx(srtt, rel=1e-12)
+            assert snd.rttvar == pytest.approx(rttvar, rel=1e-12, abs=1e-15)
+            assert snd.rto == pytest.approx(rto, rel=1e-12)
+
     def test_first_sample_initializes_srtt(self):
         snd = make_sender()
         snd._rtt_sample(0.1)
