@@ -7,7 +7,9 @@ lists, no tuple-keyed entries, no slot-free fast path.  It exists as the
 **equivalence oracle**: the scheduler property tests drive both engines
 with identical seeded schedule/cancel workloads and the Fig. 2 scenario
 and assert identical firing order, timestamps and drop traces
-(``tests/sim/test_scheduler_equivalence.py``), and the sender x queue
+(``tests/sim/test_scheduler_equivalence.py``), a stateful fuzz compares
+the clock and every counter after each schedule, cancel and ``run``
+slice (``tests/sim/test_scheduler_fuzz.py``), and the sender x queue
 matrix holds every zoo cell to it
 (``tests/integration/test_zoo_matrix.py``).
 
