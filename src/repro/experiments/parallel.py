@@ -1,25 +1,21 @@
-"""Process-parallel, failure-resilient experiment execution.
+"""Process-parallel, crash-tolerant experiment execution.
 
 The figure grids (Figure 8's 20 cells x 5 repetitions, the 300-experiment
-campaign) are embarrassingly parallel: every cell builds its own simulator
-from its own seed, so cells can run in separate processes with no shared
-state and bit-identical results regardless of scheduling.
+campaign) and the sharded campaign are embarrassingly parallel: every
+item builds its own simulator or probe streams from its own seed, so
+items run in separate processes with bit-identical results regardless
+of scheduling.
 
-:func:`parallel_map` is the execution core.  Beyond order-preserving
-process fan-out it provides what a lossy measurement harness needs
+:func:`fan_out` is the one process runner — the only code in the package
+that starts processes — and holds what a lossy measurement harness needs
 (paper §3.1: PlanetLab sites go down mid-campaign, probe runs die):
-
-* one return shape — every item resolves to a :class:`~repro.faults.Result`
-  carrying ``(ok, value, error, attempts)``, so callers degrade gracefully
-  instead of discarding every completed cell;
-* an ``on_error`` policy — ``"raise"`` (default: the first failure is
-  re-raised, carrying a ``completed_indices`` attribute listing the items
-  that *did* finish), ``"skip"`` (failures stay failed ``Result``s), or
-  ``"retry"`` (:class:`~repro.faults.RetryPolicy` defaults: bounded
-  retries with exponential backoff and deterministic jitter, then skip);
-* one retry loop — :func:`~repro.faults.run_with_retry` runs each item,
-  in the parent when serial and as the worker job in a pool, so an
-  item's retries stay in the process that ran its first attempt.
+forked workers that outlive items (a fork costs about one small
+experiment), a worker death that fails only its own item
+(:class:`WorkerDied`), the one :class:`~repro.faults.RetryPolicy` retry
+loop, and completion by waiting on pipes and process sentinels rather
+than polling.  :func:`parallel_map` is the figure drivers' interface to
+it; the campaign supervisor (:mod:`repro.internet.supervisor`) adds
+heartbeats, hang verdicts and its ledger through the runner's hooks.
 
 Worker counts resolve explicitly (``workers=``), then from
 :class:`repro.config.RunConfig`'s ``workers`` (``REPRO_WORKERS``, the
@@ -28,19 +24,39 @@ CLI's ``--workers`` flag), then serial.
 
 from __future__ import annotations
 
+import heapq
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import signal
+import time
+from collections import deque
+from multiprocessing.connection import wait
 from typing import Callable, Optional, Sequence
 
 from repro.config import RunConfig
-from repro.faults.resilient import (
-    ON_ERROR_POLICIES,
-    Result,
-    RetryPolicy,
-    run_with_retry,
-)
+from repro.faults.resilient import ON_ERROR_POLICIES, Result, RetryPolicy
 
-__all__ = ["parallel_map", "default_workers", "Result"]
+__all__ = ["parallel_map", "fan_out", "default_workers", "Result", "WorkerDied"]
+
+
+class WorkerDied(RuntimeError):
+    """The worker process running an item ended without returning it;
+    ``exitcode`` is its exit status (negative: the killing signal)."""
+
+    exitcode: Optional[int] = None
+
+
+def _death(exitcode: Optional[int]) -> WorkerDied:
+    if exitcode is not None and exitcode < 0:
+        try:
+            what = f"signal {signal.Signals(-exitcode).name}"
+        except ValueError:
+            what = f"signal {-exitcode}"
+    else:
+        what = f"exit code {exitcode}"
+    err = WorkerDied(what)
+    err.exitcode = exitcode
+    return err
 
 
 def default_workers() -> int:
@@ -51,6 +67,201 @@ def default_workers() -> int:
     if workers is not None:
         return workers
     return max(1, (os.cpu_count() or 2) - 1)
+
+
+def _attempt(fn, item, attempt: int, pass_attempt: bool) -> tuple:
+    """``(True, value)`` or ``(False, exception)`` of one attempt."""
+    try:
+        return True, (fn(item, attempt) if pass_attempt else fn(item))
+    except Exception as exc:  # noqa: BLE001 - failure is data here
+        return False, exc
+
+
+def _worker_main(conn, fn, items, pass_attempt: bool, inherited) -> None:
+    """A forked worker: run ``(index, attempt)`` tasks until the parent
+    closes its end of the pipe."""
+    # The parent's end of every worker's pipe, this one's included: a
+    # copy held here would hide the parent's exit (or another worker's
+    # death) from the process at the other end.
+    for c in inherited:
+        c.close()
+    while True:
+        try:
+            index, attempt = conn.recv()
+        except EOFError:
+            return
+        outcome = _attempt(fn, items[index], attempt, pass_attempt)
+        try:
+            conn.send(outcome)
+        except OSError:  # the parent is gone: nobody is waiting for it
+            return
+        except Exception as exc:  # noqa: BLE001 - an unpicklable value or error
+            conn.send((False, RuntimeError(
+                f"item {index}: result could not be sent: "
+                f"{type(exc).__name__}: {exc}")))
+
+
+class _Worker:
+    __slots__ = ("process", "conn", "task")
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+        self.task: Optional[int] = None  # index of the item it is running
+
+
+def fan_out(
+    fn: Callable,
+    items: Sequence,
+    workers: int,
+    policy: RetryPolicy,
+    finish: Callable[[Result], None],
+    *,
+    pass_attempt: bool = False,
+    key: Callable[[int], str] = str,
+    on_start: Optional[Callable[[int, int, int], None]] = None,
+    on_retry: Optional[Callable[[Result, float], None]] = None,
+    watch: Optional[Callable[[dict], tuple]] = None,
+) -> None:
+    """Run ``fn`` over ``items``; each item's final :class:`Result` goes
+    to ``finish`` as it completes.
+
+    ``workers=0`` runs every attempt in this process; ``workers >= 1`` on
+    up to that many forked workers, which inherit ``fn`` and ``items``
+    (values and exceptions are pickled on the way back).  With
+    ``pass_attempt``, ``fn`` also receives the 1-based attempt number —
+    the hook fault plans use to crash a first attempt only.
+
+    A failed attempt (an exception, or :class:`WorkerDied`) is retried
+    under ``policy`` after ``policy.delay(attempt, key(index))`` on
+    whichever worker is free, reported to ``on_retry(result, delay)``;
+    out of retries, the failure goes to ``finish``.  An exception from
+    ``finish`` aborts the run (busy workers are killed) and propagates.
+
+    ``on_start(index, attempt, pid)`` precedes each hand-off to a worker.
+    ``watch({index: attempt})`` runs whenever the runner wakes with
+    attempts in flight and returns ``(reap, wake_in)``: the indices whose
+    workers to kill, each with the error its attempt fails with, and the
+    longest wait (seconds, or ``None``) before the next call.
+    """
+    n = len(items)
+    attempts = [0] * n
+    queue = deque(range(n))
+    cooling: list[tuple[float, int]] = []  # (ready_at, index) heap
+    pool: list[_Worker] = []
+    busy: dict[int, _Worker] = {}
+
+    def outcome(index: int, ok: bool, value) -> None:
+        if ok:
+            finish(Result(index=index, ok=True, value=value, attempts=attempts[index]))
+            return
+        res = Result(index=index, ok=False, error=value, attempts=attempts[index])
+        if attempts[index] > policy.retries:
+            finish(res)
+            return
+        delay = policy.delay(attempts[index], key=key(index))
+        if on_retry is not None:
+            on_retry(res, delay)
+        heapq.heappush(cooling, (time.monotonic() + delay, index))
+
+    def retire(w: _Worker) -> Optional[int]:
+        """Reap a dead (or killed) worker; the index it was running."""
+        w.process.join()
+        w.conn.close()
+        pool.remove(w)
+        index, w.task = w.task, None
+        if index is not None:
+            del busy[index]
+        return index
+
+    ctx = multiprocessing.get_context("fork") if workers else None
+
+    def spawn() -> _Worker:
+        parent_end, child_end = ctx.Pipe()
+        inherited = [w.conn for w in pool] + [parent_end]
+        process = ctx.Process(
+            target=_worker_main,
+            args=(child_end, fn, items, pass_attempt, inherited),
+            daemon=True,
+        )
+        process.start()
+        child_end.close()
+        w = _Worker(process, parent_end)
+        pool.append(w)
+        return w
+
+    try:
+        while queue or cooling or busy:
+            now = time.monotonic()
+            while cooling and cooling[0][0] <= now:
+                queue.append(heapq.heappop(cooling)[1])
+
+            if not workers:
+                if queue:
+                    index = queue.popleft()
+                    attempts[index] += 1
+                    outcome(index, *_attempt(fn, items[index], attempts[index],
+                                             pass_attempt))
+                elif cooling:
+                    time.sleep(cooling[0][0] - now)
+                continue
+
+            while queue and len(busy) < workers:
+                w = next((w for w in pool if w.task is None), None) or spawn()
+                index = queue.popleft()
+                attempts[index] += 1
+                if on_start is not None:
+                    on_start(index, attempts[index], w.process.pid)
+                w.task = index
+                busy[index] = w
+                try:
+                    w.conn.send((index, attempts[index]))
+                except OSError:  # it died while idle: its exit code says how
+                    w.process.kill()
+                    outcome(retire(w), False, _death(w.process.exitcode))
+
+            wake_in = None
+            if watch is not None and busy:
+                reap, wake_in = watch({i: attempts[i] for i in busy})
+                for index, error in reap.items():
+                    w = busy[index]
+                    w.process.kill()
+                    outcome(retire(w), False, error)
+                if reap:
+                    continue  # hand the freed workers their next items first
+            timeout = cooling[0][0] - time.monotonic() if cooling else None
+            if wake_in is not None:
+                timeout = wake_in if timeout is None else min(timeout, wake_in)
+            if timeout is not None:
+                timeout = max(timeout, 0.0)
+
+            ready = set(wait([w.conn for w in busy.values()]
+                             + [w.process.sentinel for w in pool], timeout))
+            for w in list(pool):
+                if w.conn not in ready and w.process.sentinel not in ready:
+                    continue
+                if w.task is not None:
+                    # A dead worker's pipe reads EOF after whatever it sent,
+                    # so this recv never blocks.
+                    try:
+                        ok, value = w.conn.recv()
+                    except (EOFError, OSError):
+                        outcome(retire(w), False, _death(w.process.exitcode))
+                        continue
+                    except Exception as exc:  # noqa: BLE001 - could not unpickle
+                        ok, value = False, exc
+                    index, w.task = w.task, None
+                    del busy[index]
+                    outcome(index, ok, value)
+                if w.task is None and w.process.sentinel in ready:
+                    retire(w)  # died idle: nothing of ours was lost
+    finally:
+        for w in pool:
+            if w.task is not None:
+                w.process.kill()
+            w.conn.close()  # an idle worker reads EOF and exits
+        for w in pool:
+            w.process.join()
 
 
 def parallel_map(
@@ -66,29 +277,21 @@ def parallel_map(
 ) -> list[Result]:
     """Order-preserving, failure-policied map over ``items``.
 
-    ``fn`` and every item must be picklable (module-level functions and
-    plain data).  ``workers=None`` falls back to ``$REPRO_WORKERS`` and
-    then to serial execution — the results are identical either way
+    ``workers=None`` falls back to ``$REPRO_WORKERS`` and then to serial
+    execution in this process — the results are identical either way
     because each work item carries its own seed.
 
     Returns one :class:`Result` per item, in item order, under every
     policy.  With ``on_error="raise"`` the first failure is re-raised
     instead, annotated with the ``completed_indices`` of items that
-    already finished; ``"skip"`` and ``"retry"`` never raise.
+    already finished; ``"skip"`` and ``"retry"`` never raise.  A worker
+    that dies fails only its own item, with :class:`WorkerDied`.
     ``on_result`` (parent-side) is called with each item's final
-    :class:`Result` as it completes — checkpoint writers hook in here.
-    With ``pass_attempt`` the callable receives the 1-based attempt number
-    as a second argument.
-
-    A worker process that dies (``os._exit``, SIGKILL, OOM) breaks the
-    pool: every item the pool had not finished — the dead worker's and
-    all still queued — fails with ``BrokenProcessPool`` and is not
-    retried.  Crash-tolerant fan-out is the campaign supervisor's job.
-
-    ``tracer`` (a :class:`repro.obs.SpanTracer`, parent-side) records one
-    retroactive ``span_name`` span per item as it completes, carrying the
-    item's index, outcome, and attempt count — workers cannot reach the
-    tracer, so item spans are logged here at the fan-in point.
+    :class:`Result` as it completes — checkpoint writers hook in here;
+    ``pass_attempt`` is :func:`fan_out`'s.  ``tracer`` (a
+    :class:`repro.obs.SpanTracer`, parent-side) records one retroactive
+    ``span_name`` span per item, carrying its index, outcome and attempt
+    count.
     """
     if on_error not in ON_ERROR_POLICIES:
         raise ValueError(
@@ -116,21 +319,6 @@ def parallel_map(
     if workers is None:
         workers = RunConfig.from_env().workers
     if workers is None or workers <= 1 or len(items) <= 1:
-        for i, item in enumerate(items):
-            finish(run_with_retry(fn, item, i, policy, pass_attempt))
-        return results
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        futures = {
-            pool.submit(run_with_retry, fn, item, i, policy, pass_attempt): i
-            for i, item in enumerate(items)
-        }
-        try:
-            for f in as_completed(futures):
-                exc = f.exception()
-                finish(f.result() if exc is None
-                       else Result(index=futures[f], ok=False, error=exc))
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
+        workers = 0
+    fan_out(fn, items, workers, policy, finish, pass_attempt=pass_attempt)
     return results

@@ -10,10 +10,10 @@ truncated.  This package makes failure a first-class, *injectable*,
     transient loss spikes, clock skew, probe-process crashes, tracefile
     truncation — armed on the simulator leg (link down/up events) or the
     campaign leg (path outages, mid-run crashes).
-:class:`Result` / :class:`RetryPolicy` / :func:`run_with_retry`
-    Per-item outcomes, bounded backoff, and the one retry loop behind
-    the resilient :func:`repro.experiments.parallel.parallel_map` (and so
-    the campaign); the sharded supervisor reuses the policy.
+:class:`Result` / :class:`RetryPolicy`
+    Per-item outcomes and bounded backoff, applied by the one process
+    runner (:func:`repro.experiments.parallel.fan_out`) behind the
+    resilient ``parallel_map`` and the sharded campaign supervisor.
 :class:`Checkpoint`
     JSON-lines completion logs so an interrupted campaign resumes exactly
     where it stopped, bit-identical to an uninterrupted run.
@@ -35,7 +35,7 @@ from repro.faults.plan import (
     WorkerHang,
     WorkerKill,
 )
-from repro.faults.resilient import Result, RetryPolicy, run_with_retry
+from repro.faults.resilient import Result, RetryPolicy
 
 __all__ = [
     "Checkpoint",
@@ -52,5 +52,4 @@ __all__ = [
     "TraceTruncation",
     "WorkerHang",
     "WorkerKill",
-    "run_with_retry",
 ]

@@ -1,26 +1,24 @@
 """Resilient execution primitives: per-item results and retry policies.
 
 The measurement-harness layers (``repro.experiments.parallel``,
-``repro.internet.campaign``) treat worker failure as data, not as a fatal
-event: every work item resolves to a :class:`Result` carrying either the
-value or the exception plus how many attempts it took.  A
+``repro.internet.supervisor``) treat worker failure as data, not as a
+fatal event: every work item resolves to a :class:`Result` carrying
+either the value or the exception plus how many attempts it took.  A
 :class:`RetryPolicy` bounds the retries and spaces them with exponential
 backoff whose jitter is *deterministic* (derived from the item key via
 :func:`repro.sim.rng.stable_hash`), so a retried campaign replays
-identically from the same seed.  :func:`run_with_retry` is the one retry
-loop: :func:`repro.experiments.parallel.parallel_map` calls it per item,
-in the parent when serial and as the worker job in a process pool.
+identically from the same seed.  The one loop that applies the policy is
+the process runner, :func:`repro.experiments.parallel.fan_out`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.sim.rng import stable_hash
 
-__all__ = ["Result", "RetryPolicy", "run_with_retry"]
+__all__ = ["Result", "RetryPolicy"]
 
 #: Valid ``on_error`` policies for resilient mappers.
 ON_ERROR_POLICIES = ("raise", "skip", "retry")
@@ -93,33 +91,3 @@ class RetryPolicy:
             u = stable_hash(f"{key}/attempt{attempt}") / 0xFFFFFFFF
             d *= 1.0 + self.jitter * u
         return min(d, self.max_delay)
-
-
-def run_with_retry(
-    fn,
-    item,
-    index: int = 0,
-    policy: Optional[RetryPolicy] = None,
-    pass_attempt: bool = False,
-    key: str = "",
-    sleep=time.sleep,
-) -> Result:
-    """Execute ``fn(item)`` under ``policy`` in this process; never raises.
-
-    With ``pass_attempt`` the callable receives the 1-based attempt number
-    as a second argument — the hook fault plans use to crash an experiment
-    on its first attempt and let the retry succeed.
-    """
-    pol = policy or RetryPolicy(retries=0)
-    last: Optional[BaseException] = None
-    attempts = 0
-    for attempt in range(1, pol.retries + 2):
-        attempts = attempt
-        try:
-            value = fn(item, attempt) if pass_attempt else fn(item)
-            return Result(index=index, ok=True, value=value, attempts=attempt)
-        except Exception as exc:  # noqa: BLE001 - failure is data here
-            last = exc
-            if attempt <= pol.retries:
-                sleep(pol.delay(attempt, key=key or str(index)))
-    return Result(index=index, ok=False, error=last, attempts=attempts)

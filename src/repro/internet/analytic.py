@@ -85,7 +85,7 @@ from repro.sim.rng import FastStreams
 __all__ = [
     "ProbeKernel",
     "run_experiment_fast",
-    "run_shard_fast",
+    "run_shard",
 ]
 
 #: Stream-state batch size (paths per chunk): big enough to amortize the
@@ -425,16 +425,26 @@ def run_experiment_fast(seed: int, cfg: ProbeConfig, path, index: int,
     return small, large, validate_pair(small, large)
 
 
-def run_shard_fast(spec, probe_config: Optional[ProbeConfig] = None,
-                   heartbeat: Optional[Callable[[int], None]] = None,
-                   fault_plan=None, attempt: int = 1,
-                   allow_process_faults: bool = False):
-    """``run_shard``'s body, fused: one kernel, chunk-batched stream
-    derivation, loss timestamps only for validated paths.
+def run_shard(spec, probe_config: Optional[ProbeConfig] = None,
+              fault_plan=None,
+              heartbeat: Optional[Callable[[int], None]] = None,
+              attempt: int = 1, allow_process_faults: bool = False):
+    """Execute one shard: probe every path in ``[start, stop)`` and fold
+    the validated loss gaps into a streaming
+    :class:`~repro.internet.shards.GapHistogram`.
 
-    Same streams, same draws and same floats as the per-path
-    ``RngStreams``/``PathRtt``/``PathLossModel``/``ProbeRun`` object
-    stack, which it never builds.  ``fault_plan``: see ``run_shard``.
+    Per-path randomness derives from ``(seed, path hostnames, path
+    index)`` — never from the shard boundaries — so re-sharding the same
+    campaign, retrying a shard, or resuming after a kill all reproduce
+    identical results.  ``heartbeat(done_paths)`` is called after every
+    path (the supervisor's liveness signal).  ``fault_plan`` folds the
+    campaign-leg faults in (outages, spikes, skew, probe crashes) and —
+    only when ``allow_process_faults`` is set by a process-isolated
+    worker — the worker-level SIGKILL/hang faults.
+
+    One kernel, chunk-batched stream derivation, loss timestamps only
+    for validated paths: the same floats as the per-path object stack
+    (``tests/internet/probe_oracle.py``), which it never builds.
     """
     from repro.internet.shards import (
         CAMPAIGN_SPAN_SECONDS, GapHistogram, ShardResult, SyntheticMesh,
@@ -546,3 +556,6 @@ def run_shard_fast(spec, probe_config: Optional[ProbeConfig] = None,
         n_rejected=n_rejected,
         injected=injected_since(plan, injected_before),
     )
+
+# The e2e ledger's tracer (benchmarks/e2e/tracing.py) wraps this name.
+run_shard_fast = run_shard

@@ -34,14 +34,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.pdf import DEFAULT_BIN, DEFAULT_MAX, IntervalPdf
-from repro.internet.analytic import run_shard_fast
+from repro.internet.analytic import run_shard
 from repro.internet.paths import PathRtt, synthesize_path
-from repro.internet.probe import ProbeConfig
 from repro.internet.sites import Site, synthetic_sites
 from repro.sim.rng import RngStreams
 
@@ -402,36 +401,6 @@ class ShardResult:
         payload = self.to_record()
         payload.pop("injected")  # injections are provenance, not measurement
         return canonical_fingerprint(payload)
-
-
-def run_shard(
-    spec: ShardSpec,
-    probe_config: Optional[ProbeConfig] = None,
-    fault_plan=None,
-    heartbeat: Optional[Callable[[int], None]] = None,
-    attempt: int = 1,
-    allow_process_faults: bool = False,
-) -> ShardResult:
-    """Execute one shard: probe every path in ``[start, stop)`` and fold
-    the validated loss gaps into a streaming :class:`GapHistogram`.
-
-    Per-path randomness derives from ``(seed, path hostnames, path
-    index)`` — never from the shard boundaries — so re-sharding the same
-    campaign, retrying a shard, or resuming after a kill all reproduce
-    identical results.  ``heartbeat(done_paths)`` is called after every
-    path (the supervisor's liveness signal).  ``fault_plan`` folds the
-    campaign-leg faults in (outages, spikes, skew, probe crashes) and —
-    only when ``allow_process_faults`` is set by a process-isolated
-    worker — the worker-level SIGKILL/hang faults.
-
-    The loop itself is :func:`repro.internet.analytic.run_shard_fast`,
-    armed or not; this is the name the supervisor and the ledger call.
-    """
-    return run_shard_fast(
-        spec, probe_config=probe_config, heartbeat=heartbeat,
-        fault_plan=fault_plan, attempt=attempt,
-        allow_process_faults=allow_process_faults,
-    )
 
 
 def reduce_shards(results: list[ShardResult]) -> tuple[GapHistogram, dict]:

@@ -26,6 +26,14 @@ supervising parent that treats worker death as a normal input:
   ledger fingerprint, re-runs anything torn or missing, and produces a
   result **byte-identical** to an uninterrupted run with the same seed.
 
+The fan-out itself — forked workers that outlive shards, crash
+isolation, the retry/backoff loop, waiting on process sentinels — is
+:func:`repro.experiments.parallel.fan_out`, the runner the figure grids
+use too; this module adds only what is shard-specific through its hooks.
+A shard's result travels back over the worker's pipe and the parent
+writes the fingerprinted record, so a dead worker leaves nothing half
+written.
+
 ``workers=0`` runs shards in-process (serial) through the same retry /
 quarantine / ledger machinery — bit-identical results, no processes —
 which is what most tests use; process-level fault injection
@@ -37,17 +45,15 @@ from __future__ import annotations
 
 import json
 import signal
-import sys
 import time
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.faults.checkpoint import Checkpoint
-from repro.faults.plan import FaultPlan, InjectedFault
-from repro.faults.resilient import RetryPolicy
+from repro.faults.plan import FaultPlan
+from repro.faults.resilient import Result, RetryPolicy
 from repro.internet.probe import ProbeConfig
 from repro.internet.shards import (
     GapHistogram,
@@ -72,21 +78,12 @@ __all__ = [
 #: Ledger file name inside the campaign state directory.
 SHARD_LEDGER = "shards.jsonl"
 
-#: Worker exit code for an *expected* failure (injected fault, probe
-#: error) — distinguishes "the experiment failed" from interpreter death.
-_EXIT_SHARD_ERROR = 3
-
-
 def _shard_path(state_dir: Path, shard_id: int) -> Path:
     return state_dir / f"shard-{shard_id:05d}.json"
 
 
 def _heartbeat_path(state_dir: Path, shard_id: int) -> Path:
     return state_dir / f"hb-{shard_id:05d}.json"
-
-
-def _error_path(state_dir: Path, shard_id: int) -> Path:
-    return state_dir / f"err-{shard_id:05d}.json"
 
 
 def _write_json_fast(path: Path, obj: dict) -> None:
@@ -97,68 +94,9 @@ def _write_json_fast(path: Path, obj: dict) -> None:
     tmp.replace(path)
 
 
-def _shard_worker_main(
-    spec_record: dict,
-    state_dir: str,
-    probe_config: Optional[ProbeConfig],
-    fault_plan: Optional[FaultPlan],
-    attempt: int,
-    heartbeat_interval: float,
-) -> None:
-    """Entry point of one shard worker process.
-
-    Heartbeats progress to ``hb-<id>.json`` (throttled to
-    ``heartbeat_interval``), runs the shard with process-level faults
-    armed, and lands the result atomically in ``shard-<id>.json`` with
-    its fingerprint embedded.  Expected failures write ``err-<id>.json``
-    and exit ``3``; a SIGKILL (real or injected) leaves nothing, which is
-    exactly the point — the parent must cope.
-    """
-    spec = ShardSpec.from_record(spec_record)
-    sdir = Path(state_dir)
-    hb_path = _heartbeat_path(sdir, spec.shard_id)
-    skew = fault_plan.skew if fault_plan is not None else None
-    last_write = [float("-inf")]
-
-    def heartbeat(done: int) -> None:
-        now = time.monotonic()
-        if done > 0 and now - last_write[0] < heartbeat_interval:
-            return
-        last_write[0] = now
-        wall = time.time()
-        if skew is not None:
-            wall += skew.offset  # a skewed worker stamps a skewed clock
-        _write_json_fast(
-            hb_path,
-            {"shard_id": spec.shard_id, "done": done, "attempt": attempt,
-             "wall": wall},
-        )
-
-    heartbeat(0)
-    try:
-        result = run_shard(
-            spec,
-            probe_config=probe_config,
-            fault_plan=fault_plan,
-            heartbeat=heartbeat,
-            attempt=attempt,
-            allow_process_faults=True,
-        )
-    except (InjectedFault, Exception) as exc:  # noqa: BLE001 - relayed to parent
-        atomic_write_text(
-            _error_path(sdir, spec.shard_id),
-            json.dumps({
-                "shard_id": spec.shard_id,
-                "attempt": attempt,
-                "error": f"{type(exc).__name__}: {exc}",
-            }, sort_keys=True),
-        )
-        sys.exit(_EXIT_SHARD_ERROR)
-    record = result.to_record()
-    record["fingerprint"] = result.fingerprint()
-    atomic_write_text(
-        _shard_path(sdir, spec.shard_id), json.dumps(record, sort_keys=True)
-    )
+class WorkerHung(RuntimeError):
+    """A shard worker whose heartbeat stopped advancing; the supervisor
+    SIGKILLed it."""
 
 
 @dataclass(frozen=True)
@@ -166,18 +104,19 @@ class SupervisorConfig:
     """Supervision policy knobs.
 
     ``workers=0`` executes shards in-process (serial, deterministic, no
-    process faults); ``workers>=1`` fans out over that many concurrent
-    fork-context worker processes.  ``hang_timeout`` is measured on the
-    parent's monotonic clock since the last observed progress *advance*
-    (never from worker-reported timestamps).  ``skew_tolerance`` bounds
-    how far a heartbeat's wall clock may drift from the parent's before
-    the worker is flagged as clock-skewed.
+    process faults); ``workers>=1`` fans out over that many forked worker
+    processes.  ``hang_timeout`` is measured on the parent's monotonic
+    clock since the last observed progress *advance* (never from
+    worker-reported timestamps).  ``heartbeat_interval`` is how often a
+    worker rewrites its heartbeat file, and so how often the parent reads
+    them while shards run.  ``skew_tolerance`` bounds how far a
+    heartbeat's wall clock may drift from the parent's before the worker
+    is flagged as clock-skewed.
     """
 
     workers: int = 2
     hang_timeout: float = 30.0
     heartbeat_interval: float = 0.05
-    poll_interval: float = 0.02
     skew_tolerance: float = 300.0
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(retries=2, base=0.02, max_delay=0.5)
@@ -186,8 +125,8 @@ class SupervisorConfig:
     def __post_init__(self):
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.hang_timeout <= 0 or self.poll_interval <= 0:
-            raise ValueError("hang_timeout and poll_interval must be positive")
+        if self.hang_timeout <= 0:
+            raise ValueError("hang_timeout must be positive")
         if self.heartbeat_interval < 0 or self.skew_tolerance <= 0:
             raise ValueError("heartbeat_interval/skew_tolerance out of range")
 
@@ -292,20 +231,16 @@ class ShardedCampaignResult:
         return "\n".join(lines)
 
 
-class _WorkerState:
-    """Parent-side view of one running shard worker."""
+class _Liveness:
+    """Parent-side view of one shard attempt running in a worker."""
 
-    __slots__ = ("process", "spec", "attempt", "last_done", "last_advance",
-                 "skew_flagged", "reaped_for_hang")
+    __slots__ = ("attempt", "last_done", "last_advance", "skew_flagged")
 
-    def __init__(self, process, spec: ShardSpec, attempt: int):
-        self.process = process
-        self.spec = spec
+    def __init__(self, attempt: int):
         self.attempt = attempt
         self.last_done = -1
         self.last_advance = time.monotonic()
         self.skew_flagged = False
-        self.reaped_for_hang = False
 
 
 class CampaignSupervisor:
@@ -383,22 +318,6 @@ class CampaignSupervisor:
             return None
         return result
 
-    def _read_heartbeat(self, shard_id: int) -> Optional[dict]:
-        # Heartbeat writes are atomic-replace but unfsynced: a tear is an
-        # expected input, so it is skipped and *counted*, never raised.
-        hb, torn = read_json_tolerant(_heartbeat_path(self.state_dir, shard_id))
-        self.torn_heartbeats += torn
-        return hb
-
-    def _read_error(self, shard_id: int) -> str:
-        try:
-            return str(
-                json.loads(_error_path(self.state_dir, shard_id).read_text())
-                .get("error", "")
-            )
-        except (OSError, ValueError):
-            return ""
-
     # -- the run ---------------------------------------------------------
     def run(self, resume: bool = False) -> ShardedCampaignResult:
         """Drive every shard to done-or-quarantined and reduce.
@@ -455,10 +374,7 @@ class CampaignSupervisor:
             resumed=resumed, pending=len(pending),
         )
         try:
-            if self.config.workers == 0:
-                self._run_serial(pending, ledger, results, fates, quarantined)
-            else:
-                self._run_processes(pending, ledger, results, fates, quarantined)
+            self._run_shards(pending, ledger, results, fates, quarantined)
         finally:
             ledger.close()
 
@@ -505,16 +421,162 @@ class CampaignSupervisor:
             self.bus = None
         return result
 
-    # -- outcome bookkeeping (shared by both executors) ------------------
+    # -- shard execution -------------------------------------------------
+    def _run_shards(
+        self, pending: list[ShardSpec], ledger: Checkpoint,
+        results: dict, fates: dict, quarantined: dict,
+    ) -> None:
+        """Drive ``pending`` through :func:`~repro.experiments.parallel.fan_out`
+        under ``config.retry``: a shard that is out of retries is
+        quarantined, never raised."""
+        # Imported here: repro.experiments imports repro.internet.
+        from repro.experiments.parallel import fan_out
+
+        live: dict[int, _Liveness] = {}
+
+        def on_start(index: int, attempt: int, pid: int) -> None:
+            spec = pending[index]
+            # A stale heartbeat from an earlier attempt or an earlier
+            # campaign in this directory must not feed this one's liveness.
+            try:
+                _heartbeat_path(self.state_dir, spec.shard_id).unlink()
+            except OSError:
+                pass
+            live[index] = _Liveness(attempt)
+            self._event("worker.spawn", shard=spec.shard_id, attempt=attempt,
+                        pid=pid)
+
+        def on_retry(res: Result, delay: float) -> None:
+            spec = pending[res.index]
+            self._attempt_failed(spec, res)
+            self._event(
+                "shard.retry", shard=spec.shard_id, attempt=res.attempts,
+                delay=round(delay, 4), error=res.error_text,
+            )
+
+        def finish(res: Result) -> None:
+            spec = pending[res.index]
+            if res.ok:
+                self._shard_done(spec, res.value, res.attempts, ledger,
+                                 results, fates)
+                return
+            self._attempt_failed(spec, res)
+            fate = {"status": "quarantined", "attempts": res.attempts,
+                    "error": res.error_text}
+            ledger.append(spec.shard_id, fate)
+            fates[spec.shard_id] = fate
+            quarantined[spec.shard_id] = spec
+            self._event(
+                "shard.quarantined", shard=spec.shard_id, attempts=res.attempts,
+                paths=spec.n_paths, error=res.error_text,
+            )
+
+        def watch(running: dict) -> tuple:
+            # Read heartbeats as often as workers write them, and wake by
+            # the earliest hang deadline at the latest.
+            timeout = self.config.hang_timeout
+            reap, wake_in = {}, self.config.heartbeat_interval or timeout
+            for index, attempt in running.items():
+                state = live[index]
+                self._read_progress(pending[index], state)
+                stalled_for = time.monotonic() - state.last_advance
+                wake_in = min(wake_in, timeout - stalled_for)
+                if stalled_for > timeout:
+                    # Wedged: no observed progress on the parent's clock.
+                    # SIGKILL — a hung worker can't be trusted to honor
+                    # anything gentler.
+                    self._event(
+                        "worker.hang", shard=pending[index].shard_id,
+                        attempt=attempt, last_done=max(state.last_done, 0),
+                    )
+                    reap[index] = WorkerHung(
+                        "no heartbeat progress, reaped by supervisor")
+            return reap, wake_in
+
+        fan_out(
+            self._run_attempt, pending, self.config.workers, self.config.retry,
+            finish, pass_attempt=True,
+            key=lambda i: f"shard/{pending[i].shard_id}",
+            on_start=on_start, on_retry=on_retry, watch=watch,
+        )
+
+    def _run_attempt(self, spec: ShardSpec, attempt: int) -> ShardResult:
+        """One shard attempt.
+
+        In a worker process it heartbeats progress to ``hb-<id>.json``
+        (throttled to ``heartbeat_interval``) and runs with process-level
+        faults armed; a SIGKILL (real or injected) returns nothing, which
+        is exactly the point — the parent must cope.  In-process
+        (``workers=0``) it does neither: a self-SIGKILL would take the
+        campaign down.
+        """
+        if not self.config.workers:
+            return run_shard(spec, probe_config=self.probe_config,
+                             fault_plan=self.fault_plan, attempt=attempt)
+        hb_path = _heartbeat_path(self.state_dir, spec.shard_id)
+        skew = self.fault_plan.skew if self.fault_plan is not None else None
+        interval = self.config.heartbeat_interval
+        last_write = [float("-inf")]
+
+        def heartbeat(done: int) -> None:
+            now = time.monotonic()
+            if done > 0 and now - last_write[0] < interval:
+                return
+            last_write[0] = now
+            wall = time.time()
+            if skew is not None:
+                wall += skew.offset  # a skewed worker stamps a skewed clock
+            _write_json_fast(
+                hb_path,
+                {"shard_id": spec.shard_id, "done": done, "attempt": attempt,
+                 "wall": wall},
+            )
+
+        heartbeat(0)
+        return run_shard(
+            spec, probe_config=self.probe_config, fault_plan=self.fault_plan,
+            heartbeat=heartbeat, attempt=attempt, allow_process_faults=True,
+        )
+
+    def _read_progress(self, spec: ShardSpec, state: _Liveness) -> None:
+        """Fold the latest heartbeat into parent-side liveness state."""
+        # Heartbeat writes are atomic-replace but unfsynced: a tear is an
+        # expected input, so it is skipped and *counted*, never raised.
+        hb, torn = read_json_tolerant(_heartbeat_path(self.state_dir, spec.shard_id))
+        self.torn_heartbeats += torn
+        if hb is None or int(hb.get("attempt", -1)) != state.attempt:
+            return
+        done = int(hb.get("done", -1))
+        if done > state.last_done:
+            state.last_done = done
+            state.last_advance = time.monotonic()
+            # Progress is bus-only (throttled by the heartbeat interval):
+            # span traces record decisions, the bus records liveness too.
+            if self.bus is not None:
+                self.bus.emit(
+                    "shard.progress", shard=spec.shard_id,
+                    done=done, attempt=state.attempt,
+                )
+        skew = abs(float(hb.get("wall", 0.0)) - time.time())
+        if skew > self.config.skew_tolerance and not state.skew_flagged:
+            state.skew_flagged = True
+            self._event(
+                "worker.clock_skew", shard=spec.shard_id,
+                skew_seconds=round(skew, 3),
+            )
+
+    def _attempt_failed(self, spec: ShardSpec, res: Result) -> None:
+        if getattr(res.error, "exitcode", None) == -signal.SIGKILL:
+            self._event("worker.sigkill", shard=spec.shard_id,
+                        attempt=res.attempts)
+
     def _shard_done(
         self, spec: ShardSpec, result: ShardResult, attempt: int,
         ledger: Checkpoint, results: dict, fates: dict,
     ) -> None:
         fp = result.fingerprint()
         fate = {"status": "done", "attempts": attempt, "fingerprint": fp}
-        # Persist the fingerprinted record before the ledger references
-        # it — workers already wrote it (identical bytes), but the serial
-        # executor and the ledger's durability rule both rely on this.
+        # Persist the fingerprinted record before the ledger references it.
         record = result.to_record()
         record["fingerprint"] = fp
         atomic_write_text(
@@ -528,214 +590,6 @@ class CampaignSupervisor:
             "shard.done", shard=spec.shard_id, attempts=attempt,
             paths=spec.n_paths, valid=result.n_valid,
         )
-
-    def _shard_failed(
-        self, spec: ShardSpec, attempt: int, error: str,
-        ledger: Checkpoint, fates: dict, quarantined: dict,
-    ) -> Optional[float]:
-        """Returns the backoff delay before the next attempt, or ``None``
-        when the shard is out of retries and has been quarantined."""
-        retry = self.config.retry
-        if attempt <= retry.retries:
-            delay = retry.delay(attempt, key=f"shard/{spec.shard_id}")
-            self._event(
-                "shard.retry", shard=spec.shard_id, attempt=attempt,
-                delay=round(delay, 4), error=error,
-            )
-            return delay
-        fate = {"status": "quarantined", "attempts": attempt, "error": error}
-        ledger.append(spec.shard_id, fate)
-        fates[spec.shard_id] = fate
-        quarantined[spec.shard_id] = spec
-        self._event(
-            "shard.quarantined", shard=spec.shard_id, attempts=attempt,
-            paths=spec.n_paths, error=error,
-        )
-        return None
-
-    # -- serial executor -------------------------------------------------
-    def _run_serial(
-        self, pending: list[ShardSpec], ledger: Checkpoint,
-        results: dict, fates: dict, quarantined: dict,
-    ) -> None:
-        """In-process execution: same retry/quarantine/ledger semantics,
-        no heartbeats or process faults (a self-SIGKILL in-process would
-        take the campaign down, so ``allow_process_faults`` stays off)."""
-        for spec in pending:
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    result = run_shard(
-                        spec,
-                        probe_config=self.probe_config,
-                        fault_plan=self.fault_plan,
-                        attempt=attempt,
-                        allow_process_faults=False,
-                    )
-                except Exception as exc:  # noqa: BLE001 - failure is data
-                    error = f"{type(exc).__name__}: {exc}"
-                    delay = self._shard_failed(
-                        spec, attempt, error, ledger, fates, quarantined
-                    )
-                    if delay is None:
-                        break
-                    time.sleep(delay)
-                    continue
-                self._shard_done(spec, result, attempt, ledger, results, fates)
-                break
-
-    # -- process executor ------------------------------------------------
-    def _spawn(self, ctx, spec: ShardSpec, attempt: int) -> _WorkerState:
-        # Stale heartbeats/errors from a previous attempt must not feed
-        # this one's liveness or error reporting.
-        for path in (_heartbeat_path(self.state_dir, spec.shard_id),
-                     _error_path(self.state_dir, spec.shard_id)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        proc = ctx.Process(
-            target=_shard_worker_main,
-            args=(
-                spec.to_record(), str(self.state_dir), self.probe_config,
-                self.fault_plan, attempt, self.config.heartbeat_interval,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        self._event(
-            "worker.spawn", shard=spec.shard_id, attempt=attempt, pid=proc.pid
-        )
-        return _WorkerState(proc, spec, attempt)
-
-    def _poll_worker(self, state: _WorkerState) -> None:
-        """Fold the latest heartbeat into parent-side liveness state."""
-        hb = self._read_heartbeat(state.spec.shard_id)
-        if hb is None or int(hb.get("attempt", -1)) != state.attempt:
-            return
-        done = int(hb.get("done", -1))
-        if done > state.last_done:
-            state.last_done = done
-            state.last_advance = time.monotonic()
-            # Progress is bus-only (throttled by the heartbeat interval):
-            # span traces record decisions, the bus records liveness too.
-            if self.bus is not None:
-                self.bus.emit(
-                    "shard.progress", shard=state.spec.shard_id,
-                    done=done, attempt=state.attempt,
-                )
-        skew = abs(float(hb.get("wall", 0.0)) - time.time())
-        if skew > self.config.skew_tolerance and not state.skew_flagged:
-            state.skew_flagged = True
-            self._event(
-                "worker.clock_skew", shard=state.spec.shard_id,
-                skew_seconds=round(skew, 3),
-            )
-
-    def _run_processes(
-        self, pending: list[ShardSpec], ledger: Checkpoint,
-        results: dict, fates: dict, quarantined: dict,
-    ) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        queue: deque[tuple[ShardSpec, int]] = deque(
-            (spec, 1) for spec in pending
-        )
-        cooling: list[tuple[float, ShardSpec, int]] = []
-        running: dict[int, _WorkerState] = {}
-
-        try:
-            while queue or cooling or running:
-                now = time.monotonic()
-                for ready_at, spec, attempt in list(cooling):
-                    if now >= ready_at:
-                        cooling.remove((ready_at, spec, attempt))
-                        queue.append((spec, attempt))
-                while queue and len(running) < self.config.workers:
-                    spec, attempt = queue.popleft()
-                    running[spec.shard_id] = self._spawn(ctx, spec, attempt)
-
-                for sid, state in list(running.items()):
-                    self._poll_worker(state)
-                    proc = state.process
-                    if proc.is_alive():
-                        stalled = (
-                            time.monotonic() - state.last_advance
-                            > self.config.hang_timeout
-                        )
-                        if stalled:
-                            # Wedged: no observed progress on the parent's
-                            # clock.  SIGKILL — a hung worker can't be
-                            # trusted to honor anything gentler.
-                            state.reaped_for_hang = True
-                            self._event(
-                                "worker.hang", shard=sid,
-                                attempt=state.attempt,
-                                last_done=max(state.last_done, 0),
-                            )
-                            proc.kill()
-                            proc.join()
-                        else:
-                            continue
-                    else:
-                        proc.join()
-                    del running[sid]
-                    self._finish_worker(
-                        state, ledger, results, fates, quarantined, cooling
-                    )
-
-                if running or cooling:
-                    time.sleep(self.config.poll_interval)
-        finally:
-            for state in running.values():
-                state.process.kill()
-                state.process.join()
-
-    def _finish_worker(
-        self, state: _WorkerState, ledger: Checkpoint,
-        results: dict, fates: dict, quarantined: dict, cooling: list,
-    ) -> None:
-        spec, attempt = state.spec, state.attempt
-        exitcode = state.process.exitcode
-        result = None
-        if exitcode == 0:
-            # Trust nothing about the exit code: the result only counts if
-            # the fingerprinted record actually landed and verifies.
-            record = None
-            path = _shard_path(self.state_dir, spec.shard_id)
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                record = None
-            if record is not None:
-                want_fp = record.get("fingerprint", "")
-                result = self._load_shard_file(spec, want_fp)
-        if result is not None:
-            self._shard_done(spec, result, attempt, ledger, results, fates)
-            return
-
-        if state.reaped_for_hang:
-            error = "WorkerHang: no heartbeat progress, reaped by supervisor"
-        elif exitcode is not None and exitcode < 0:
-            error = f"WorkerDied: signal {signal.Signals(-exitcode).name}"
-            if -exitcode == signal.SIGKILL:
-                self._event(
-                    "worker.sigkill", shard=spec.shard_id, attempt=attempt
-                )
-        elif exitcode == _EXIT_SHARD_ERROR:
-            error = self._read_error(spec.shard_id) or "shard error"
-        elif exitcode == 0:
-            error = "WorkerDied: exited clean but left no valid result"
-        else:
-            error = f"WorkerDied: exit code {exitcode}"
-
-        delay = self._shard_failed(
-            spec, attempt, error, ledger, fates, quarantined
-        )
-        if delay is not None:
-            cooling.append((time.monotonic() + delay, spec, attempt + 1))
 
 
 def run_sharded_campaign(

@@ -382,7 +382,8 @@ class ThroughputTrace:
 
 
 class FlowStats:
-    """Per-flow accounting kept by sources and sinks."""
+    """Per-flow accounting kept by sources and sinks.  RTT samples are
+    summarized (count, sum, max), so memory stays constant over a run."""
 
     __slots__ = (
         "flow_id",
@@ -395,7 +396,9 @@ class FlowStats:
         "fast_retransmits",
         "start_time",
         "finish_time",
-        "rtt_samples",
+        "rtt_count",
+        "rtt_sum",
+        "rtt_max",
     )
 
     def __init__(self, flow_id: int):
@@ -409,7 +412,9 @@ class FlowStats:
         self.fast_retransmits = 0
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
-        self.rtt_samples: list[float] = []
+        self.rtt_count = 0
+        self.rtt_sum = 0.0
+        self.rtt_max = 0.0
 
     @property
     def completion_time(self) -> Optional[float]:
@@ -420,9 +425,9 @@ class FlowStats:
 
     def mean_rtt(self) -> float:
         """Mean of the flow's RTT samples (NaN if none were taken)."""
-        if not self.rtt_samples:
+        if not self.rtt_count:
             return float("nan")
-        return float(np.mean(self.rtt_samples))
+        return self.rtt_sum / self.rtt_count
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

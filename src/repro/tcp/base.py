@@ -339,7 +339,11 @@ class TcpSender:
     # RTT / RTO machinery
     # ------------------------------------------------------------------
     def _rtt_sample(self, rtt: float) -> None:
-        self.stats.rtt_samples.append(rtt)
+        stats = self.stats
+        stats.rtt_count += 1
+        stats.rtt_sum += rtt
+        if rtt > stats.rtt_max:
+            stats.rtt_max = rtt
         if self.srtt is None:
             self.srtt = rtt
             self.rttvar = rtt / 2.0
@@ -422,12 +426,8 @@ class TcpSender:
         return self.effective_window * self.packet_size * 8.0 / rtt
 
     def rtt_estimate(self) -> float:
-        """Current smoothed RTT (falls back to the latest sample or RTO)."""
-        if self.srtt is not None:
-            return self.srtt
-        if self.stats.rtt_samples:
-            return self.stats.rtt_samples[-1]
-        return self.rto
+        """Current smoothed RTT (the RTO before the first sample)."""
+        return self.rto if self.srtt is None else self.srtt
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,9 +1,13 @@
-"""Tests for Result, RetryPolicy, and run_with_retry."""
+"""Tests for Result and RetryPolicy.
+
+The loop that applies a policy is the process runner; its retry
+behaviour is tested in ``tests/experiments/test_parallel.py::TestFanOut``.
+"""
 
 import pytest
 
 from repro.config import RunConfig
-from repro.faults import Result, RetryPolicy, run_with_retry
+from repro.faults import Result, RetryPolicy
 
 pytestmark = pytest.mark.faults
 
@@ -50,53 +54,6 @@ class TestRetryPolicy:
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError):
             RetryPolicy().delay(0)
-
-
-class TestRunWithRetry:
-    def test_first_try_success(self):
-        res = run_with_retry(lambda x: x + 1, 10)
-        assert res.ok and res.value == 11 and res.attempts == 1
-
-    def test_retries_until_success(self):
-        calls = []
-
-        def flaky(item, attempt):
-            calls.append(attempt)
-            if attempt < 3:
-                raise RuntimeError("transient")
-            return item
-
-        res = run_with_retry(
-            flaky, "x", policy=RetryPolicy(retries=3, base=0.0),
-            pass_attempt=True, sleep=lambda _: None,
-        )
-        assert res.ok and res.value == "x" and res.attempts == 3
-        assert calls == [1, 2, 3]
-
-    def test_exhausted_retries_return_error(self):
-        res = run_with_retry(
-            lambda _: (_ for _ in ()).throw(ValueError("always")),
-            1, policy=RetryPolicy(retries=2, base=0.0), sleep=lambda _: None,
-        )
-        assert not res.ok
-        assert isinstance(res.error, ValueError)
-        assert res.attempts == 3  # 1 initial + 2 retries
-
-    def test_no_policy_means_single_attempt(self):
-        res = run_with_retry(
-            lambda _: (_ for _ in ()).throw(ValueError("x")), 1,
-        )
-        assert not res.ok and res.attempts == 1
-
-    def test_sleeps_use_policy_delays(self):
-        slept = []
-
-        def fail(_):
-            raise RuntimeError("x")
-
-        pol = RetryPolicy(retries=2, base=0.1, factor=2.0, jitter=0.0)
-        run_with_retry(fail, 1, policy=pol, sleep=slept.append)
-        assert slept == pytest.approx([0.1, 0.2])
 
 
 class TestOnErrorFromEnv:

@@ -28,7 +28,6 @@ from repro.internet import analytic
 from repro.internet.analytic import (
     ProbeKernel,
     run_experiment_fast,
-    run_shard_fast,
     sample_episodes_fast,
     sample_model_params,
 )
@@ -462,8 +461,6 @@ class TestShardEquivalence:
         cfg = ProbeConfig(duration=duration)
         spec = plan_shards(26, 6, seed=2006, n_paths=120)[2]
         legacy = run_shard_objects(spec, probe_config=cfg)
-        fast = run_shard_fast(spec, probe_config=cfg)
-        assert _shard_image(fast) == _shard_image(legacy)
         assert _shard_image(run_shard(spec, probe_config=cfg)) == _shard_image(legacy)
 
     def test_campaign_worker_records_identical(self):

@@ -108,7 +108,7 @@ class TestFlowStats:
     def test_mean_rtt(self):
         st = FlowStats(1)
         assert np.isnan(st.mean_rtt())
-        st.rtt_samples.extend([0.1, 0.2])
+        st.rtt_count, st.rtt_sum, st.rtt_max = 2, 0.1 + 0.2, 0.2
         assert st.mean_rtt() == pytest.approx(0.15)
 
 

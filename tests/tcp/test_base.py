@@ -96,6 +96,15 @@ class TestRttEstimation:
         snd._rtt_sample(0.05)
         assert snd.rtt_estimate() == snd.srtt
 
+    def test_samples_are_summarized_not_kept(self):
+        snd = make_sender()
+        for r in (0.1, 0.3, 0.2):
+            snd._rtt_sample(r)
+        stats = snd.stats
+        assert (stats.rtt_count, stats.rtt_max) == (3, 0.3)
+        assert stats.mean_rtt() == pytest.approx(0.2)
+        assert not hasattr(stats, "__dict__")  # slots only: nothing grows per sample
+
 
 class TestEndToEnd:
     def test_clean_transfer_completes(self, harness):
@@ -168,7 +177,7 @@ class TestEndToEnd:
         snd.start()
         h.sim.run(until=120.0)
         assert snd.stats.retransmissions > 0
-        assert all(s < 0.5 for s in snd.stats.rtt_samples)
+        assert snd.stats.rtt_count > 0 and snd.stats.rtt_max < 0.5
 
     def test_two_flows_share_bottleneck(self):
         h = Harness(buffer_pkts=60)

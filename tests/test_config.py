@@ -221,3 +221,45 @@ def test_environment_is_touched_only_by_the_knob_plumbing():
             if (module, None) not in ENVIRON_USERS and (module, func) not in ENVIRON_USERS:
                 stray.append(f"{module}:{line} in {func or '<module>'}")
     assert not stray
+
+
+# -- the fan-out audit ----------------------------------------------------
+#: Modules that start processes and what each may use: the one process
+#: runner, and the top-smoke's launch of the CLI as a child.
+PROCESS_STARTERS = {"multiprocessing": "experiments/parallel.py",
+                    "subprocess": "obs/topsmoke.py"}
+
+#: ``os`` functions that start a process.
+OS_PROCESS_CALLS = {"fork", "forkpty", "posix_spawn", "posix_spawnp", "system", "popen"}
+
+
+def _process_starts(tree):
+    """``(what, line)`` of every import that can start a process and every
+    ``os`` process call in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append((node.module.split(".")[0], node.lineno))
+            if node.module == "os":
+                found.extend((f"os.{a.name}", node.lineno) for a in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "os"):
+            found.append((f"os.{node.attr}", node.lineno))
+    return [(what, line) for what, line in found
+            if what in PROCESS_STARTERS or what == "concurrent"
+            or (what.startswith("os.") and what[3:] in OS_PROCESS_CALLS)]
+
+
+def test_processes_start_only_in_the_runner():
+    """One process runner: ``concurrent.futures`` nowhere, ``multiprocessing``
+    only in ``repro.experiments.parallel``, no ``os.fork`` at all — a
+    second pool would bring back a second crash and retry contract."""
+    stray = []
+    for path in _package_sources():
+        module = path.relative_to(PACKAGE).as_posix()
+        for what, line in _process_starts(ast.parse(path.read_text())):
+            if PROCESS_STARTERS.get(what) != module:
+                stray.append(f"{module}:{line} {what}")
+    assert not stray
