@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test import-budget check-invariants faults report zoo-smoke fluid-smoke fluid-convergence chaos top-smoke overhead-tripwire bench-e2e bench-e2e-smoke bench-micro bench-paper text-hashes figures examples clean
+.PHONY: install test import-budget check-invariants faults report zoo-smoke fluid-smoke fluid-convergence chaos overhead-tripwire bench-e2e bench-e2e-smoke bench-micro bench-paper text-hashes figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -10,7 +10,7 @@ install:
 # The lanes listed here drive the CLI or a module; `import-budget`,
 # `faults`, `zoo-smoke`, `fluid-smoke` and `chaos` are selections of
 # the `pytest tests/` below and run by name only.
-test: check-invariants report top-smoke overhead-tripwire
+test: check-invariants report overhead-tripwire
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Start-up cost lane: `import repro...` must not load scipy, networkx,
@@ -26,13 +26,6 @@ import-budget:
 # converge to bytes identical to a clean run.
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/internet/test_chaos.py
-
-# Fleet-observability smoke: a seeded mini-campaign serves /metrics and
-# /snapshot.json mid-run (--metrics-port 0, port discovered from the
-# state dir), then `repro top --once` post-mortems the finished state
-# directory with zero torn records.
-top-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.obs.topsmoke
 
 # Protocol/AQM zoo lane: every registered sender and queue kind must run
 # a grid cell (the registry-completeness tests fail on unregistered-but-

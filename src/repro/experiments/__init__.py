@@ -6,32 +6,52 @@ the paper's headline numbers plus ``to_text()`` producing the same rows /
 series the paper reports.
 """
 
-from repro.experiments.common import FAST, PAPER, Scale, current_scale
-from repro.experiments.eq12_detection import Eq12Result, analytic_table, run_eq12
-from repro.experiments.fig2_ns2 import Fig2Result, run_fig2
-from repro.experiments.fig3_dummynet import Fig3Result, run_fig3
-from repro.experiments.fig4_planetlab import Fig4Result, run_fig4
-from repro.experiments.fig7_competition import Fig7Result, run_fig7
-from repro.experiments.fig8_parallel import Fig8Result, run_fig8, run_fig8_cell
-from repro.experiments.manyflows import (
-    ManyFlowsCell,
-    ManyFlowsResult,
-    ManyFlowsRow,
-    run_manyflows,
-    run_manyflows_fluid,
-    run_manyflows_packet,
-)
-from repro.experiments.mapreduce_shuffle import MapReduceResult, run_mapreduce
-from repro.experiments.methodology import MethodologyResult, run_methodology
-from repro.experiments.parallel import default_workers, parallel_map
-from repro.experiments.shortflows import ShortFlowResult, run_shortflows
-from repro.experiments.table1_sites import Table1Result, run_table1
-from repro.experiments.zoo_grid import (
-    ZooCellResult,
-    ZooGridResult,
-    run_zoo,
-    run_zoo_cell,
-)
+import importlib
+
+#: Where each re-exported name lives.  Importing the package loads none
+#: of them: a name's module is imported on first access (PEP 562), so
+#: ``import repro.experiments.parallel`` does not pay for every driver.
+_EXPORTS = {
+    "FAST": "common",
+    "PAPER": "common",
+    "Scale": "common",
+    "current_scale": "common",
+    "Eq12Result": "eq12_detection",
+    "analytic_table": "eq12_detection",
+    "run_eq12": "eq12_detection",
+    "Fig2Result": "fig2_ns2",
+    "run_fig2": "fig2_ns2",
+    "Fig3Result": "fig3_dummynet",
+    "run_fig3": "fig3_dummynet",
+    "Fig4Result": "fig4_planetlab",
+    "run_fig4": "fig4_planetlab",
+    "Fig7Result": "fig7_competition",
+    "run_fig7": "fig7_competition",
+    "Fig8Result": "fig8_parallel",
+    "run_fig8": "fig8_parallel",
+    "run_fig8_cell": "fig8_parallel",
+    "ManyFlowsCell": "manyflows",
+    "ManyFlowsResult": "manyflows",
+    "ManyFlowsRow": "manyflows",
+    "run_manyflows": "manyflows",
+    "run_manyflows_fluid": "manyflows",
+    "run_manyflows_packet": "manyflows",
+    "MapReduceResult": "mapreduce_shuffle",
+    "run_mapreduce": "mapreduce_shuffle",
+    "MethodologyResult": "methodology",
+    "run_methodology": "methodology",
+    "default_workers": "parallel",
+    "parallel_map": "parallel",
+    "ShortFlowResult": "shortflows",
+    "run_shortflows": "shortflows",
+    "Table1Result": "table1_sites",
+    "run_table1": "table1_sites",
+    "ZooCellResult": "zoo_grid",
+    "ZooGridResult": "zoo_grid",
+    "run_zoo": "zoo_grid",
+    "run_zoo_cell": "zoo_grid",
+}
+
 
 __all__ = [
     "FAST",
@@ -73,3 +93,12 @@ __all__ = [
     "run_zoo",
     "run_zoo_cell",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

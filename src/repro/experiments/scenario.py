@@ -35,8 +35,7 @@ import numpy as np
 
 from repro.core.events import distinct_flows_per_event, event_spans
 from repro.experiments.common import add_noise_fleet
-from repro.obs.runtime import observe_run
-from repro.obs.spans import maybe_tracer, span
+from repro.obs.runtime import observe_run, open_flight_log
 from repro.sim.engine import Simulator
 from repro.sim.queues import Queue, make_queue
 from repro.sim.rng import RngStreams
@@ -185,9 +184,9 @@ def run_scenario(
     """
     streams = RngStreams(seed)
     sim = Simulator()
-    tracer = maybe_tracer(name, sim=sim)
+    flight = open_flight_log(name, {"seed": seed, **(manifest or {})}, sim=sim)
 
-    with span(tracer, "setup", seed=seed):
+    with flight.span("setup", seed=seed):
         cfg = DumbbellConfig(bottleneck_rate_bps=spec.capacity_bps,
                              access_rate_bps=spec.access_rate_bps,
                              buffer_pkts=spec.buffer_pkts)
@@ -220,12 +219,11 @@ def run_scenario(
                 snd.start(float(start_rng.uniform(0.0, c.start_window)))
         extra = spec.on_build(sim, db, streams, flows) if spec.on_build is not None else None
         add_noise_fleet(sim, db, streams, spec.noise_flows, spec.noise_load)
-        obs = observe_run(sim, db=db, name=name, flows=flows, tracer=tracer,
-                          manifest={"seed": seed, **(manifest or {})})
-    with span(tracer, "run", until=spec.duration), obs.profiled():
+        obs = observe_run(sim, db=db, name=name, flows=flows, flight=flight)
+    with flight.span("run", until=spec.duration), obs.profiled():
         sim.run(until=spec.duration)
 
-    with span(tracer, "analyze"):
+    with flight.span("analyze"):
         times = mbps = mean_mbps = None
         if tp is not None:
             groups = range(len(spec.classes))

@@ -33,6 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.experiments.parallel import parallel_map
 from repro.faults.checkpoint import Checkpoint
 from repro.faults.plan import FaultPlan
 from repro.faults.resilient import Result
@@ -296,8 +297,6 @@ class Campaign:
         """
         if n_experiments <= 0:
             raise ValueError(f"need a positive experiment count, got {n_experiments}")
-        from repro.experiments.parallel import parallel_map
-
         picker = self.streams.stream("pair-picker")
         when = self.streams.stream("schedule")
         starts = np.sort(

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.experiments.parallel import fan_out
 from repro.faults.checkpoint import Checkpoint
 from repro.faults.plan import FaultPlan
 from repro.faults.resilient import Result, RetryPolicy
@@ -429,9 +430,6 @@ class CampaignSupervisor:
         """Drive ``pending`` through :func:`~repro.experiments.parallel.fan_out`
         under ``config.retry``: a shard that is out of retries is
         quarantined, never raised."""
-        # Imported here: repro.experiments imports repro.internet.
-        from repro.experiments.parallel import fan_out
-
         live: dict[int, _Liveness] = {}
 
         def on_start(index: int, attempt: int, pid: int) -> None:

@@ -26,6 +26,10 @@ counters the simulator already keeps into an active regression fence:
 ``SpanTracer``
     Nested phase/span tracing with point events (fault injections land
     here), exported as JSON-lines (:mod:`repro.obs.spans`).
+``FlightLog`` / ``open_flight_log``
+    The one writer of a run directory (manifest, telemetry, spans,
+    metrics, report) and the span tracer it carries
+    (:mod:`repro.obs.runtime`).
 ``generate_report`` / ``write_report``
     Deterministic Markdown/HTML run reports rendered from a telemetry
     run directory — ``python -m repro report <run-dir>``
@@ -35,17 +39,20 @@ counters the simulator already keeps into an active regression fence:
     Fleet event stream: one append-only, schema-versioned JSON-lines
     feed per campaign/zoo state directory, with torn-tail-tolerant
     tailing and structured ``--log-json`` logging (:mod:`repro.obs.bus`).
+    ``read_json_tolerant`` is the one whole-file JSON read: every obs
+    reader (heartbeats, ``report``, ``history``) goes through it.
 ``FleetAggregator`` / ``FleetSnapshot``
     Streaming aggregation of a state directory (ledger + heartbeats +
     bus) into a live fleet snapshot — what ``python -m repro top``
     renders and ``/snapshot.json`` serves (:mod:`repro.obs.aggregate`).
-``ObsServer`` / ``MetricsRegistry.to_prometheus``
-    Opt-in Prometheus text exposition over stdlib HTTP during fleet
-    runs — the CLI's ``--metrics-port`` (:mod:`repro.obs.httpd`).
+``ObsServer`` / ``fleet_exposition``
+    Opt-in ``/metrics`` endpoint over stdlib HTTP during fleet runs —
+    the CLI's ``--metrics-port`` — serving the ``repro_fleet_*`` gauges
+    (:mod:`repro.obs.httpd`).
 
-:mod:`repro.obs.runtime` wires everything into experiment drivers and the
-``repro`` CLI (``--metrics-out`` / ``--check-invariants`` /
-``--telemetry-out`` / ``--report``).
+:func:`~repro.obs.runtime.observe_run` wires everything into experiment
+drivers and the ``repro`` CLI (``--metrics-out`` / ``--check-invariants``
+/ ``--telemetry-out`` / ``--report``).
 """
 
 from repro.obs.aggregate import FleetAggregator, FleetSnapshot, UnitHealth
@@ -57,7 +64,7 @@ from repro.obs.bus import (
     read_json_tolerant,
     tail_jsonl,
 )
-from repro.obs.httpd import ObsServer, snapshot_to_prometheus
+from repro.obs.httpd import ObsServer, fleet_exposition
 from repro.obs.invariants import (
     FlowBinding,
     InvariantChecker,
@@ -82,7 +89,7 @@ from repro.obs.report import (
     write_report,
 )
 from repro.obs.runtime import FlightLog, RunObservation, observe_run, open_flight_log
-from repro.obs.spans import SpanTracer, maybe_tracer, span
+from repro.obs.spans import SpanTracer
 from repro.obs.telemetry import FlightRecorder, TimeSeries, loss_raster
 
 __all__ = [
@@ -110,16 +117,14 @@ __all__ = [
     "atomic_write_text",
     "check_link",
     "check_queue",
+    "fleet_exposition",
     "generate_html_report",
     "generate_report",
     "loss_raster",
-    "maybe_tracer",
     "observe_run",
     "open_bus",
     "open_flight_log",
     "read_json_tolerant",
-    "snapshot_to_prometheus",
-    "span",
     "sparkline",
     "tail_jsonl",
     "validate_report",

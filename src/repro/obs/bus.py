@@ -50,6 +50,7 @@ __all__ = [
     "RunLog",
     "TailState",
     "open_bus",
+    "parse_record",
     "read_json_tolerant",
     "tail_jsonl",
 ]
@@ -169,17 +170,27 @@ def tail_jsonl(
     for raw in chunk[:keep].split(b"\n")[:-1]:
         if not raw:
             continue
-        try:
-            obj = json.loads(raw)
-        except ValueError:
+        obj = parse_record(raw)
+        if obj is None:
             st.torn += 1
-            continue
-        if isinstance(obj, dict):
-            records.append(obj)
         else:
-            st.torn += 1
+            records.append(obj)
     st.offset += keep
     return records, st
+
+
+def parse_record(raw: bytes) -> Optional[dict]:
+    """``raw`` decoded as UTF-8 JSON, or ``None`` unless it is an object.
+
+    The one decoding rule for every obs reader: torn JSON, bytes that
+    are not UTF-8, and JSON that is not an object all come back
+    ``None``, never an exception.
+    """
+    try:
+        obj = json.loads(raw.decode())
+    except ValueError:  # UnicodeDecodeError is a ValueError too
+        return None
+    return obj if isinstance(obj, dict) else None
 
 
 def read_json_tolerant(path: Union[str, Path]) -> tuple[Optional[dict], int]:
@@ -189,19 +200,17 @@ def read_json_tolerant(path: Union[str, Path]) -> tuple[Optional[dict], int]:
     crash (or a reader racing the replace on a non-atomic filesystem)
     can expose a missing or partial file.  Returns ``(record, torn)``:
     ``(None, 0)`` when the file simply does not exist, ``(None, 1)``
-    when it exists but does not parse to a JSON object.
+    when it exists but cannot be read or is not a UTF-8 JSON object
+    (:func:`parse_record`).
     """
     try:
-        raw = Path(path).read_text()
-    except OSError:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
         return None, 0
-    try:
-        obj = json.loads(raw)
-    except ValueError:
+    except OSError:
         return None, 1
-    if not isinstance(obj, dict):
-        return None, 1
-    return obj, 0
+    obj = parse_record(raw)
+    return obj, int(obj is None)
 
 
 @dataclass

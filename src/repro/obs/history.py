@@ -24,32 +24,18 @@ history must render even when one run crashed mid-write.
 from __future__ import annotations
 
 import html as _html
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.obs.aggregate import FleetAggregator
+from repro.obs.bus import read_json_tolerant
 
 __all__ = ["collect_history", "generate_history", "generate_html_history",
            "main"]
 
 #: Schema tag of the records ``benchmarks/e2e/run.py --out`` writes.
 _LEDGER_SCHEMA = "repro-e2e/1"
-
-
-def _load_json(path: Path, torn: list[int]) -> Optional[dict]:
-    try:
-        obj = json.loads(path.read_text())
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError):
-        torn[0] += 1
-        return None
-    if not isinstance(obj, dict):
-        torn[0] += 1
-        return None
-    return obj
 
 
 def _dig(obj, *keys):
@@ -62,18 +48,24 @@ def _dig(obj, *keys):
 def collect_history(root: Union[str, Path]) -> dict:
     """Scan ``root`` and return the raw history model (JSON-able)."""
     d = Path(root)
-    torn = [0]
+    torn = 0
+
+    def load(path: Path) -> Optional[dict]:
+        nonlocal torn
+        doc, damaged = read_json_tolerant(path)
+        torn += damaged
+        return doc
 
     # -- performance-ledger records ------------------------------------
     records = []
     for p in sorted((d / "ledger").glob("*.json")):
-        doc = _load_json(p, torn)
+        doc = load(p)
         if doc is None:
             continue
         workloads = doc.get("workloads")
         if (doc.get("schema") != _LEDGER_SCHEMA
                 or not isinstance(workloads, dict)):
-            torn[0] += 1
+            torn += 1
             continue
         records.append({
             "file": p.name,
@@ -93,8 +85,8 @@ def collect_history(root: Union[str, Path]) -> dict:
             manifest_path = sub / "manifest.json"
             if not sub.is_dir() or not manifest_path.exists():
                 continue
-            manifest = _load_json(manifest_path, torn) or {}
-            metrics = _load_json(sub / "metrics.json", torn)
+            manifest = load(manifest_path) or {}
+            metrics = load(sub / "metrics.json")
             warnings = []
             if metrics:
                 w = metrics.get("warnings")
@@ -121,7 +113,7 @@ def collect_history(root: Union[str, Path]) -> dict:
                 continue
             seen_ledgers.add(state_dir)
             snap = FleetAggregator(state_dir).poll(now=None)
-            torn[0] += snap.torn_records
+            torn += snap.torn_records
             fleets.append({
                 "state_dir": str(state_dir.relative_to(d)),
                 "kind": snap.kind,
@@ -142,7 +134,7 @@ def collect_history(root: Union[str, Path]) -> dict:
         "ledger": records,
         "runs": run_entries,
         "fleets": fleets,
-        "torn_records": torn[0],
+        "torn_records": torn,
     }
 
 

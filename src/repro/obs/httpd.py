@@ -4,16 +4,16 @@
 :class:`ObsServer` in a daemon thread for the duration of the run.  It
 serves:
 
-* ``GET /metrics`` — Prometheus text exposition 0.0.4
-  (:meth:`repro.obs.metrics.MetricsRegistry.to_prometheus` over the
-  run's registry, when one is attached) followed by fleet-level gauges
-  derived from the live :class:`~repro.obs.aggregate.FleetSnapshot`;
+* ``GET /metrics`` — Prometheus text exposition 0.0.4: the
+  ``repro_fleet_*`` gauges derived from the live
+  :class:`~repro.obs.aggregate.FleetSnapshot`
+  (:func:`fleet_exposition`);
 * ``GET /snapshot.json`` — the full snapshot as JSON (what ``repro
   top`` renders), for the results service and ad-hoc curl debugging.
 
 Port ``0`` asks the kernel for a free port; whatever port is bound is
 written to ``metrics-port`` inside the state directory so an outside
-observer (the top-smoke lane, a dashboard) can discover the endpoint
+observer (a scraper, a dashboard) can discover the endpoint
 without racing the bind.  Everything is stdlib ``http.server`` — no new
 dependencies — and the server thread never blocks or fails the run:
 scrape-side errors are answered with 500s, not raised into the
@@ -35,8 +35,8 @@ from repro.obs.metrics import prometheus_metric_name
 __all__ = [
     "ObsServer",
     "PORT_FILE",
+    "fleet_exposition",
     "maybe_obs_server",
-    "snapshot_to_prometheus",
 ]
 
 #: File inside the state directory naming the bound metrics port.
@@ -45,18 +45,18 @@ PORT_FILE = "metrics-port"
 _STATUS_CODES = {"EMPTY": 0, "RUNNING": 1, "COMPLETE": 2, "DEGRADED": 3}
 
 
-def snapshot_to_prometheus(snap: FleetSnapshot, prefix: str = "repro") -> str:
-    """Fleet-level gauges for one snapshot, Prometheus text format."""
+def fleet_exposition(snap: FleetSnapshot) -> str:
+    """The ``repro_fleet_*`` gauges for one snapshot, Prometheus text format."""
     lines: list[str] = []
 
-    def gauge(name: str, value, labels: str = "") -> None:
-        full = prometheus_metric_name(name, prefix=f"{prefix}_fleet")
+    def gauge(name: str, value) -> None:
+        full = prometheus_metric_name(name, prefix="repro_fleet")
         lines.append(f"# TYPE {full} gauge")
-        lines.append(f"{full}{labels} {value}")
+        lines.append(f"{full} {value}")
 
     counts = snap.counts
     unit = snap.unit_name
-    units_metric = prometheus_metric_name("units", prefix=f"{prefix}_fleet")
+    units_metric = prometheus_metric_name("units", prefix="repro_fleet")
     lines.append(f"# TYPE {units_metric} gauge")
     for status in sorted(counts):
         lines.append(
@@ -78,18 +78,15 @@ def snapshot_to_prometheus(snap: FleetSnapshot, prefix: str = "repro") -> str:
 class ObsServer:
     """Background HTTP exposition for one run's state directory.
 
-    ``registry`` is optional: without one, ``/metrics`` carries only the
-    fleet gauges.  The handler re-polls a private
-    :class:`FleetAggregator` per request (incremental, O(new bytes)), so
-    scrapes always see the latest appended records without the run
-    pushing anything.
+    The handler re-polls a private :class:`FleetAggregator` per request
+    (incremental, O(new bytes)), so scrapes always see the latest
+    appended records without the run pushing anything.
     """
 
     def __init__(
         self,
         state_dir: Union[str, Path],
         port: int = 0,
-        registry=None,
         host: str = "127.0.0.1",
     ):
         # http.server drags in http.client, email and socketserver; only a
@@ -97,7 +94,6 @@ class ObsServer:
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         self.state_dir = Path(state_dir)
-        self.registry = registry
         self._agg = FleetAggregator(self.state_dir)
         self._lock = threading.Lock()
         server = self
@@ -117,7 +113,8 @@ class ObsServer:
                 try:
                     path = self.path.split("?", 1)[0]
                     if path == "/metrics":
-                        body = server.render_metrics().encode("utf-8")
+                        body = fleet_exposition(
+                            server.snapshot()).encode("utf-8")
                         self._send(
                             200, body,
                             "text/plain; version=0.0.4; charset=utf-8",
@@ -154,14 +151,6 @@ class ObsServer:
         with self._lock:
             return self._agg.poll(now=time.time())
 
-    def render_metrics(self) -> str:
-        """The full ``/metrics`` body: registry metrics + fleet gauges."""
-        parts = []
-        if self.registry is not None:
-            parts.append(self.registry.to_prometheus())
-        parts.append(snapshot_to_prometheus(self.snapshot()))
-        return "".join(parts)
-
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "ObsServer":
         """Bind announced: write the port file, start serving."""
@@ -186,9 +175,7 @@ class ObsServer:
         self.close()
 
 
-def maybe_obs_server(
-    state_dir: Optional[Union[str, Path]], registry=None
-) -> Optional[ObsServer]:
+def maybe_obs_server(state_dir: Optional[Union[str, Path]]) -> Optional[ObsServer]:
     """Start an :class:`ObsServer` when ``REPRO_METRICS_PORT`` asks for one
     (:class:`repro.config.RunConfig`'s ``metrics_port``; ``0`` =
     auto-assign, read the bound port back from the ``metrics-port`` file).
@@ -199,4 +186,4 @@ def maybe_obs_server(
     port = RunConfig.from_env().metrics_port
     if port is None or state_dir is None:
         return None
-    return ObsServer(state_dir, port=port, registry=registry).start()
+    return ObsServer(state_dir, port=port).start()

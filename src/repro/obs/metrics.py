@@ -28,7 +28,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "atomic_write_text",
-    "prometheus_label_name",
     "prometheus_metric_name",
 ]
 
@@ -56,89 +55,20 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
     return p
 
 
-# -- Prometheus text exposition (version 0.0.4) -------------------------
-#
-# The registry's internal names are dotted (``queue.bottleneck.dropped``)
-# and component instances are free-form (links named ``tcp0-fwd``), both
-# of which are illegal in Prometheus metric names
-# (``[a-zA-Z_:][a-zA-Z0-9_:]*``) and label names
-# (``[a-zA-Z_][a-zA-Z0-9_]*``).  Sanitization maps every character
-# outside the legal set to ``_`` and prefixes ``_`` when the first
-# character is illegal (e.g. a leading digit); per-instance metrics of
-# the component families below are additionally split into one metric
-# per *field* with the instance carried as a label value (label values
-# may contain any UTF-8, escaped), so ``link.tcp0-fwd.busy_time``
-# exposes as ``repro_link_busy_time{link="tcp0-fwd"}``.
-
+#: Characters outside a Prometheus metric name (``[a-zA-Z_:][a-zA-Z0-9_:]*``).
 _PROM_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-_PROM_LABEL_BAD = re.compile(r"[^a-zA-Z0-9_]")
-
-#: Dotted families exposed as ``<family>_<field>{<family>="<instance>"}``.
-_LABELED_FAMILIES = ("link", "queue", "flow")
 
 
 def prometheus_metric_name(name: str, prefix: str = "") -> str:
-    """Sanitize ``name`` into a spec-valid Prometheus metric name."""
+    """Sanitize ``name`` into a spec-valid Prometheus metric name: every
+    illegal character becomes ``_``, and an illegal first character
+    (a leading digit) gets a ``_`` in front."""
     out = _PROM_NAME_BAD.sub("_", name)
     if prefix:
         out = f"{prefix}_{out}"
     if not out or not re.match(r"[a-zA-Z_:]", out[0]):
         out = f"_{out}"
     return out
-
-
-def prometheus_label_name(name: str) -> str:
-    """Sanitize ``name`` into a spec-valid Prometheus label name.
-
-    Label names are stricter than metric names (no colons), and names
-    starting with ``__`` are reserved for Prometheus internals — those
-    get an ``x`` prefix instead of silently colliding.
-    """
-    out = _PROM_LABEL_BAD.sub("_", name)
-    if not out or not re.match(r"[a-zA-Z_]", out[0]):
-        out = f"_{out}"
-    if out.startswith("__"):
-        out = f"x{out}"
-    return out
-
-
-def _prom_label_value(value: str) -> str:
-    """Escape a label value per the exposition-format rules."""
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace("\n", "\\n")
-        .replace('"', '\\"')
-    )
-
-
-def _prom_number(value: float) -> str:
-    """Format a sample value (integers stay integral, floats use repr)."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    f = float(value)
-    if f != f:
-        return "NaN"
-    if f in (float("inf"), float("-inf")):
-        return "+Inf" if f > 0 else "-Inf"
-    return repr(f)
-
-
-def _prom_split(name: str) -> tuple[str, dict[str, str]]:
-    """Dotted registry name -> (bare metric name, labels).
-
-    ``<family>.<instance>.<field>`` for a labeled family becomes
-    ``<family>_<field>`` with ``{<family>="<instance>"}``; everything
-    else flattens with every dot replaced by ``_``.
-    """
-    parts = name.split(".")
-    if len(parts) >= 3 and parts[0] in _LABELED_FAMILIES:
-        family, field_ = parts[0], parts[-1]
-        instance = ".".join(parts[1:-1])
-        return f"{family}_{field_}", {family: instance}
-    return name, {}
 
 
 class Counter:
@@ -303,85 +233,6 @@ class MetricsRegistry:
     def to_json(self, indent: int = 2) -> str:
         """The full registry as a JSON string."""
         return json.dumps(self.as_dict(), indent=indent, sort_keys=False)
-
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """The registry in Prometheus text exposition format (0.0.4).
-
-        Dotted/dashed registry names are sanitized to spec-valid metric
-        and label names (see :func:`prometheus_metric_name`); per-link /
-        per-queue / per-flow metrics expose the component instance as a
-        label instead of baking it into the metric name, so one family
-        of gauges becomes one Prometheus metric with many labeled
-        samples.  Two registry names that sanitize to the same metric
-        name but carry different kinds are disambiguated with a
-        deterministic numeric suffix rather than emitting a spec-invalid
-        double ``# TYPE``.  Callback gauges are read here, like
-        :meth:`as_dict`.
-        """
-        # metric name -> {"kind": ..., "samples": [(labels, value)]}
-        families: dict[str, dict] = {}
-        kinds = (
-            ("counter", self._counters),
-            ("gauge", self._gauges),
-            ("histogram", self._histograms),
-        )
-        for kind, table in kinds:
-            for raw in sorted(table):
-                bare, labels = _prom_split(raw)
-                name = prometheus_metric_name(bare, prefix=prefix)
-                fam = families.get(name)
-                if fam is not None and fam["kind"] != kind:
-                    n = 2
-                    while True:
-                        cand = f"{name}_{n}"
-                        fam = families.get(cand)
-                        if fam is None or fam["kind"] == kind:
-                            name = cand
-                            break
-                        n += 1
-                    fam = families.get(name)
-                if fam is None:
-                    fam = families[name] = {"kind": kind, "samples": []}
-                fam["samples"].append((labels, table[raw]))
-
-        lines: list[str] = []
-
-        def fmt_labels(labels: dict[str, str]) -> str:
-            if not labels:
-                return ""
-            inner = ",".join(
-                f'{prometheus_label_name(k)}="{_prom_label_value(v)}"'
-                for k, v in sorted(labels.items())
-            )
-            return f"{{{inner}}}"
-
-        for name in sorted(families):
-            fam = families[name]
-            if fam["kind"] in ("counter", "gauge"):
-                lines.append(f"# TYPE {name} {fam['kind']}")
-                for labels, metric in fam["samples"]:
-                    lines.append(
-                        f"{name}{fmt_labels(labels)} {_prom_number(metric.value)}"
-                    )
-            else:  # histogram: cumulative le-buckets + _sum/_count
-                lines.append(f"# TYPE {name} histogram")
-                for labels, hist in fam["samples"]:
-                    cum = 0
-                    for edge, count in zip(hist.edges[1:], hist.counts):
-                        cum += count
-                        le = dict(labels, le=_prom_number(float(edge)))
-                        lines.append(f"{name}_bucket{fmt_labels(le)} {cum}")
-                    le = dict(labels, le="+Inf")
-                    lines.append(f"{name}_bucket{fmt_labels(le)} {hist.n}")
-                    lines.append(
-                        f"{name}_sum{fmt_labels(labels)} {_prom_number(hist.total)}"
-                    )
-                    lines.append(f"{name}_count{fmt_labels(labels)} {hist.n}")
-
-        warn = prometheus_metric_name("warnings", prefix=prefix)
-        lines.append(f"# TYPE {warn} gauge")
-        lines.append(f"{warn} {len(self.warnings)}")
-        return "\n".join(lines) + "\n"
 
     def write_json(self, path: Union[str, Path]) -> Path:
         """Write the registry to ``path`` atomically; returns the path.

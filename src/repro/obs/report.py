@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from repro.obs.bus import parse_record, read_json_tolerant
 from repro.obs.metrics import atomic_write_text
 
 __all__ = [
@@ -103,29 +104,28 @@ def svg_sparkline(
 
 # -- run-dir loading ----------------------------------------------------
 
-def _load_json(path: Path, required: bool) -> Optional[dict]:
-    if not path.exists():
-        if required:
-            raise ReportError(f"missing {path.name} in run dir {path.parent}")
-        return None
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ReportError(f"malformed {path}: {exc}") from exc
+def _load(path: Path, required: bool = False) -> Optional[dict]:
+    """A run-dir JSON file as a dict; ``None`` when an optional one is
+    absent.  Damage is named, never raised as a traceback."""
+    obj, torn = read_json_tolerant(path)
+    if torn:
+        raise ReportError(f"malformed {path}: not a UTF-8 JSON object")
+    if obj is None and required:
+        raise ReportError(f"missing {path.name} in run dir {path.parent}")
+    return obj
 
 
 def _load_spans(path: Path) -> list[dict]:
     if not path.exists():
         return []
     records = []
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
+    for i, line in enumerate(path.read_bytes().splitlines(), start=1):
+        if not line.strip():
             continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ReportError(f"malformed {path}:{i}: {exc}") from exc
+        rec = parse_record(line)
+        if rec is None:
+            raise ReportError(f"malformed {path}:{i}: not a UTF-8 JSON object")
+        records.append(rec)
     return records
 
 
@@ -363,9 +363,9 @@ def generate_report(run_dir: Union[str, Path]) -> str:
     d = Path(run_dir)
     if not d.is_dir():
         raise ReportError(f"run dir does not exist: {d}")
-    manifest = _load_json(d / "manifest.json", required=True)
-    telemetry = _load_json(d / "telemetry.json", required=False)
-    metrics = _load_json(d / "metrics.json", required=False)
+    manifest = _load(d / "manifest.json", required=True)
+    telemetry = _load(d / "telemetry.json")
+    metrics = _load(d / "metrics.json")
     spans = _load_spans(d / "spans.jsonl")
 
     name = manifest.get("name", d.name)
@@ -383,8 +383,8 @@ def generate_html_report(run_dir: Union[str, Path]) -> str:
     """Render a self-contained HTML report (inline SVG sparklines)."""
     d = Path(run_dir)
     md = generate_report(d)  # validates the dir and gives us the body
-    telemetry = _load_json(d / "telemetry.json", required=False)
-    manifest = _load_json(d / "manifest.json", required=True)
+    telemetry = _load(d / "telemetry.json")
+    manifest = _load(d / "manifest.json", required=True)
     rows = []
     for name in sorted((telemetry or {}).get("series") or {}):
         vals = telemetry["series"][name].get("v", [])

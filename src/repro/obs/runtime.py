@@ -1,23 +1,23 @@
 """Run-level observability wiring for experiment drivers and the CLI.
 
-:func:`observe_run` is the one-line hook experiment drivers call after
-building their scenario: it resolves the observability configuration
+Every run directory is written by one :class:`FlightLog`: the run
+manifest, the span tracer and, at ``finalize()``, the flight record
+(``manifest.json`` / ``telemetry.json`` / ``spans.jsonl`` /
+``metrics.json``, plus ``report.md`` when auto-reporting is on).
+:func:`open_flight_log` builds it.  Drivers with no single simulator
+(the fig8 grid, the fig4 and sharded campaigns) use the log alone, with
+wall-clock spans and fault events relayed parent-side.
+
+:func:`observe_run` is the one-line hook a simulator-driven run calls
+after building its scenario: it resolves the observability configuration
 (explicit arguments > :class:`repro.config.RunConfig`), attaches a
 :class:`~repro.obs.metrics.MetricsRegistry` to the simulator / links /
-queues / flows, arms periodic conservation checks, optionally arms the
-:class:`~repro.obs.telemetry.FlightRecorder` samplers and a
-:class:`~repro.obs.spans.SpanTracer`, and hands back a
-:class:`RunObservation` whose ``profiled()`` context wraps the
+queues / flows, arms periodic conservation checks and, with telemetry
+on, the :class:`~repro.obs.telemetry.FlightRecorder` samplers, and hands
+back a :class:`RunObservation` whose ``profiled()`` context wraps the
 ``sim.run`` call and whose ``finalize()`` performs the teardown invariant
-sweep and writes the metrics JSON — and, when telemetry is armed, the
-full flight record (``manifest.json`` / ``telemetry.json`` /
-``spans.jsonl`` / ``metrics.json``) into the run directory, plus
-``report.md`` when auto-reporting is on.
-
-Drivers with no single simulator (the fig8 grid, Internet campaigns) use
-:func:`open_flight_log` instead: a parent-side :class:`FlightLog` that
-carries the manifest and span tracer and writes the same run-directory
-layout at the end.
+sweep, writes the metrics JSON and hands the samples and metrics to the
+run's :class:`FlightLog` to write.
 
 Configuration comes from :class:`repro.config.RunConfig` (the ``repro``
 CLI's flags set its ``REPRO_*`` variables): ``metrics_out`` names the
@@ -64,37 +64,95 @@ __all__ = [
 DEFAULT_CHECK_INTERVAL = 1.0
 
 
-def _write_run_dir(
-    run_dir: Path,
-    manifest: dict,
-    telemetry: Optional[dict],
-    tracer: Optional[SpanTracer],
-    metrics_text: Optional[str],
-) -> Path:
-    """Write the flight-record artifacts (each one atomically)."""
-    atomic_write_text(
-        run_dir / "manifest.json",
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
-    if telemetry is not None:
-        atomic_write_text(
-            run_dir / "telemetry.json",
-            json.dumps(telemetry, indent=2, sort_keys=True) + "\n",
-        )
-    if tracer is not None:
-        tracer.write_jsonl(run_dir / "spans.jsonl")
-    if metrics_text is not None:
-        atomic_write_text(run_dir / "metrics.json", metrics_text)
-    if RunConfig.from_env().report:
-        from repro.obs.report import write_report
+def _run_config(name: str) -> RunConfig:
+    """The run's configuration; a dotted ``name`` (one of a driver's
+    several runs) gets its own artifact paths (:meth:`RunConfig.named`)."""
+    cfg = RunConfig.from_env()
+    return cfg.named(name) if "." in name else cfg
 
-        write_report(run_dir)
-    return run_dir
+
+class FlightLog:
+    """One run's flight record: manifest, span tracer and run directory.
+
+    Disabled logs (telemetry off: no ``run_dir``, no ``tracer``) are
+    inert: ``span()`` is a null context, ``event()`` does nothing and
+    ``finalize()`` returns ``None``.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        manifest: Optional[dict] = None,
+        run_dir: Optional[Union[str, Path]] = None,
+        tracer: Optional[SpanTracer] = None,
+    ):
+        self.name = name
+        self.manifest = dict(manifest or {})
+        self.run_dir = Path(run_dir) if run_dir else None
+        self.tracer = tracer
+        #: Optional telemetry payload (the recorder's samples, or e.g.
+        #: aggregated per-cell series) exported as ``telemetry.json``.
+        self.telemetry: Optional[dict] = None
+
+    def span(self, name: str, **attrs):
+        """A tracer span when tracing is armed, else a null context."""
+        if self.tracer is None:
+            return contextlib.nullcontext()
+        return self.tracer.span(name, **attrs)
+
+    def event(self, name: str, **attrs) -> None:
+        """Record a point event (no-op when tracing is off)."""
+        if self.tracer is not None:
+            self.tracer.event(name, **attrs)
+
+    def finalize(self, metrics_text: Optional[str] = None) -> Optional[Path]:
+        """Write the run directory, each artifact atomically (``None``
+        when disabled)."""
+        run_dir = self.run_dir
+        if run_dir is None:
+            return None
+        manifest = {
+            "name": self.name, "env": RunConfig.manifest_env(), **self.manifest
+        }
+        atomic_write_text(
+            run_dir / "manifest.json",
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        )
+        if self.telemetry is not None:
+            atomic_write_text(
+                run_dir / "telemetry.json",
+                json.dumps(self.telemetry, indent=2, sort_keys=True) + "\n",
+            )
+        if self.tracer is not None:
+            self.tracer.write_jsonl(run_dir / "spans.jsonl")
+        if metrics_text is not None:
+            atomic_write_text(run_dir / "metrics.json", metrics_text)
+        if RunConfig.from_env().report:
+            from repro.obs.report import write_report
+
+            write_report(run_dir)
+        return run_dir
+
+
+def open_flight_log(
+    name: str, manifest: Optional[dict] = None, sim: Optional["Simulator"] = None
+) -> FlightLog:
+    """The run's :class:`FlightLog`: armed when telemetry is, else inert
+    (the same zero-cost contract as :func:`observe_run`'s disabled path).
+
+    ``sim`` stamps spans and events with its clock; parent-side drivers
+    without one get wall-clock-only spans.  A dotted ``name`` writes to
+    its own run directory (:meth:`RunConfig.named`).
+    """
+    run_dir = _run_config(name).telemetry_out
+    if run_dir is None:
+        return FlightLog(name)
+    return FlightLog(name, manifest, run_dir, SpanTracer(name, sim=sim))
 
 
 class RunObservation:
     """Handle tying one experiment run to its metrics/invariants/profile
-    and (when telemetry is armed) its flight record.
+    and its :class:`FlightLog`.
 
     Disabled instances (``enabled=False``) are inert: ``profiled()`` is a
     null context and ``finalize()`` returns ``None`` — drivers call both
@@ -104,17 +162,14 @@ class RunObservation:
     def __init__(
         self,
         sim: "Simulator",
-        name: str = "run",
+        flight: FlightLog,
         registry: Optional[MetricsRegistry] = None,
         checker: Optional[InvariantChecker] = None,
         metrics_path: Optional[Union[str, Path]] = None,
         recorder: Optional[FlightRecorder] = None,
-        tracer: Optional[SpanTracer] = None,
-        run_dir: Optional[Union[str, Path]] = None,
-        manifest: Optional[dict] = None,
     ):
         self.sim = sim
-        self.name = name
+        self.flight = flight
         self.registry = registry
         self.checker = checker
         self.metrics_path = Path(metrics_path) if metrics_path else None
@@ -123,9 +178,6 @@ class RunObservation:
         self.fault_plan = None  # armed by observe_run when $REPRO_FAULTS is set
         self._duration_links: list = []
         self.recorder = recorder
-        self.tracer = tracer
-        self.run_dir = Path(run_dir) if run_dir else None
-        self.manifest = dict(manifest or {})
         self._flows: list[tuple] = []
         self.db: Optional["Dumbbell"] = None  # set by observe_run
 
@@ -158,12 +210,6 @@ class RunObservation:
             )
         if self.recorder is not None:
             self.recorder.watch_flow(sender)
-
-    def span(self, name: str, **attrs):
-        """A tracer span when tracing is armed, else a null context."""
-        if self.tracer is None:
-            return contextlib.nullcontext()
-        return self.tracer.span(name, **attrs)
 
     # -- execution ------------------------------------------------------
     def profiled(self):
@@ -241,90 +287,15 @@ class RunObservation:
         text = json.dumps(data, indent=2) + "\n"
         if self.metrics_path is not None:
             atomic_write_text(self.metrics_path, text)
-        if self.run_dir is not None:
-            manifest = {
-                "name": self.name,
-                "duration": duration,
-                "env": RunConfig.manifest_env(),
-                **self.manifest,
-            }
+        flight = self.flight
+        if flight.run_dir is not None:
+            flight.manifest = {"duration": duration, **flight.manifest}
             if self.fault_plan is not None:
-                manifest["fault_plan"] = self.fault_plan.describe()
-            _write_run_dir(
-                self.run_dir,
-                manifest,
-                self.recorder.as_dict() if self.recorder is not None else None,
-                self.tracer,
-                text,
-            )
+                flight.manifest["fault_plan"] = self.fault_plan.describe()
+            if self.recorder is not None:
+                flight.telemetry = self.recorder.as_dict()
+            flight.finalize(text)
         return data
-
-
-class FlightLog:
-    """Parent-side flight record for drivers without a single simulator.
-
-    The fig8 grid and Internet campaigns run many short simulations in a
-    process pool; no one :class:`Simulator` clock spans the whole driver.
-    A ``FlightLog`` carries the run manifest and a wall-clock-only
-    :class:`SpanTracer` (one span per cell / pool item, fault events from
-    workers relayed parent-side) and writes the same run-directory layout
-    as :meth:`RunObservation.finalize`.
-
-    Disabled instances (telemetry off) are inert, mirroring
-    :class:`RunObservation`.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        manifest: Optional[dict] = None,
-        run_dir: Optional[Union[str, Path]] = None,
-        tracer: Optional[SpanTracer] = None,
-    ):
-        self.name = name
-        self.manifest = dict(manifest or {})
-        self.run_dir = Path(run_dir) if run_dir else None
-        self.tracer = tracer
-        self.enabled = tracer is not None or self.run_dir is not None
-        #: Optional telemetry payload (e.g. aggregated per-cell series)
-        #: exported as ``telemetry.json`` when set.
-        self.telemetry: Optional[dict] = None
-
-    def span(self, name: str, **attrs):
-        """A tracer span when tracing is armed, else a null context."""
-        if self.tracer is None:
-            return contextlib.nullcontext()
-        return self.tracer.span(name, **attrs)
-
-    def event(self, name: str, **attrs) -> None:
-        """Record a point event (no-op when tracing is off)."""
-        if self.tracer is not None:
-            self.tracer.event(name, **attrs)
-
-    def finalize(self) -> Optional[Path]:
-        """Write the run directory (``None`` when disabled)."""
-        if self.run_dir is None:
-            return None
-        manifest = {
-            "name": self.name, "env": RunConfig.manifest_env(), **self.manifest
-        }
-        return _write_run_dir(
-            self.run_dir, manifest, self.telemetry, self.tracer, metrics_text=None
-        )
-
-
-def open_flight_log(name: str, manifest: Optional[dict] = None) -> FlightLog:
-    """Env-gated :class:`FlightLog` constructor for parent-side drivers.
-
-    Returns a disabled (inert) log unless telemetry is armed — the same
-    zero-cost contract as :func:`observe_run`'s disabled path.
-    """
-    run_dir = RunConfig.from_env().telemetry_out
-    if run_dir is None:
-        return FlightLog(name)
-    return FlightLog(
-        name, manifest=manifest, run_dir=run_dir, tracer=SpanTracer(name)
-    )
 
 
 def observe_run(
@@ -335,8 +306,7 @@ def observe_run(
     metrics_out: Optional[Union[str, Path]] = None,
     check_invariants: Optional[bool] = None,
     check_interval: Optional[float] = None,
-    tracer: Optional[SpanTracer] = None,
-    manifest: Optional[dict] = None,
+    flight: Optional[FlightLog] = None,
 ) -> RunObservation:
     """Wire observability into one experiment run.
 
@@ -354,21 +324,21 @@ def observe_run(
     keeps its own artifacts.  A driver's only run (``"fig2"``) writes the
     configured paths as they are.
 
-    ``tracer`` (usually from :func:`repro.obs.spans.maybe_tracer`) attaches
-    phase tracing; fault injections recorded by the armed plan become span
-    events on it.  ``manifest`` seeds the run manifest written alongside
-    the telemetry export (drivers put seed/scale/parameters there).
+    ``flight`` is the run's :class:`FlightLog` (default:
+    ``open_flight_log(name, sim=sim)``); the driver opens it first when
+    it traces its own phases or seeds the manifest.  Fault injections
+    recorded by the armed plan become span events on it, and
+    ``finalize()`` writes the run directory through it.
     """
-    cfg = RunConfig.from_env()
-    if "." in name:
-        cfg = cfg.named(name)
+    cfg = _run_config(name)
     if metrics_out is None:
         metrics_out = cfg.metrics_out
     if check_invariants is None:
         check_invariants = cfg.check_invariants
     if check_interval is None:
         check_interval = DEFAULT_CHECK_INTERVAL
-    run_dir = cfg.telemetry_out
+    if flight is None:
+        flight = open_flight_log(name, sim=sim)
 
     from repro.faults.plan import FaultPlan
 
@@ -379,31 +349,27 @@ def observe_run(
         # scenario input, observability an optional lens on it.
         fault_plan = FaultPlan.sample_sim(cfg.fault_seed)
         fault_plan.arm_links(sim, (db.bottleneck_fwd, db.bottleneck_rev))
-        if tracer is not None:
+        if flight.tracer is not None:
             # Every injection the plan records becomes a span event,
             # stamped with the tracer's (sim) clock at injection time.
             fault_plan.add_observer(
-                lambda kind, amount: tracer.event(f"fault.{kind}", count=amount)
+                lambda kind, amount: flight.event(f"fault.{kind}", count=amount)
             )
 
-    if not metrics_out and not check_invariants and run_dir is None:
-        obs = RunObservation(sim, name=name, tracer=tracer)
+    if not metrics_out and not check_invariants and flight.run_dir is None:
+        obs = RunObservation(sim, flight)
         obs.fault_plan = fault_plan
         return obs
-
-    if run_dir is not None and not metrics_out:
-        metrics_out = run_dir / "metrics.json"
 
     registry = MetricsRegistry(name)
     if fault_plan is not None:
         fault_plan.attach_metrics(registry)
     sim.attach_metrics(registry)
     checker = InvariantChecker(registry) if check_invariants else None
-    recorder = FlightRecorder(sim) if run_dir is not None else None
+    recorder = FlightRecorder(sim) if flight.run_dir is not None else None
     obs = RunObservation(
-        sim, name=name, registry=registry, checker=checker,
-        metrics_path=metrics_out, recorder=recorder, tracer=tracer,
-        run_dir=run_dir, manifest=manifest,
+        sim, flight, registry=registry, checker=checker,
+        metrics_path=metrics_out, recorder=recorder,
     )
     obs.fault_plan = fault_plan
     obs.db = db

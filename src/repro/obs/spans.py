@@ -23,26 +23,26 @@ Wall-clock fields (``wall_*``) are included for humans reading the raw
 trace but are **never** consumed by the report generator — reports must
 be byte-identical across runs of the same seed.
 
-``maybe_tracer`` is the gated constructor: it returns ``None`` unless
-telemetry is armed (:class:`repro.config.RunConfig`'s ``telemetry_out``),
-so the disabled path allocates nothing.
+Drivers do not build tracers themselves:
+:func:`repro.obs.runtime.open_flight_log` gives them one inside a
+:class:`~repro.obs.runtime.FlightLog` when telemetry is armed, and none
+(so nothing is allocated or recorded) when it is off.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
 
-from repro.config import RunConfig
 from repro.obs.metrics import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Span", "SpanTracer", "maybe_tracer", "span"]
+__all__ = ["Span", "SpanTracer"]
 
 
 class Span:
@@ -200,30 +200,3 @@ class SpanTracer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SpanTracer {self.name}: {len(self.records)} records>"
-
-
-def maybe_tracer(
-    name: str,
-    clock: Optional[Callable[[], float]] = None,
-    sim: Optional["Simulator"] = None,
-) -> Optional[SpanTracer]:
-    """Return a :class:`SpanTracer` when telemetry is armed, else None.
-
-    The None return is the whole disabled fast path: callers guard with
-    ``if tracer is not None`` (or hand None to ``observe_run``, which
-    treats it as "no tracing") and nothing is allocated or recorded.
-    """
-    if RunConfig.from_env().telemetry_out is None:
-        return None
-    return SpanTracer(name, clock=clock, sim=sim)
-
-
-def span(tracer: Optional[SpanTracer], name: str, **attrs):
-    """``tracer.span(...)`` when tracing is on, a null context when off.
-
-    Lets drivers write ``with span(tracer, "setup"):`` unconditionally
-    against the possibly-``None`` result of :func:`maybe_tracer`.
-    """
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, **attrs)

@@ -26,9 +26,10 @@ setup time only (bounded by ``benchmarks/test_perf_micro.py``).
 Telemetry is armed by a run directory — ``REPRO_TELEMETRY_OUT`` (the
 ``repro`` CLI's ``--telemetry-out``), read through
 :class:`repro.config.RunConfig` by :func:`repro.obs.runtime.observe_run`
-— which makes :meth:`repro.obs.runtime.RunObservation.finalize` write the
-flight record there (``manifest.json`` / ``telemetry.json`` /
-``spans.jsonl`` / ``metrics.json``).  Samplers tick every
+— where :meth:`repro.obs.runtime.RunObservation.finalize` has the run's
+:class:`~repro.obs.runtime.FlightLog` write the flight record
+(``manifest.json`` / ``telemetry.json`` / ``spans.jsonl`` /
+``metrics.json``).  Samplers tick every
 :data:`DEFAULT_STRIDE` sim-seconds and keep :data:`DEFAULT_MAX_SAMPLES`
 points per series; code that builds a :class:`FlightRecorder` itself
 may pass others.

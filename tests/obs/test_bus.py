@@ -148,6 +148,11 @@ class TestReadJsonTolerant:
         p.write_text('{"shard_id":1,"done":5}')
         assert read_json_tolerant(p) == ({"shard_id": 1, "done": 5}, 0)
 
+    def test_non_utf8_is_torn(self, tmp_path):
+        p = tmp_path / "hb.json"
+        p.write_bytes(b"\xff\xfe\x00")
+        assert read_json_tolerant(p) == (None, 1)
+
 
 class TestLogMode:
     """The log format is RunLog's ``mode`` argument, nothing else."""

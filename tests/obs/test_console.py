@@ -70,6 +70,18 @@ class TestOnceFixture:
         assert code == 1
         assert "EMPTY" in out
 
+    def test_non_utf8_heartbeat_counts_as_torn(self, tmp_path):
+        d = tmp_path / "state"
+        d.mkdir()
+        (d / "shards.jsonl").write_text(
+            '{"kind":"sharded-campaign","seed":1,"n_sites":2,"n_paths":4,'
+            '"n_shards":2,"duration":10.0,"version":1}\n'
+        )
+        (d / "hb-0.json").write_bytes(b"\xff\xfe\x00")
+        code, out = _once(d)
+        assert code == 0, out
+        assert "· torn 1" in out
+
 
 class TestRender:
     def _snap(self, tmp_path):

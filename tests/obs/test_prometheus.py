@@ -1,14 +1,10 @@
-"""Prometheus text exposition: sanitization, family labels, histograms."""
+"""Prometheus text exposition: name sanitization and the fleet gauges."""
 
 import re
 
 from repro.obs.aggregate import FleetAggregator
-from repro.obs.httpd import snapshot_to_prometheus
-from repro.obs.metrics import (
-    MetricsRegistry,
-    prometheus_label_name,
-    prometheus_metric_name,
-)
+from repro.obs.httpd import fleet_exposition
+from repro.obs.metrics import prometheus_metric_name
 
 _METRIC_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 _LABEL_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
@@ -49,78 +45,6 @@ class TestNameSanitization:
     def test_leading_digit_guarded(self):
         assert prometheus_metric_name("9lives") == "_9lives"
 
-    def test_label_name_no_reserved_prefix(self):
-        assert prometheus_label_name("__name__") == "x__name__"
-        assert prometheus_label_name("rtt-ms") == "rtt_ms"
-
-
-class TestRegistryExposition:
-    def test_family_instances_become_labels(self):
-        r = MetricsRegistry()
-        r.counter("link.bottleneck-fwd.packets_dropped").inc(3)
-        r.counter("link.bottleneck-rev.packets_dropped").inc(1)
-        text = r.to_prometheus()
-        assert_spec_valid(text)
-        assert text.count("# TYPE repro_link_packets_dropped counter") == 1
-        assert 'repro_link_packets_dropped{link="bottleneck-fwd"} 3' in text
-        assert 'repro_link_packets_dropped{link="bottleneck-rev"} 1' in text
-
-    def test_non_family_dotted_name_flattens(self):
-        r = MetricsRegistry()
-        r.counter("sim.events.processed").inc(7)
-        text = r.to_prometheus()
-        assert_spec_valid(text)
-        assert "repro_sim_events_processed 7" in text
-
-    def test_callback_gauge_read_at_export(self):
-        r = MetricsRegistry()
-        r.gauge("flow.tcp-0.cwnd", fn=lambda: 42.5)
-        text = r.to_prometheus()
-        assert 'repro_flow_cwnd{flow="tcp-0"} 42.5' in text
-
-    def test_label_value_escaping(self):
-        r = MetricsRegistry()
-        r.counter('link.we"ird\\one.drops').inc()
-        text = r.to_prometheus()
-        assert 'link="we\\"ird\\\\one"' in text
-
-    def test_histogram_cumulative_buckets(self):
-        r = MetricsRegistry()
-        h = r.histogram("queue.q-0.occupancy", edges=[0.0, 1.0, 2.0, 4.0])
-        for v in (0.5, 1.5, 1.7, 9.0):  # 9.0 overflows past the last edge
-            h.observe(v)
-        text = r.to_prometheus()
-        assert_spec_valid(text)
-        assert "# TYPE repro_queue_occupancy histogram" in text
-        assert 'repro_queue_occupancy_bucket{le="1.0",queue="q-0"} 1' in text
-        assert 'repro_queue_occupancy_bucket{le="2.0",queue="q-0"} 3' in text
-        assert 'repro_queue_occupancy_bucket{le="4.0",queue="q-0"} 3' in text
-        assert 'repro_queue_occupancy_bucket{le="+Inf",queue="q-0"} 4' in text
-        assert 'repro_queue_occupancy_sum{queue="q-0"} 12.7' in text
-        assert 'repro_queue_occupancy_count{queue="q-0"} 4' in text
-
-    def test_cross_kind_sanitization_collision_gets_suffix(self):
-        r = MetricsRegistry()
-        r.counter("odd.name").inc(1)
-        r.gauge("odd-name").set(2.0)
-        text = r.to_prometheus()
-        assert_spec_valid(text)
-        assert "# TYPE repro_odd_name counter" in text
-        assert "# TYPE repro_odd_name_2 gauge" in text
-        assert "repro_odd_name 1" in text
-        assert "repro_odd_name_2 2.0" in text
-
-    def test_warnings_gauge_always_last(self):
-        r = MetricsRegistry()
-        r.warn("loss PDF truncated")
-        text = r.to_prometheus()
-        assert text.endswith("# TYPE repro_warnings gauge\nrepro_warnings 1\n")
-
-    def test_empty_registry_is_still_valid(self):
-        text = MetricsRegistry().to_prometheus()
-        samples = assert_spec_valid(text)
-        assert samples == [("repro_warnings", "", "0")]
-
 
 class TestFleetGauges:
     def test_snapshot_gauges(self, tmp_path):
@@ -132,7 +56,7 @@ class TestFleetGauges:
             '{"i":0,"record":{"status":"done","attempts":1}}\n'
         )
         snap = FleetAggregator(d).poll(now=None)
-        text = snapshot_to_prometheus(snap)
+        text = fleet_exposition(snap)
         assert_spec_valid(text)
         assert "__" not in text.replace("\\_", "")  # no double-underscore names
         assert 'repro_fleet_units{status="done",unit="shard"} 1' in text
@@ -153,6 +77,6 @@ class TestFleetGauges:
             '{"kind":"shard.done","shard":0,"paths":2,"wall":4.0}\n'
         )
         snap = FleetAggregator(d).poll(now=None)
-        text = snapshot_to_prometheus(snap)
+        text = fleet_exposition(snap)
         assert "repro_fleet_paths_per_second 0.5" in text
         assert "repro_fleet_eta_seconds 4.0" in text

@@ -1,9 +1,11 @@
 """Unit tests for the run-report generator (repro.obs.report)."""
 
 import json
+import re
 
 import pytest
 
+from repro.cli import main
 from repro.obs.report import (
     ReportError,
     generate_html_report,
@@ -127,6 +129,36 @@ class TestGenerateReport:
         (d / "spans.jsonl").write_text("not json\n")
         with pytest.raises(ReportError, match="malformed"):
             generate_report(d)
+
+
+#: Damaged run-dir files, each of which ``report`` must name, not raise.
+_NON_UTF8, _ARRAY = b"\xff\xfe\x00", b"[1, 2]"
+_DAMAGE = [
+    pytest.param("manifest.json", _NON_UTF8, id="manifest-non-utf8"),
+    pytest.param("metrics.json", _NON_UTF8, id="metrics-non-utf8"),
+    pytest.param("spans.jsonl", _NON_UTF8 + b"\n", id="spans-non-utf8"),
+    pytest.param("manifest.json", _ARRAY, id="manifest-array"),
+    pytest.param("metrics.json", _ARRAY, id="metrics-array"),
+    pytest.param("telemetry.json", _ARRAY, id="telemetry-array"),
+    pytest.param("spans.jsonl", b'{"kind": "span"}\n' + _ARRAY + b"\n",
+                 id="spans-array-line"),
+]
+
+
+@pytest.mark.parametrize("name, raw", _DAMAGE)
+def test_damaged_file_is_named_not_raised(tmp_path, capsys, name, raw):
+    d = tmp_path / "runs" / "r1"
+    d.mkdir(parents=True)
+    _make_run_dir(d)
+    (d / name).write_bytes(raw)
+    with pytest.raises(ReportError, match=re.escape(f"malformed {d / name}")):
+        generate_report(d)
+    assert main(["report", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"report: malformed {d / name}"), err
+    assert "Traceback" not in err
+    # The cross-run timeline skips and counts what report refuses.
+    assert main(["history", str(tmp_path)]) == 0
 
 
 class TestWriteAndValidate:

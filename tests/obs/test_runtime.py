@@ -5,7 +5,13 @@ import json
 import pytest
 
 from repro.config import RunConfig
-from repro.obs import InvariantViolation, MetricsRegistry, observe_run
+from repro.obs import (
+    InvariantViolation,
+    MetricsRegistry,
+    SpanTracer,
+    observe_run,
+    open_flight_log,
+)
 from repro.sim import DumbbellConfig, Simulator, build_dumbbell
 from repro.tcp import NewRenoSender, TcpSink
 
@@ -209,3 +215,39 @@ class TestEnabledObservation:
         data = obs.finalize(duration=0.2)
         assert "invariants" not in data
         assert "event_loop" in data
+
+
+class TestOpenFlightLog:
+    """``open_flight_log`` is the one constructor of a run's flight record."""
+
+    def test_disabled_log_is_inert(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_TELEMETRY_OUT", raising=False)
+        log = open_flight_log("x", {"seed": 1}, sim=Simulator())
+        assert (log.tracer, log.run_dir) == (None, None)
+        log.event("fault.link_down", count=1)
+        assert log.finalize() is None
+
+    def test_armed_log_carries_a_tracer(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_TELEMETRY_OUT", str(tmp_path / "D"))
+        sim = Simulator()
+        sim.schedule_at(2.5, tick)
+        log = open_flight_log("x", {"seed": 1}, sim=sim)
+        assert isinstance(log.tracer, SpanTracer) and log.tracer.name == "x"
+        with log.span("run"):
+            sim.run(until=3.0)
+        assert log.finalize() == tmp_path / "D"
+        manifest = json.loads((tmp_path / "D" / "manifest.json").read_text())
+        assert (manifest["name"], manifest["seed"]) == ("x", 1)
+        (span,) = [json.loads(line) for line in
+                   (tmp_path / "D" / "spans.jsonl").read_text().splitlines()]
+        assert (span["name"], span["sim_start"], span["sim_end"]) == ("run", 0.0, 3.0)
+
+    def test_span_is_null_safe(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_TELEMETRY_OUT", raising=False)
+        with open_flight_log("x").span("anything"):
+            pass  # null context: no error, nothing recorded
+
+    def test_dotted_name_gets_its_own_run_dir(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_TELEMETRY_OUT", str(tmp_path / "D"))
+        assert open_flight_log("shortflows.churn").run_dir == tmp_path / "D" / "shortflows.churn"
+        assert open_flight_log("fig2").run_dir == tmp_path / "D"

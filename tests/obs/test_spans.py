@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.spans import SpanTracer, maybe_tracer, span
+from repro.obs.spans import SpanTracer
 from repro.sim.engine import Simulator
 
 
@@ -83,23 +83,3 @@ class TestSpanTracer:
         tr = SpanTracer("t")
         path = tr.write_jsonl(tmp_path / "spans.jsonl")
         assert path.read_text() == ""
-
-
-class TestMaybeTracer:
-    def test_disabled_returns_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY_OUT", raising=False)
-        assert maybe_tracer("x") is None
-
-    def test_enabled_returns_tracer(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TELEMETRY_OUT", str(tmp_path))
-        tr = maybe_tracer("x")
-        assert isinstance(tr, SpanTracer)
-        assert tr.name == "x"
-
-    def test_span_helper_null_safe(self):
-        with span(None, "anything"):
-            pass  # null context: no error, nothing recorded
-        tr = SpanTracer("t")
-        with span(tr, "real"):
-            pass
-        assert len(tr) == 1

@@ -166,12 +166,12 @@ class TestTelemetryConfig:
         monkeypatch.delenv("REPRO_TELEMETRY_OUT", raising=False)
         obs = observe_run(Simulator())
         assert obs.recorder is None
-        assert obs.run_dir is None
+        assert obs.flight.run_dir is None
 
     def test_out_dir_arms(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TELEMETRY_OUT", str(tmp_path / "run"))
         obs = observe_run(Simulator())
-        assert obs.run_dir == tmp_path / "run"
+        assert obs.flight.run_dir == tmp_path / "run"
         assert obs.recorder.stride == DEFAULT_STRIDE
         assert obs.recorder.max_samples == DEFAULT_MAX_SAMPLES
 

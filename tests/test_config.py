@@ -170,10 +170,9 @@ def test_imports_only_the_stdlib():
 PACKAGE = Path(repro.config.__file__).resolve().parent
 
 #: Where the package may touch the environment: anywhere in ``config.py``
-#: (the one reader), the CLI's flag round trip, and the top-smoke's copy
-#: of the environment for its subprocess.  Keys are (module, function).
-ENVIRON_USERS = {("config.py", None), ("cli.py", "_flags_in_env"),
-                 ("obs/topsmoke.py", "_spawn_campaign")}
+#: (the one reader) and the CLI's flag round trip.  Keys are (module,
+#: function).
+ENVIRON_USERS = {("config.py", None), ("cli.py", "_flags_in_env")}
 
 #: Spellings that read or write the process environment.
 ENVIRON_NAMES = {"environ", "getenv", "putenv", "unsetenv", "environb", "getenvb"}
@@ -225,9 +224,9 @@ def test_environment_is_touched_only_by_the_knob_plumbing():
 
 # -- the fan-out audit ----------------------------------------------------
 #: Modules that start processes and what each may use: the one process
-#: runner, and the top-smoke's launch of the CLI as a child.
+#: runner, and nothing else (``subprocess`` nowhere).
 PROCESS_STARTERS = {"multiprocessing": "experiments/parallel.py",
-                    "subprocess": "obs/topsmoke.py"}
+                    "subprocess": None}
 
 #: ``os`` functions that start a process.
 OS_PROCESS_CALLS = {"fork", "forkpty", "posix_spawn", "posix_spawnp", "system", "popen"}
@@ -253,9 +252,9 @@ def _process_starts(tree):
 
 
 def test_processes_start_only_in_the_runner():
-    """One process runner: ``concurrent.futures`` nowhere, ``multiprocessing``
-    only in ``repro.experiments.parallel``, no ``os.fork`` at all — a
-    second pool would bring back a second crash and retry contract."""
+    """One process runner: ``concurrent.futures`` and ``subprocess``
+    nowhere, ``multiprocessing`` only in ``repro.experiments.parallel``,
+    no ``os.fork`` at all — a second pool would bring back a second crash and retry contract."""
     stray = []
     for path in _package_sources():
         module = path.relative_to(PACKAGE).as_posix()

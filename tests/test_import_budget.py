@@ -76,6 +76,20 @@ class TestImportSet:
         )
         assert out.splitlines() == ["[]", "200 True", "True"]
 
+    def test_runner_import_loads_no_driver(self, tmp_path):
+        """The process runner and the campaign supervisor load the
+        package's ``__init__`` and ``parallel`` and no driver: the
+        package re-exports its drivers lazily."""
+        out = _python(
+            """
+            import sys
+            import repro.internet.supervisor, repro.experiments.parallel
+            print(sorted(m for m in sys.modules if m.startswith("repro.experiments")))
+            """,
+            cwd=tmp_path,
+        )
+        assert out.splitlines() == ["['repro.experiments', 'repro.experiments.parallel']"]
+
     def test_drivers_run_with_scipy_unimportable(self, tmp_path, fig2_smoke):
         """Every ledger workload's driver completes — fork workers
         included — when importing scipy raises; only reading the KS pair
