@@ -14,7 +14,7 @@ paper-shaped output (the same text the benchmarks print).
 crash-tolerant sharded measurement campaign
 (:mod:`repro.internet.supervisor`): the O(sites²) path matrix is split
 into deterministic shards, executed under a supervising parent
-(heartbeats, retry backoff, poison-shard quarantine), and reduced into
+(hang reaping, retry backoff, poison-shard quarantine), and reduced into
 the Figure 4 distribution.  ``--resume`` picks up a killed campaign from
 its state directory, byte-identical to an uninterrupted run;
 ``--workers N`` fans shards over real worker processes; with
@@ -362,8 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="DIR",
-        help="campaign state directory (shard ledger + fingerprinted "
-        "records + heartbeats); falls back to $REPRO_CHECKPOINT_DIR",
+        help="campaign state directory (shard ledger with the fingerprinted "
+        "results + event bus); falls back to $REPRO_CHECKPOINT_DIR",
     )
     camp.add_argument(
         "--resume",
@@ -383,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="SEC",
-        help="supervisor reaps a worker whose heartbeat progress stalls "
+        help="supervisor reaps a worker whose reported progress stalls "
         "this long (default 30)",
     )
     return p
@@ -412,7 +412,7 @@ def _run_report(target: Optional[str], html: bool) -> int:
 
 def _run_campaign(args) -> int:
     """The ``campaign`` command: a supervised sharded campaign."""
-    from repro.faults import FaultPlan
+    from repro.faults import CheckpointError, FaultPlan
     from repro.internet.probe import ProbeConfig
     from repro.internet.shards import plan_shards
     from repro.internet.supervisor import SupervisorConfig, run_sharded_campaign
@@ -477,6 +477,9 @@ def _run_campaign(args) -> int:
             tracer=log.tracer,
             config=config,
         )
+    except (CheckpointError, ValueError) as exc:  # damaged or foreign state
+        print(f"campaign: {exc}", file=sys.stderr)
+        return 1
     finally:
         if server is not None:
             server.close()

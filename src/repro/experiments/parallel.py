@@ -15,7 +15,9 @@ experiment), a worker death that fails only its own item
 loop, and completion by waiting on pipes and process sentinels rather
 than polling.  :func:`parallel_map` is the figure drivers' interface to
 it; the campaign supervisor (:mod:`repro.internet.supervisor`) adds
-heartbeats, hang verdicts and its ledger through the runner's hooks.
+hang verdicts and its ledger through the runner's hooks, fed by the
+progress its shards send over their workers' pipes
+(:func:`report_progress`).
 
 Worker counts resolve explicitly (``workers=``), then from
 :class:`repro.config.RunConfig`'s ``workers`` (``REPRO_WORKERS``, the
@@ -36,7 +38,10 @@ from typing import Callable, Optional, Sequence
 from repro.config import RunConfig
 from repro.faults.resilient import ON_ERROR_POLICIES, Result, RetryPolicy
 
-__all__ = ["parallel_map", "fan_out", "default_workers", "Result", "WorkerDied"]
+__all__ = [
+    "parallel_map", "fan_out", "report_progress", "default_workers", "Result",
+    "WorkerDied",
+]
 
 
 class WorkerDied(RuntimeError):
@@ -77,9 +82,25 @@ def _attempt(fn, item, attempt: int, pass_attempt: bool) -> tuple:
         return False, exc
 
 
+#: This worker process's end of its pipe to the parent (set by
+#: :func:`_worker_main`); ``None`` in any other process.
+_parent_conn = None
+
+
+def report_progress(value) -> None:
+    """Send ``value`` to the parent as the running item's latest
+    progress: :func:`fan_out` hands it to its ``watch`` hook.  Called
+    from inside ``fn``; a no-op outside a worker process (``workers=0``).
+    """
+    if _parent_conn is not None:
+        _parent_conn.send((None, value))
+
+
 def _worker_main(conn, fn, items, pass_attempt: bool, inherited) -> None:
     """A forked worker: run ``(index, attempt)`` tasks until the parent
     closes its end of the pipe."""
+    global _parent_conn
+    _parent_conn = conn
     # The parent's end of every worker's pipe, this one's included: a
     # copy held here would hide the parent's exit (or another worker's
     # death) from the process at the other end.
@@ -102,12 +123,13 @@ def _worker_main(conn, fn, items, pass_attempt: bool, inherited) -> None:
 
 
 class _Worker:
-    __slots__ = ("process", "conn", "task")
+    __slots__ = ("process", "conn", "task", "progress")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
         self.task: Optional[int] = None  # index of the item it is running
+        self.progress = None  # the task's latest report_progress value
 
 
 def fan_out(
@@ -139,10 +161,12 @@ def fan_out(
     ``finish`` aborts the run (busy workers are killed) and propagates.
 
     ``on_start(index, attempt, pid)`` precedes each hand-off to a worker.
-    ``watch({index: attempt})`` runs whenever the runner wakes with
-    attempts in flight and returns ``(reap, wake_in)``: the indices whose
-    workers to kill, each with the error its attempt fails with, and the
-    longest wait (seconds, or ``None``) before the next call.
+    ``watch({index: (attempt, progress)})`` runs whenever the runner
+    wakes with attempts in flight — ``progress`` is the latest value the
+    attempt sent with :func:`report_progress`, ``None`` before its
+    first — and returns ``(reap, wake_in)``: the indices whose workers to
+    kill, each with the error its attempt fails with, and the longest
+    wait (seconds, or ``None``) before the next call.
     """
     n = len(items)
     attempts = [0] * n
@@ -213,6 +237,7 @@ def fan_out(
                 if on_start is not None:
                     on_start(index, attempts[index], w.process.pid)
                 w.task = index
+                w.progress = None
                 busy[index] = w
                 try:
                     w.conn.send((index, attempts[index]))
@@ -222,7 +247,8 @@ def fan_out(
 
             wake_in = None
             if watch is not None and busy:
-                reap, wake_in = watch({i: attempts[i] for i in busy})
+                reap, wake_in = watch(
+                    {i: (attempts[i], w.progress) for i, w in busy.items()})
                 for index, error in reap.items():
                     w = busy[index]
                     w.process.kill()
@@ -249,7 +275,15 @@ def fan_out(
                         outcome(retire(w), False, _death(w.process.exitcode))
                         continue
                     except Exception as exc:  # noqa: BLE001 - could not unpickle
-                        ok, value = False, exc
+                        # A worker may still be running the item after a
+                        # progress message: whatever it sends next would be
+                        # taken for another item's, so it goes with this one.
+                        w.process.kill()
+                        outcome(retire(w), False, exc)
+                        continue
+                    if ok is None:  # report_progress: the item runs on
+                        w.progress = value
+                        continue
                     index, w.task = w.task, None
                     del busy[index]
                     outcome(index, ok, value)

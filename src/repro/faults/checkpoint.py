@@ -95,8 +95,10 @@ class Checkpoint:
         A truncated final line (the append a crash interrupted) is
         dropped — with a warning — and the file is repaired in place so
         later appends start from a clean tail.  An undecodable *complete*
-        line anywhere raises :class:`CheckpointError`, as does a meta
-        mismatch: those are corruption, not an interrupted write.
+        line anywhere raises :class:`CheckpointError`, as does a line that
+        is not ``{"i": <int>, "record": <object>}`` or a meta mismatch:
+        those are corruption, not an interrupted write.  When an index
+        appears twice, its last record wins.
         """
         if not self.path.exists():
             return {}
@@ -116,11 +118,12 @@ class Checkpoint:
             if pos == 0:
                 self._validate_meta(obj)
                 continue
-            if not isinstance(obj, dict) or "i" not in obj:
+            if (not isinstance(obj, dict) or type(obj.get("i")) is not int
+                    or not isinstance(obj.get("record"), dict)):
                 raise CheckpointError(
                     f"{self.path}: line {pos + 1} is not a checkpoint record"
                 )
-            records[int(obj["i"])] = obj["record"]
+            records[obj["i"]] = obj["record"]
         return records
 
     def _validate_meta(self, on_disk: dict) -> None:

@@ -13,8 +13,9 @@ Beyond the paper's scale, :mod:`repro.internet.shards` partitions the
 O(sites²) path matrix of an arbitrarily large synthetic mesh into
 deterministic shard jobs reduced by a constant-memory streaming
 histogram, and :mod:`repro.internet.supervisor` runs those shards under
-a crash-tolerant supervising parent (heartbeats, retry with backoff,
-poison-shard quarantine, byte-identical resume).
+a crash-tolerant supervising parent (progress heartbeats over the
+workers' pipes, retry with backoff, poison-shard quarantine, one
+fsynced ledger record per shard, byte-identical resume).
 """
 
 from repro.internet.campaign import Campaign, CampaignResult, Experiment

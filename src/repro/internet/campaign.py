@@ -41,7 +41,7 @@ from repro.internet.analytic import injected_since, run_experiment_fast
 from repro.internet.pathmodel import PathLossModel, sample_path_loss_model
 from repro.internet.paths import PathRtt, RttMatrix
 from repro.internet.probe import ProbeConfig, ProbeRun
-from repro.internet.shards import canonical_fingerprint
+from repro.internet.shards import CAMPAIGN_SPAN_SECONDS, canonical_fingerprint
 from repro.internet.sites import SITES
 from repro.sim.rng import RngStreams
 
@@ -264,7 +264,7 @@ class Campaign:
         return _experiment_from_record(_experiment_worker(job), self.matrix)
 
     #: Campaign span: October-December 2006 is ~92 days.
-    CAMPAIGN_SPAN_SECONDS = 92 * 86_400.0
+    CAMPAIGN_SPAN_SECONDS = CAMPAIGN_SPAN_SECONDS
 
     def run(
         self,

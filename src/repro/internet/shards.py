@@ -55,9 +55,8 @@ __all__ = [
     "reduce_shards",
 ]
 
-#: Campaign clock span the experiments are spread over (the paper's
-#: October–December 2006, mirrored from ``Campaign.CAMPAIGN_SPAN_SECONDS``
-#: without importing the legacy campaign module).
+#: Campaign clock span the experiments are spread over: the paper's
+#: October–December 2006, ~92 days (``Campaign`` uses the same clock).
 CAMPAIGN_SPAN_SECONDS = 92 * 86_400.0
 
 

@@ -4,26 +4,26 @@
 function of ``(seed, path range)``; this module runs those shards under a
 supervising parent that treats worker death as a normal input:
 
-* **Heartbeats** — each worker writes a tiny progress file
-  (``hb-<shard>.json``, atomic replace) as it walks its paths.  The
-  parent judges liveness on its *own* monotonic clock: a worker whose
-  progress has not advanced within ``hang_timeout`` is wedged and gets
-  SIGKILLed, whatever its clock claims.  A heartbeat whose wall-clock
-  stamp disagrees with the parent's by more than ``skew_tolerance`` is
-  flagged (``worker.clock_skew`` span event) but never trusted for
-  liveness decisions.
+* **Heartbeats** — each worker reports ``(paths done, wall clock)`` to
+  the parent over its pipe (:func:`~repro.experiments.parallel.report_progress`,
+  at most one message per :data:`PROGRESS_INTERVAL`) as it walks its
+  paths.  The parent judges liveness on its *own* monotonic clock: a
+  worker whose progress has not advanced within ``hang_timeout`` is
+  wedged and gets SIGKILLed, whatever its clock claims.  A heartbeat
+  whose wall-clock stamp disagrees with the parent's by more than
+  ``skew_tolerance`` is flagged (``worker.clock_skew`` span event) but
+  never trusted for liveness decisions.
 * **Retry with backoff** — a dead or reaped worker's shard is
   rescheduled under the :class:`~repro.faults.RetryPolicy` (deterministic
   jitter, so two supervisors back off identically).  Shards that keep
   failing are **quarantined** as poison: the campaign finishes DEGRADED
   with an explicit manifest of the lost path ranges instead of hanging
   forever or dying.
-* **Durable, resumable state** — completed shards land as atomic,
-  fingerprinted JSON records (``shard-<id>.json`` via
-  :func:`~repro.obs.metrics.atomic_write_text`) and are logged in a
-  JSON-lines :class:`~repro.faults.Checkpoint` ledger.  A killed
-  campaign re-run with ``resume=True`` verifies each record against its
-  ledger fingerprint, re-runs anything torn or missing, and produces a
+* **Durable, resumable state** — a completed shard is one fsynced line
+  of the JSON-lines :class:`~repro.faults.Checkpoint` ledger: its fate,
+  its fingerprint and the result record itself.  A killed campaign
+  re-run with ``resume=True`` re-checks each record's spec and
+  fingerprint, re-runs anything torn or mismatched, and produces a
   result **byte-identical** to an uninterrupted run with the same seed.
 
 The fan-out itself — forked workers that outlive shards, crash
@@ -31,8 +31,7 @@ isolation, the retry/backoff loop, waiting on process sentinels — is
 :func:`repro.experiments.parallel.fan_out`, the runner the figure grids
 use too; this module adds only what is shard-specific through its hooks.
 A shard's result travels back over the worker's pipe and the parent
-writes the fingerprinted record, so a dead worker leaves nothing half
-written.
+appends its ledger record, so a dead worker leaves nothing half written.
 
 ``workers=0`` runs shards in-process (serial) through the same retry /
 quarantine / ledger machinery — bit-identical results, no processes —
@@ -43,7 +42,6 @@ is only realized by real worker processes.
 
 from __future__ import annotations
 
-import json
 import signal
 import time
 import warnings
@@ -51,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.experiments.parallel import fan_out
+from repro.experiments.parallel import fan_out, report_progress
 from repro.faults.checkpoint import Checkpoint
 from repro.faults.plan import FaultPlan
 from repro.faults.resilient import Result, RetryPolicy
@@ -65,8 +63,7 @@ from repro.internet.shards import (
     reduce_shards,
     run_shard,
 )
-from repro.obs.bus import open_bus, read_json_tolerant
-from repro.obs.metrics import atomic_write_text
+from repro.obs.bus import open_bus
 
 __all__ = [
     "SupervisorConfig",
@@ -79,20 +76,8 @@ __all__ = [
 #: Ledger file name inside the campaign state directory.
 SHARD_LEDGER = "shards.jsonl"
 
-def _shard_path(state_dir: Path, shard_id: int) -> Path:
-    return state_dir / f"shard-{shard_id:05d}.json"
-
-
-def _heartbeat_path(state_dir: Path, shard_id: int) -> Path:
-    return state_dir / f"hb-{shard_id:05d}.json"
-
-
-def _write_json_fast(path: Path, obj: dict) -> None:
-    """Atomic-replace JSON write without fsync — heartbeats are advisory
-    liveness signals, not durable state, so they skip the fsync cost."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(json.dumps(obj, separators=(",", ":")))
-    tmp.replace(path)
+#: Least time between two heartbeats from one shard worker.
+PROGRESS_INTERVAL = 0.05
 
 
 class WorkerHung(RuntimeError):
@@ -108,16 +93,13 @@ class SupervisorConfig:
     process faults); ``workers>=1`` fans out over that many forked worker
     processes.  ``hang_timeout`` is measured on the parent's monotonic
     clock since the last observed progress *advance* (never from
-    worker-reported timestamps).  ``heartbeat_interval`` is how often a
-    worker rewrites its heartbeat file, and so how often the parent reads
-    them while shards run.  ``skew_tolerance`` bounds how far a
+    worker-reported timestamps).  ``skew_tolerance`` bounds how far a
     heartbeat's wall clock may drift from the parent's before the worker
     is flagged as clock-skewed.
     """
 
     workers: int = 2
     hang_timeout: float = 30.0
-    heartbeat_interval: float = 0.05
     skew_tolerance: float = 300.0
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(retries=2, base=0.02, max_delay=0.5)
@@ -128,8 +110,8 @@ class SupervisorConfig:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.hang_timeout <= 0:
             raise ValueError("hang_timeout must be positive")
-        if self.heartbeat_interval < 0 or self.skew_tolerance <= 0:
-            raise ValueError("heartbeat_interval/skew_tolerance out of range")
+        if self.skew_tolerance <= 0:
+            raise ValueError("skew_tolerance must be positive")
 
 
 @dataclass
@@ -248,8 +230,8 @@ class CampaignSupervisor:
     """Runs a sharded campaign to completion through kills and stalls.
 
     The supervisor owns a state directory: the shard ledger
-    (``shards.jsonl``), one fingerprinted result file per completed
-    shard, and transient heartbeat files.  ``run(resume=True)`` picks up
+    (``shards.jsonl``, one record per shard fate, a done shard's result
+    inline) and the event bus (``events.jsonl``).  ``run(resume=True)`` picks up
     any prior state in that directory; ``resume=False`` demands a fresh
     directory (mixing two campaigns' state is an error, not a merge).
     """
@@ -277,7 +259,6 @@ class CampaignSupervisor:
         self.fault_plan = fault_plan
         self.tracer = tracer
         self.bus = None  # opened per run(); lazy, so no files until an emit
-        self.torn_heartbeats = 0
 
     # -- tracing ---------------------------------------------------------
     def _event(self, name: str, **attrs) -> None:
@@ -302,20 +283,16 @@ class CampaignSupervisor:
             },
         )
 
-    def _load_shard_file(self, spec: ShardSpec, want_fp: str) -> Optional[ShardResult]:
-        """Re-read a completed shard's record, verifying identity and
-        fingerprint; any tear/mismatch means "re-run it", never "trust it"."""
-        path = _shard_path(self.state_dir, spec.shard_id)
+    @staticmethod
+    def _resumed_result(spec: ShardSpec, rec: dict) -> Optional[ShardResult]:
+        """A done ledger record's inline result, checked against the spec
+        and the record's fingerprint; ``None`` — re-run it, never trust
+        it — on any tear or mismatch."""
         try:
-            record = json.loads(path.read_text())
-            stored_fp = record.pop("fingerprint", None)
-            result = ShardResult.from_record(record)
-        except (OSError, ValueError, KeyError, TypeError):
+            result = ShardResult.from_record(rec["result"])
+        except (KeyError, TypeError, ValueError, ArithmeticError):
             return None
-        if result.spec != spec:
-            return None
-        fp = result.fingerprint()
-        if fp != want_fp or (stored_fp is not None and stored_fp != fp):
+        if result.spec != spec or result.fingerprint() != rec.get("fingerprint"):
             return None
         return result
 
@@ -323,10 +300,10 @@ class CampaignSupervisor:
     def run(self, resume: bool = False) -> ShardedCampaignResult:
         """Drive every shard to done-or-quarantined and reduce.
 
-        With ``resume=True``, shards whose ledger entry and result file
-        agree are loaded instead of re-run (quarantine decisions are
-        durable too); anything torn or missing is re-executed — the
-        reduced output is byte-identical either way.
+        With ``resume=True``, shards whose done record checks out are
+        loaded from the ledger instead of re-run (quarantine decisions
+        are durable too); anything torn or mismatched is re-executed —
+        the reduced output is byte-identical either way.
         """
         ledger_path = self.state_dir / SHARD_LEDGER
         if not resume and ledger_path.exists():
@@ -349,14 +326,15 @@ class CampaignSupervisor:
         for spec in self.specs:
             rec = prior.get(spec.shard_id)
             if rec and rec.get("status") == "done":
-                loaded = self._load_shard_file(spec, rec.get("fingerprint", ""))
+                loaded = self._resumed_result(spec, rec)
                 if loaded is not None:
                     results[spec.shard_id] = loaded
-                    fates[spec.shard_id] = dict(rec)
+                    fates[spec.shard_id] = {
+                        k: v for k, v in rec.items() if k != "result"}
                     resumed += 1
                     continue
                 warnings.warn(
-                    f"shard {spec.shard_id}: result file torn or mismatched "
+                    f"shard {spec.shard_id}: ledger result torn or mismatched "
                     f"on resume; re-running",
                     stacklevel=2,
                 )
@@ -415,7 +393,6 @@ class CampaignSupervisor:
             shards_done=len(results),
             shards_quarantined=len(quarantined),
             lost_paths=result.lost_paths(),
-            torn_heartbeats=self.torn_heartbeats,
         )
         if self.bus is not None:
             self.bus.close()
@@ -434,12 +411,6 @@ class CampaignSupervisor:
 
         def on_start(index: int, attempt: int, pid: int) -> None:
             spec = pending[index]
-            # A stale heartbeat from an earlier attempt or an earlier
-            # campaign in this directory must not feed this one's liveness.
-            try:
-                _heartbeat_path(self.state_dir, spec.shard_id).unlink()
-            except OSError:
-                pass
             live[index] = _Liveness(attempt)
             self._event("worker.spawn", shard=spec.shard_id, attempt=attempt,
                         pid=pid)
@@ -470,13 +441,14 @@ class CampaignSupervisor:
             )
 
         def watch(running: dict) -> tuple:
-            # Read heartbeats as often as workers write them, and wake by
-            # the earliest hang deadline at the latest.
+            # Heartbeats wake the runner; wake by the earliest hang
+            # deadline at the latest.
             timeout = self.config.hang_timeout
-            reap, wake_in = {}, self.config.heartbeat_interval or timeout
-            for index, attempt in running.items():
+            reap, wake_in = {}, timeout
+            for index, (attempt, progress) in running.items():
                 state = live[index]
-                self._read_progress(pending[index], state)
+                if progress is not None:
+                    self._note_progress(pending[index], state, *progress)
                 stalled_for = time.monotonic() - state.last_advance
                 wake_in = min(wake_in, timeout - stalled_for)
                 if stalled_for > timeout:
@@ -501,34 +473,29 @@ class CampaignSupervisor:
     def _run_attempt(self, spec: ShardSpec, attempt: int) -> ShardResult:
         """One shard attempt.
 
-        In a worker process it heartbeats progress to ``hb-<id>.json``
-        (throttled to ``heartbeat_interval``) and runs with process-level
-        faults armed; a SIGKILL (real or injected) returns nothing, which
-        is exactly the point — the parent must cope.  In-process
-        (``workers=0``) it does neither: a self-SIGKILL would take the
-        campaign down.
+        In a worker process it heartbeats ``(done, wall)`` to the parent
+        (at most one message per :data:`PROGRESS_INTERVAL`) and runs with
+        process-level faults armed; a SIGKILL (real or injected) returns
+        nothing, which is exactly the point — the parent must cope.
+        In-process (``workers=0``) it does neither: a self-SIGKILL would
+        take the campaign down.
         """
         if not self.config.workers:
             return run_shard(spec, probe_config=self.probe_config,
                              fault_plan=self.fault_plan, attempt=attempt)
-        hb_path = _heartbeat_path(self.state_dir, spec.shard_id)
         skew = self.fault_plan.skew if self.fault_plan is not None else None
-        interval = self.config.heartbeat_interval
-        last_write = [float("-inf")]
+        last_sent = float("-inf")
 
         def heartbeat(done: int) -> None:
+            nonlocal last_sent
             now = time.monotonic()
-            if done > 0 and now - last_write[0] < interval:
+            if done > 0 and now - last_sent < PROGRESS_INTERVAL:
                 return
-            last_write[0] = now
+            last_sent = now
             wall = time.time()
             if skew is not None:
                 wall += skew.offset  # a skewed worker stamps a skewed clock
-            _write_json_fast(
-                hb_path,
-                {"shard_id": spec.shard_id, "done": done, "attempt": attempt,
-                 "wall": wall},
-            )
+            report_progress((done, wall))
 
         heartbeat(0)
         return run_shard(
@@ -536,26 +503,21 @@ class CampaignSupervisor:
             heartbeat=heartbeat, attempt=attempt, allow_process_faults=True,
         )
 
-    def _read_progress(self, spec: ShardSpec, state: _Liveness) -> None:
-        """Fold the latest heartbeat into parent-side liveness state."""
-        # Heartbeat writes are atomic-replace but unfsynced: a tear is an
-        # expected input, so it is skipped and *counted*, never raised.
-        hb, torn = read_json_tolerant(_heartbeat_path(self.state_dir, spec.shard_id))
-        self.torn_heartbeats += torn
-        if hb is None or int(hb.get("attempt", -1)) != state.attempt:
-            return
-        done = int(hb.get("done", -1))
+    def _note_progress(self, spec: ShardSpec, state: _Liveness, done: int,
+                       wall: float) -> None:
+        """Fold the attempt's latest heartbeat into parent-side liveness
+        state."""
         if done > state.last_done:
             state.last_done = done
             state.last_advance = time.monotonic()
-            # Progress is bus-only (throttled by the heartbeat interval):
-            # span traces record decisions, the bus records liveness too.
+            # Progress is bus-only (throttled by PROGRESS_INTERVAL): span
+            # traces record decisions, the bus records liveness too.
             if self.bus is not None:
                 self.bus.emit(
                     "shard.progress", shard=spec.shard_id,
                     done=done, attempt=state.attempt,
                 )
-        skew = abs(float(hb.get("wall", 0.0)) - time.time())
+        skew = abs(wall - time.time())
         if skew > self.config.skew_tolerance and not state.skew_flagged:
             state.skew_flagged = True
             self._event(
@@ -572,16 +534,9 @@ class CampaignSupervisor:
         self, spec: ShardSpec, result: ShardResult, attempt: int,
         ledger: Checkpoint, results: dict, fates: dict,
     ) -> None:
-        fp = result.fingerprint()
-        fate = {"status": "done", "attempts": attempt, "fingerprint": fp}
-        # Persist the fingerprinted record before the ledger references it.
-        record = result.to_record()
-        record["fingerprint"] = fp
-        atomic_write_text(
-            _shard_path(self.state_dir, spec.shard_id),
-            json.dumps(record, sort_keys=True),
-        )
-        ledger.append(spec.shard_id, fate)
+        fate = {"status": "done", "attempts": attempt,
+                "fingerprint": result.fingerprint()}
+        ledger.append(spec.shard_id, {**fate, "result": result.to_record()})
         results[spec.shard_id] = result
         fates[spec.shard_id] = fate
         self._event(

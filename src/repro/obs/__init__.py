@@ -40,10 +40,10 @@ counters the simulator already keeps into an active regression fence:
     feed per campaign/zoo state directory, with torn-tail-tolerant
     tailing and structured ``--log-json`` logging (:mod:`repro.obs.bus`).
     ``read_json_tolerant`` is the one whole-file JSON read: every obs
-    reader (heartbeats, ``report``, ``history``) goes through it.
+    reader of a whole file (``report``, ``history``) goes through it.
 ``FleetAggregator`` / ``FleetSnapshot``
-    Streaming aggregation of a state directory (ledger + heartbeats +
-    bus) into a live fleet snapshot — what ``python -m repro top``
+    Streaming aggregation of a state directory (ledger + bus) into a
+    live fleet snapshot — what ``python -m repro top``
     renders and ``/snapshot.json`` serves (:mod:`repro.obs.aggregate`).
 ``ObsServer`` / ``fleet_exposition``
     Opt-in ``/metrics`` endpoint over stdlib HTTP during fleet runs —

@@ -1,21 +1,19 @@
 """Streaming fleet aggregation: state-dir files -> one live snapshot.
 
-A running campaign's observable state is spread across three kinds of
-files in its state directory, each with a different durability contract:
+A running campaign's observable state lives in two files in its state
+directory, each with its own durability contract:
 
 * ``shards.jsonl`` / ``zoo.jsonl`` — the fsynced ledger of unit fates
   (the only durable truth);
-* ``hb-<id>.json`` — per-worker heartbeats, atomic-replace but
-  unfsynced (advisory progress);
 * ``events.jsonl`` — the append-only bus feed
-  (:mod:`repro.obs.bus`): spawns, retries, fates, hangs, span events,
-  structured log records, all wall-stamped.
+  (:mod:`repro.obs.bus`): spawns, progress, retries, fates, hangs, span
+  events, structured log records, all wall-stamped.
 
-:class:`FleetAggregator` tails all of them *incrementally*: JSONL feeds
-via byte-offset cursors (O(new bytes) per poll, torn tails left pending,
-damaged complete lines skipped and counted — never raised), heartbeats
-via whole-file tolerant reads.  Each :meth:`FleetAggregator.poll` folds
-whatever is new into the running model and returns a
+:class:`FleetAggregator` tails both *incrementally* via byte-offset
+cursors (O(new bytes) per poll, torn tails left pending; damaged
+complete lines, and records whose ids or counts are not integers, are
+skipped and counted — never raised).  Each :meth:`FleetAggregator.poll`
+folds whatever is new into the running model and returns a
 :class:`FleetSnapshot`: per-unit health (pending / running / done /
 quarantined / failed, progress, attempts, event timeline), fleet counts,
 paths/s throughput, ETA, retry totals, and the ``torn_records`` damage
@@ -30,21 +28,17 @@ byte-identically in tests.  Live callers pass ``now=time.time()``.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.obs.bus import BUS_FILE, TailState, read_json_tolerant, tail_jsonl
+from repro.obs.bus import BUS_FILE, TailState, tail_jsonl
 
 __all__ = ["UnitHealth", "FleetSnapshot", "FleetAggregator"]
 
 #: Ledger files recognized in a state directory, with the unit noun the
 #: snapshot reports for each.
 _LEDGERS = (("shards.jsonl", "shard"), ("zoo.jsonl", "cell"))
-
-_HB_RE = re.compile(r"hb-(\d+)\.json\Z")
 
 #: Bus kinds that advance a unit's status timeline.
 _STATUS_KINDS = {
@@ -151,6 +145,12 @@ class FleetSnapshot:
         }
 
 
+def _ints(rec: dict, *keys: str) -> bool:
+    """Every one of ``keys`` that ``rec`` holds is an integer: the ids and
+    counts the folds read.  Anything else there is damage."""
+    return all(type(rec[k]) is int for k in keys if k in rec)
+
+
 def _unit_totals(n_paths: int, n_units: int) -> list[int]:
     """Contiguous balanced split — the ``plan_shards`` arithmetic."""
     q, r = divmod(int(n_paths), max(1, int(n_units)))
@@ -161,10 +161,9 @@ class FleetAggregator:
     """Incremental tailer of one state directory.
 
     Keep one instance per directory and call :meth:`poll` repeatedly —
-    each call reads only bytes appended (and heartbeat files replaced)
-    since the previous call.  A fresh instance replays the whole
-    directory on its first poll, which is how ``--once`` snapshots and
-    finished campaigns are read.
+    each call reads only bytes appended since the previous call.  A
+    fresh instance replays the whole directory on its first poll, which
+    is how ``--once`` snapshots and finished campaigns are read.
     """
 
     def __init__(self, state_dir: Union[str, Path]):
@@ -177,7 +176,6 @@ class FleetAggregator:
         self._units: dict[int, UnitHealth] = {}
         self._bus_counts: dict[str, int] = {}
         self._retries = 0
-        self._hb_torn = 0
         self._started_wall: Optional[float] = None
         self._last_wall: Optional[float] = None
         #: (wall, paths) per completed-unit bus event, for throughput.
@@ -225,23 +223,23 @@ class FleetAggregator:
         )
         for rec in records:
             if first and not self._meta and "i" not in rec:
+                if not _ints(rec, "n_paths", "n_shards", "n"):
+                    self._ledger_tail.torn += 1
+                    continue
                 self._meta = dict(rec)
                 self._seed_units()
                 continue
-            if "i" not in rec:
+            payload = rec.get("record")
+            if not ("i" in rec and _ints(rec, "i") and isinstance(payload, dict)
+                    and _ints(payload, "attempts")):
                 self._ledger_tail.torn += 1  # not meta, not a record
                 continue
-            unit = self._unit(int(rec["i"]))
-            payload = rec.get("record")
-            if not isinstance(payload, dict):
-                self._ledger_tail.torn += 1
-                continue
+            unit = self._unit(rec["i"])
             if self._unit_name == "shard":
                 status = str(payload.get("status", "done"))
                 unit.status = status if status in (
                     "done", "quarantined") else "failed"
-                unit.attempts = max(unit.attempts,
-                                    int(payload.get("attempts", 1)))
+                unit.attempts = max(unit.attempts, payload.get("attempts", 1))
                 unit.error = str(payload.get("error", "")) or unit.error
             else:  # zoo cells checkpoint the full cell record on success
                 unit.status = "done"
@@ -257,6 +255,9 @@ class FleetAggregator:
             self.state_dir / BUS_FILE, self._bus_tail
         )
         for rec in records:
+            if not _ints(rec, "shard", "i", "paths", "attempt", "done"):
+                self._bus_tail.torn += 1
+                continue
             kind = str(rec.get("kind", "?"))
             self._bus_counts[kind] = self._bus_counts.get(kind, 0) + 1
             wall = rec.get("wall")
@@ -271,7 +272,7 @@ class FleetAggregator:
             unit_id = rec.get("shard", rec.get("i"))
             if unit_id is None:
                 continue
-            unit = self._unit(int(unit_id))
+            unit = self._unit(unit_id)
             if wall is not None:
                 unit.last_wall = wall
             status = _STATUS_KINDS.get(kind)
@@ -288,7 +289,7 @@ class FleetAggregator:
                     unit.done = unit.total if unit.total else unit.done
                     if wall is not None:
                         self._completions.append(
-                            (wall, int(rec.get("paths", unit.total or 1)))
+                            (wall, rec.get("paths", unit.total or 1))
                         )
                 elif status == "quarantined":
                     unit.status = "quarantined"
@@ -296,39 +297,13 @@ class FleetAggregator:
                 elif status == "failed":
                     unit.status = "failed"
                     unit.error = str(rec.get("error", "")) or unit.error
-            if kind in ("worker.spawn", "shard.retry"):
-                unit.attempts = max(unit.attempts, int(rec.get("attempt", 1)))
-            if kind == "shard.progress":
-                done = int(rec.get("done", 0))
-                if unit.status in ("pending", "running"):
-                    unit.status = "running"
-                    unit.done = max(unit.done, done)
+            if kind in ("worker.spawn", "shard.retry", "shard.progress"):
+                unit.attempts = max(unit.attempts, rec.get("attempt", 1))
+            if kind == "shard.progress" and unit.status in ("pending", "running"):
+                unit.status = "running"
+                unit.done = max(unit.done, rec.get("done", 0))
             if kind == "cell.done":
                 unit.label = str(rec.get("cell", "")) or unit.label
-
-    def _fold_heartbeats(self) -> None:
-        try:
-            names = sorted(p.name for p in self.state_dir.iterdir())
-        except OSError:
-            return
-        for name in names:
-            m = _HB_RE.match(name)
-            if m is None:
-                continue
-            hb, torn = read_json_tolerant(self.state_dir / name)
-            self._hb_torn += torn
-            if hb is None:
-                continue
-            unit = self._unit(int(hb.get("shard_id", int(m.group(1)))))
-            if unit.status in ("pending", "running"):
-                unit.status = "running"
-                unit.done = max(unit.done, int(hb.get("done", 0)))
-                unit.attempts = max(unit.attempts, int(hb.get("attempt", 1)))
-            wall = hb.get("wall")
-            if isinstance(wall, (int, float)):
-                unit.last_wall = float(wall)
-                if self._last_wall is None or wall > self._last_wall:
-                    self._last_wall = float(wall)
 
     # -- the poll --------------------------------------------------------
     def poll(self, now: Optional[float] = None) -> FleetSnapshot:
@@ -340,7 +315,6 @@ class FleetAggregator:
         """
         self._fold_ledger()
         self._fold_bus()
-        self._fold_heartbeats()
 
         kind = {"sharded-campaign": "campaign", "zoo": "zoo"}.get(
             str(self._meta.get("kind")), "unknown"
@@ -377,9 +351,7 @@ class FleetAggregator:
             paths_total=paths_total,
             paths_done=paths_done,
             retries=self._retries,
-            torn_records=(
-                self._ledger_tail.torn + self._bus_tail.torn + self._hb_torn
-            ),
+            torn_records=self._ledger_tail.torn + self._bus_tail.torn,
             bus_events=dict(self._bus_counts),
             started_wall=self._started_wall,
             now=now,

@@ -1,9 +1,9 @@
 """Unified fleet event bus: one ordered JSON-lines feed per state-dir.
 
 A long-running campaign already scatters its observable state across a
-shard ledger, heartbeat files, span JSON-lines, and ad-hoc stderr
-prints.  The bus merges the *event-shaped* part of that into a single
-append-only ``events.jsonl`` inside the state directory:
+shard ledger, span JSON-lines, and ad-hoc stderr prints.  The bus merges
+the *event-shaped* part of that — worker progress included — into a
+single append-only ``events.jsonl`` inside the state directory:
 
 * **Schema-versioned records** — every record carries ``v`` (the bus
   schema version), ``kind`` (dotted event name: ``shard.done``,
@@ -196,9 +196,9 @@ def parse_record(raw: bytes) -> Optional[dict]:
 def read_json_tolerant(path: Union[str, Path]) -> tuple[Optional[dict], int]:
     """One whole-file JSON read that treats damage as data.
 
-    Heartbeat files are atomic-replace but deliberately unfsynced, so a
-    crash (or a reader racing the replace on a non-atomic filesystem)
-    can expose a missing or partial file.  Returns ``(record, torn)``:
+    Run-directory files (``repro report``'s, ``repro history``'s) can
+    be missing, partial after a crash, or damaged by hand.  Returns
+    ``(record, torn)``:
     ``(None, 0)`` when the file simply does not exist, ``(None, 1)``
     when it exists but cannot be read or is not a UTF-8 JSON object
     (:func:`parse_record`).

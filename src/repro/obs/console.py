@@ -207,7 +207,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Live console over a campaign/zoo state directory.",
     )
     p.add_argument("state_dir", help="campaign/zoo state directory "
-                   "(shards.jsonl / zoo.jsonl + heartbeats + events.jsonl)")
+                   "(shards.jsonl / zoo.jsonl + events.jsonl)")
     p.add_argument("--once", action="store_true",
                    help="print one deterministic snapshot and exit "
                    "(no ANSI, byte-stable for identical directory bytes)")

@@ -370,12 +370,21 @@ def generate_report(run_dir: Union[str, Path]) -> str:
 
     name = manifest.get("name", d.name)
     out: list[str] = [f"# Flight report: {name}", ""]
-    _render_manifest(manifest, out)
-    _render_telemetry(telemetry, out)
-    _render_raster(telemetry, out)
-    _render_flows(telemetry, out)
-    _render_metrics(metrics, out)
-    _render_spans(spans, out)
+    for render, data, path in (
+        (_render_manifest, manifest, "manifest.json"),
+        (_render_telemetry, telemetry, "telemetry.json"),
+        (_render_raster, telemetry, "telemetry.json"),
+        (_render_flows, telemetry, "telemetry.json"),
+        (_render_metrics, metrics, "metrics.json"),
+        (_render_spans, spans, "spans.jsonl"),
+    ):
+        try:
+            render(data, out)
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as exc:  # wrong-schema content in a JSON object
+            raise ReportError(
+                f"malformed {d / path}: {type(exc).__name__}: {exc}"
+            ) from None
     return "\n".join(out).rstrip("\n") + "\n"
 
 

@@ -13,6 +13,7 @@ from repro.experiments.parallel import (
     default_workers,
     fan_out,
     parallel_map,
+    report_progress,
 )
 from repro.faults import RetryPolicy
 
@@ -72,6 +73,26 @@ class NeedsTwoArgs(Exception):
 
 def raise_needs_two(x):
     raise NeedsTwoArgs(x, "lost")
+
+
+def report_three_steps(x):
+    for step in range(3):
+        report_progress((x, step))
+    return x
+
+
+def report_then_die_on_one(x):
+    if x == 1:
+        report_progress("last words")
+        os._exit(1)
+    return x
+
+
+def unreadable_progress_on_zero(x):
+    if x == 0:
+        report_progress(NeedsTwoArgs(x, "lost"))
+        time.sleep(0.2)
+    return x * 10
 
 
 def die_first_attempt_on_thirds(x, attempt):
@@ -327,6 +348,41 @@ class TestFanOut:
         assert [r.ok for r in got] == [True, False, True]
         assert got[1].error_text == "TimeoutError: stuck"
         assert [got[0].value, got[2].value] == [0, 2]
+
+    def test_progress_reaches_watch_in_order(self):
+        seen = {}
+
+        def watch(running):
+            for i, (attempt, progress) in running.items():
+                got = seen.setdefault(i, [])
+                if progress is not None and (not got or got[-1] != progress):
+                    got.append(progress)
+            return {}, None
+
+        got = run_fan_out(report_three_steps, [0, 1, 2], 2, watch=watch)
+        assert [r.value for r in got] == [0, 1, 2]
+        assert seen == {i: [(i, 0), (i, 1), (i, 2)] for i in range(3)}
+        # In-process there is no parent to report to: a no-op.
+        assert [r.value for r in run_fan_out(report_three_steps, [5], 0)] == [5]
+
+    def test_death_right_after_progress_is_worker_died(self):
+        seen = []
+
+        def watch(running):
+            seen.extend(p for _, p in running.values() if p is not None)
+            return {}, None
+
+        got = run_fan_out(report_then_die_on_one, [0, 1, 2], 2, watch=watch)
+        assert [r.ok for r in got] == [True, False, True]
+        assert isinstance(got[1].error, WorkerDied)
+        assert got[1].error.exitcode == 1
+        assert "last words" in seen
+
+    def test_unreadable_progress_fails_only_its_item(self):
+        got = run_fan_out(unreadable_progress_on_zero, [0, 1, 2, 3], 1,
+                          watch=lambda running: ({}, None))
+        assert isinstance(got[0].error, TypeError)
+        assert [r.value for r in got[1:]] == [10, 20, 30]
 
     def test_unsendable_value_fails_only_its_item(self):
         got = run_fan_out(lambda x: (lambda: x) if x == 1 else x, [0, 1, 2], 2)

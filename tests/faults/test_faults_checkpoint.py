@@ -120,6 +120,30 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointError, match="not a checkpoint record"):
             Checkpoint(path, meta={"kind": "t", "seed": 1}).load()
 
+    @pytest.mark.parametrize("line", [
+        {"i": "abc", "record": {}},
+        {"i": [1], "record": {}},
+        {"i": True, "record": {}},
+        {"i": 1, "record": 5},
+        {"i": 1},
+    ])
+    def test_wrong_schema_line_is_named(self, tmp_path, line):
+        path = self._write(tmp_path)
+        with path.open("a") as fh:
+            fh.write(json.dumps(line) + "\n")
+        with pytest.raises(CheckpointError,
+                           match="line 5 is not a checkpoint record"):
+            Checkpoint(path, meta={"kind": "t", "seed": 1}).load()
+
+    def test_duplicated_index_last_record_wins(self, tmp_path):
+        path = self._write(tmp_path)
+        with path.open("a") as fh:
+            fh.write(json.dumps({"i": 1, "record": {"i": 1, "again": True}})
+                     + "\n")
+        loaded = Checkpoint(path, meta={"kind": "t", "seed": 1}).load()
+        assert loaded[1] == {"i": 1, "again": True}
+        assert loaded.keys() == {0, 1, 2}
+
 
 class TestEnvPath:
     """``REPRO_CHECKPOINT_DIR`` as drivers read it: a directory each

@@ -92,7 +92,7 @@ class TestSupervisorKilledFromOutside:
         )
         # Wait until some shards are durably in the ledger but the campaign
         # cannot be finished, then SIGKILL the supervisor — no cleanup
-        # handlers run.  Loose shard files would race the ledger append.
+        # handlers run.
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline and proc.poll() is None:
             if ledger_done(state) >= 2:
@@ -104,9 +104,8 @@ class TestSupervisorKilledFromOutside:
             proc.wait(timeout=30)
             assert proc.returncode == -signal.SIGKILL
         done_at_kill = ledger_done(state)
-        # Orphaned fork workers may still land their shard files while we
-        # resume; that is safe by design — shard records are atomic and
-        # byte-identical no matter who writes them.
+        # Orphaned fork workers write nothing: a shard's result reaches the
+        # state directory only through the parent's ledger append.
         resumed = campaign(state, "--resume")
         assert killed, "campaign finished before the kill landed"
         assert 1 <= done_at_kill <= 15, (
@@ -131,10 +130,10 @@ class TestSupervisorKilledFromOutside:
                 cwd=REPO,
                 env=cli_env(),
             )
-            want = len(list(state.glob("shard-*.json"))) + 1
+            want = ledger_done(state) + 1
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline and proc.poll() is None:
-                if len(list(state.glob("shard-*.json"))) >= want:
+                if ledger_done(state) >= want:
                     break
                 time.sleep(0.01)
             if proc.poll() is None:
@@ -169,7 +168,7 @@ class TestInjectedWorkerChaos:
         )
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline and proc.poll() is None:
-            if len(list(state.glob("shard-*.json"))) >= 3:
+            if ledger_done(state) >= 3:
                 break
             time.sleep(0.01)
         if proc.poll() is None:

@@ -3,17 +3,17 @@
 Covers the supervision contract: serial and process execution produce
 identical bits, SIGKILLed and hung workers are detected and retried,
 poison shards are quarantined into an explicit DEGRADED manifest, and a
-killed campaign resumes byte-identical from its atomic shard records.
+killed campaign resumes byte-identical from the results in its ledger.
 Worker-level faults here are *injected* (deterministic FaultPlan legs);
 `test_chaos.py` kills real processes from outside.
 """
 
 import json
-import warnings
-from pathlib import Path
+import os
 
 import pytest
 
+from repro.cli import main
 from repro.faults import FaultPlan, RetryPolicy
 from repro.internet import (
     CampaignSupervisor,
@@ -21,7 +21,7 @@ from repro.internet import (
     SupervisorConfig,
     run_sharded_campaign,
 )
-from repro.internet.supervisor import SHARD_LEDGER, _shard_path
+from repro.internet.supervisor import SHARD_LEDGER
 from repro.obs.spans import SpanTracer
 
 # Small but non-trivial: 8 sites, 32 of the 56 directed paths, 4 shards.
@@ -54,6 +54,18 @@ def events(tracer, name):
             if r.get("event") == name or r.get("name") == name]
 
 
+def edit_ledger_record(state_dir, shard_id, edit):
+    """Rewrite shard ``shard_id``'s ledger line through ``edit(line)``."""
+    ledger = state_dir / SHARD_LEDGER
+    lines = ledger.read_text().splitlines(keepends=True)
+    for pos, line in enumerate(lines[1:], start=1):
+        obj = json.loads(line)
+        if obj["i"] == shard_id:
+            edit(obj)
+            lines[pos] = json.dumps(obj, separators=(",", ":")) + "\n"
+    ledger.write_text("".join(lines))
+
+
 class TestExecutionModes:
     def test_serial_equals_processes(self, tmp_path):
         serial = run_campaign(tmp_path, "serial", workers=0)
@@ -62,6 +74,19 @@ class TestExecutionModes:
         assert serial.fingerprint() == procs.fingerprint()
         assert serial.n_experiments == PATHS
         assert serial.meta["workers"] == 0 and procs.meta["workers"] == 3
+
+    def test_state_dir_holds_only_ledger_and_bus(self, tmp_path):
+        res = run_sharded_campaign(8, 4, tmp_path / "d", 2006, workers=2,
+                                   probe_config=ProbeConfig(duration=30))
+        assert res.status == "COMPLETE"
+        assert sorted(os.listdir(tmp_path / "d")) == ["events.jsonl",
+                                                     "shards.jsonl"]
+        # Every done shard's record carries its result, one line each.
+        lines = (tmp_path / "d" / SHARD_LEDGER).read_text().splitlines()
+        records = [json.loads(ln)["record"] for ln in lines[1:]]
+        assert len(records) == 4
+        assert all(r["status"] == "done" and "result" in r for r in records)
+        assert all("result" not in f for f in res.fates.values())
 
     def test_every_shard_has_a_fate(self, tmp_path):
         res = run_campaign(tmp_path, "fates", workers=2)
@@ -162,8 +187,6 @@ class TestResume:
         ledger = tmp_path / "part" / SHARD_LEDGER
         lines = ledger.read_text().splitlines(keepends=True)
         ledger.write_text("".join(lines[:3]))
-        for sid in (2, 3):
-            _shard_path(tmp_path / "part", sid).unlink()
 
         res = run_campaign(tmp_path, "part", workers=2, resume=True)
         assert res.meta["resumed"] == 2
@@ -175,31 +198,65 @@ class TestResume:
         raw = ledger.read_bytes()
         # Kill mid-append: the last record loses its newline and tail.
         ledger.write_bytes(raw[:-9])
-        last_sid = SHARDS - 1
-        _shard_path(tmp_path / "torn", last_sid).unlink()
 
         with pytest.warns(UserWarning, match="partial record"):
             res = run_campaign(tmp_path, "torn", workers=0, resume=True)
         assert res.meta["resumed"] == SHARDS - 1
         assert res.fingerprint() == full.fingerprint()
 
-    def test_missing_shard_file_is_rerun_not_trusted(self, tmp_path):
+    def test_done_record_without_result_is_rerun_not_trusted(self, tmp_path):
+        """A done record with no inline result (a state directory from
+        when results lived in separate files) is warned about and re-run."""
+        tracer = SpanTracer("test")
         full = run_campaign(tmp_path, "gone", workers=0)
-        _shard_path(tmp_path / "gone", 1).unlink()
+        edit_ledger_record(tmp_path / "gone", 1,
+                           lambda obj: obj["record"].pop("result"))
         with pytest.warns(UserWarning, match="re-running"):
-            res = run_campaign(tmp_path, "gone", workers=0, resume=True)
+            res = run_campaign(tmp_path, "gone", workers=0, resume=True,
+                               tracer=tracer)
         assert res.meta["resumed"] == SHARDS - 1
         assert res.fingerprint() == full.fingerprint()
+        assert [e["attrs"]["shard"]
+                for e in events(tracer, "shard.resume_mismatch")] == [1]
 
     def test_corrupted_shard_record_is_rerun_not_trusted(self, tmp_path):
         full = run_campaign(tmp_path, "corrupt", workers=0)
-        target = _shard_path(tmp_path / "corrupt", 2)
-        record = json.loads(target.read_text())
-        record["n_valid"] = record["n_valid"] + 1  # bit-rot vs fingerprint
-        target.write_text(json.dumps(record, sort_keys=True))
+
+        def bit_rot(obj):  # the line still parses; the content is wrong
+            obj["record"]["result"]["n_valid"] += 1
+
+        edit_ledger_record(tmp_path / "corrupt", 2, bit_rot)
         with pytest.warns(UserWarning, match="re-running"):
             res = run_campaign(tmp_path, "corrupt", workers=0, resume=True)
+        assert res.meta["resumed"] == SHARDS - 1
         assert res.fingerprint() == full.fingerprint()
+
+    def test_result_of_another_shard_is_rerun_not_trusted(self, tmp_path):
+        full = run_campaign(tmp_path, "swap", workers=0)
+        ledger = (tmp_path / "swap" / SHARD_LEDGER).read_text().splitlines()
+        donor = json.loads(ledger[1])["record"]  # shard 0's record
+
+        def swap(obj):  # right fingerprint for its result, wrong spec
+            obj["record"] = dict(donor)
+
+        edit_ledger_record(tmp_path / "swap", 3, swap)
+        with pytest.warns(UserWarning, match="shard 3: .*re-running"):
+            res = run_campaign(tmp_path, "swap", workers=0, resume=True)
+        assert res.meta["resumed"] == SHARDS - 1
+        assert res.fingerprint() == full.fingerprint()
+
+    def test_duplicated_done_record_last_one_wins(self, tmp_path):
+        first = run_campaign(tmp_path, "dup", workers=0)
+        ledger = tmp_path / "dup" / SHARD_LEDGER
+        line = ledger.read_text().splitlines()[1]
+        obj = json.loads(line)
+        obj["record"]["attempts"] = 7
+        with ledger.open("a") as fh:
+            fh.write(line + "\n" + json.dumps(obj) + "\n")
+        res = run_campaign(tmp_path, "dup", workers=0, resume=True)
+        assert res.meta["resumed"] == SHARDS
+        assert res.fates[obj["i"]]["attempts"] == 7
+        assert res.fingerprint() == first.fingerprint()
 
     def test_quarantine_is_durable_across_resume(self, tmp_path):
         plan = FaultPlan(seed=1).add_worker_kill(3, after_paths=0, kills=99)
@@ -222,6 +279,38 @@ class TestResume:
         )
         with pytest.raises(Exception, match="different run"):
             other.run(resume=True)
+
+
+class TestDamagedStateOnTheCli:
+    ARGV = ["campaign", "--sites", str(SITES), "--shards", str(SHARDS),
+            "--paths", str(PATHS), "--probe-duration", str(CFG.duration)]
+
+    @pytest.mark.parametrize("line", [
+        '{"i":"abc","record":{}}',
+        '{"i":[1],"record":{}}',
+        '{"i":1,"record":5}',
+        '{"i":1}',
+    ])
+    def test_wrong_schema_ledger_line_is_named(self, tmp_path, capsys, line):
+        run_campaign(tmp_path, "camp")
+        ledger = tmp_path / "camp" / SHARD_LEDGER
+        lines = ledger.read_text().splitlines()
+        lines[2] = line
+        ledger.write_text("\n".join(lines) + "\n")
+        code = main(self.ARGV + ["--state-dir", str(tmp_path / "camp"),
+                                 "--resume"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"campaign: {ledger}: line 3 "), err
+        assert "Traceback" not in err
+
+    def test_fresh_run_over_existing_state_is_named(self, tmp_path, capsys):
+        run_campaign(tmp_path, "camp")
+        code = main(self.ARGV + ["--state-dir", str(tmp_path / "camp")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("campaign: "), err
+        assert "already holds campaign state" in err
 
 
 class TestConfigValidation:

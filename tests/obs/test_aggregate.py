@@ -102,11 +102,11 @@ class TestCampaignFold:
                 {"i": 1, "record": {"status": "quarantined", "attempts": 3}})
         assert FleetAggregator(d).poll(now=None).status == "DEGRADED"
 
-    def test_heartbeat_progress(self, tmp_path):
+    def test_bus_progress(self, tmp_path):
         d = _campaign_dir(tmp_path)
-        (d / "hb-00001.json").write_text(
-            '{"shard_id": 1, "done": 2, "attempt": 2, "wall": 100.0}'
-        )
+        _append(d / BUS_FILE,
+                {"kind": "shard.progress", "shard": 1, "done": 2,
+                 "attempt": 2, "wall": 100.0})
         snap = FleetAggregator(d).poll(now=None)
         assert snap.units[1].status == "running"
         assert snap.units[1].done == 2
@@ -114,12 +114,19 @@ class TestCampaignFold:
         assert snap.paths_done == 2
         assert snap.now == 100.0  # deterministic "now" = max observed wall
 
-    def test_torn_heartbeat_counted(self, tmp_path):
+    def test_wrong_schema_records_counted_as_torn(self, tmp_path):
         d = _campaign_dir(tmp_path)
-        (d / "hb-00001.json").write_text('{"shard_id": 1, "done"')
+        _append(d / "shards.jsonl", {"i": "abc", "record": {}},
+                {"i": 0, "record": {"status": "done", "attempts": "x"}})
+        _append(d / BUS_FILE,
+                {"kind": "shard.progress", "shard": 1, "done": "x"},
+                {"kind": "worker.spawn", "shard": "abc"},
+                {"kind": "shard.done", "shard": 2, "paths": [4], "wall": 1.0},
+                {"kind": "shard.retry", "i": 2.5, "attempt": 2})
         snap = FleetAggregator(d).poll(now=None)
-        assert snap.torn_records == 1
-        assert snap.units[1].status == "pending"
+        assert snap.torn_records == 6
+        assert snap.counts["pending"] == 3
+        assert snap.bus_events == {} and snap.retries == 0
 
     def test_ledger_outranks_bus_for_terminal_fates(self, tmp_path):
         d = _campaign_dir(tmp_path)
@@ -247,7 +254,7 @@ class TestFixtureSnapshot:
         assert snap.kind == "campaign"
         assert snap.paths_total == 20 and snap.paths_done == 8
         assert snap.retries == 1
-        assert snap.torn_records == 2  # garbage bus line + torn heartbeat
+        assert snap.torn_records == 1  # the garbage bus line
         assert snap.counts == {
             "pending": 1, "running": 1, "done": 1, "quarantined": 1,
             "failed": 0,

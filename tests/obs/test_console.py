@@ -70,17 +70,32 @@ class TestOnceFixture:
         assert code == 1
         assert "EMPTY" in out
 
-    def test_non_utf8_heartbeat_counts_as_torn(self, tmp_path):
+    def _state(self, tmp_path, ledger_lines=b"", bus=b""):
         d = tmp_path / "state"
         d.mkdir()
-        (d / "shards.jsonl").write_text(
-            '{"kind":"sharded-campaign","seed":1,"n_sites":2,"n_paths":4,'
-            '"n_shards":2,"duration":10.0,"version":1}\n'
+        (d / "shards.jsonl").write_bytes(
+            b'{"kind":"sharded-campaign","seed":1,"n_sites":2,"n_paths":4,'
+            b'"n_shards":2,"duration":10.0,"version":1}\n' + ledger_lines
         )
-        (d / "hb-0.json").write_bytes(b"\xff\xfe\x00")
+        (d / "events.jsonl").write_bytes(bus)
+        return d
+
+    def test_non_utf8_bus_line_counts_as_torn(self, tmp_path):
+        d = self._state(tmp_path, bus=b"\xff\xfe\x00\n")
         code, out = _once(d)
         assert code == 0, out
         assert "· torn 1" in out
+
+    def test_wrong_schema_records_count_as_torn(self, tmp_path):
+        d = self._state(
+            tmp_path,
+            ledger_lines=b'{"i":"abc","record":{}}\n',
+            bus=b'{"kind":"shard.progress","shard":1,"done":"x"}\n'
+                b'{"kind":"worker.spawn","shard":"abc"}\n',
+        )
+        code, out = _once(d)
+        assert code == 0, out
+        assert "· torn 3" in out
 
 
 class TestRender:

@@ -142,6 +142,10 @@ _DAMAGE = [
     pytest.param("telemetry.json", _ARRAY, id="telemetry-array"),
     pytest.param("spans.jsonl", b'{"kind": "span"}\n' + _ARRAY + b"\n",
                  id="spans-array-line"),
+    pytest.param("telemetry.json", b'{"series": [1, 2]}',
+                 id="telemetry-series-array"),
+    pytest.param("metrics.json", b'{"counters": [1]}',
+                 id="metrics-counters-array"),
 ]
 
 
