@@ -29,8 +29,6 @@ __all__ = [
     "load_drop_trace",
     "LoadedDropTrace",
     "TraceCorruptError",
-    "export_ns2_drops",
-    "import_ns2_drops",
 ]
 
 _FORMAT_VERSION = 1
@@ -173,63 +171,3 @@ def load_drop_trace(path: Union[str, Path]) -> LoadedDropTrace:
             name=name,
         )
 
-
-def export_ns2_drops(trace: DropTrace, path: Union[str, Path]) -> Path:
-    """Write drops in NS-2 ASCII trace style.
-
-    One line per record::
-
-        d <time> 0 1 tcp <size> ---- <flow_id> 0.0 1.0 <seq> <uid>
-
-    (event, time, from-node, to-node, type, size, flags, flow id, src,
-    dst, seq, unique id — the classic ns trace columns).  Marked (ECN)
-    records are omitted: NS-2 logs them as separate mark events.
-    """
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    times = trace.times
-    fids = trace.flow_ids
-    seqs = trace.seqs
-    sizes = trace.sizes
-    marked = trace.marked
-    with p.open("w") as fh:
-        uid = 0
-        for t, f, s, z, m in zip(times, fids, seqs, sizes, marked):
-            if m:
-                continue
-            fh.write(f"d {t:.6f} 0 1 tcp {z} ---- {f} 0.0 1.0 {s} {uid}\n")
-            uid += 1
-    return p
-
-
-def import_ns2_drops(path: Union[str, Path]) -> LoadedDropTrace:
-    """Parse an NS-2 ASCII trace's drop ('d') events into a trace view.
-
-    Only ``d`` lines are read; other event types ('+', '-', 'r') are
-    skipped, so a full ns trace file works as input.
-    """
-    times: list[float] = []
-    fids: list[int] = []
-    seqs: list[int] = []
-    sizes: list[int] = []
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts or parts[0] != "d":
-                continue
-            if len(parts) < 12:
-                raise ValueError(f"{path}:{lineno}: short ns-2 drop record")
-            times.append(float(parts[1]))
-            sizes.append(int(parts[5]))
-            fids.append(int(parts[7]))
-            seqs.append(int(parts[10]))
-    n = len(times)
-    return LoadedDropTrace(
-        times=np.asarray(times),
-        flow_ids=np.asarray(fids, dtype=np.int64),
-        seqs=np.asarray(seqs, dtype=np.int64),
-        sizes=np.asarray(sizes, dtype=np.int64),
-        marked=np.zeros(n, dtype=bool),
-        rtt=0.0,
-        name=str(Path(path).name),
-    )

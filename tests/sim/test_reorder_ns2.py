@@ -1,4 +1,4 @@
-"""Tests for the link's reorder lag and NS-2 trace interop."""
+"""Tests for the link's reorder lag."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.sim.link import Link
 from repro.sim.node import Host
 from repro.sim.packet import Packet
 from repro.sim.trace import DropTrace
-from repro.sim.tracefile import export_ns2_drops, import_ns2_drops
 from repro.tcp import NewRenoSender, SackSender, TcpSink
 
 
@@ -82,54 +81,3 @@ class TestReorderingLink:
         # reordering masquerading as loss, exactly the failure mode.
         assert fwd.queue.dropped == 0
 
-
-class TestNs2Interop:
-    def _trace(self):
-        tr = DropTrace("x")
-        tr.record(Packet(3, 7, 1000), 0.5)
-        tr.record(Packet(4, 9, 400), 0.75, marked=True)  # excluded
-        tr.record(Packet(3, 8, 1000), 1.25)
-        return tr
-
-    def test_export_format(self, tmp_path):
-        p = export_ns2_drops(self._trace(), tmp_path / "out.tr")
-        lines = p.read_text().strip().splitlines()
-        assert len(lines) == 2  # mark excluded
-        parts = lines[0].split()
-        assert parts[0] == "d"
-        assert float(parts[1]) == 0.5
-        assert int(parts[5]) == 1000
-        assert int(parts[7]) == 3
-        assert int(parts[10]) == 7
-
-    def test_roundtrip(self, tmp_path):
-        p = export_ns2_drops(self._trace(), tmp_path / "out.tr")
-        loaded = import_ns2_drops(p)
-        np.testing.assert_allclose(loaded.times, [0.5, 1.25])
-        np.testing.assert_array_equal(loaded.flow_ids, [3, 3])
-        np.testing.assert_array_equal(loaded.seqs, [7, 8])
-        assert len(loaded) == 2
-
-    def test_import_skips_other_events(self, tmp_path):
-        f = tmp_path / "mixed.tr"
-        f.write_text(
-            "+ 0.1 0 1 tcp 1000 ---- 1 0.0 1.0 0 0\n"
-            "r 0.2 0 1 tcp 1000 ---- 1 0.0 1.0 0 0\n"
-            "d 0.3 0 1 tcp 1000 ---- 1 0.0 1.0 5 1\n"
-        )
-        loaded = import_ns2_drops(f)
-        assert len(loaded) == 1
-        assert loaded.seqs[0] == 5
-
-    def test_import_rejects_corrupt_drop_line(self, tmp_path):
-        f = tmp_path / "bad.tr"
-        f.write_text("d 0.3 0 1 tcp\n")
-        with pytest.raises(ValueError):
-            import_ns2_drops(f)
-
-    def test_imported_trace_feeds_analysis(self, tmp_path):
-        from repro.core import loss_intervals
-
-        p = export_ns2_drops(self._trace(), tmp_path / "t.tr")
-        loaded = import_ns2_drops(p)
-        np.testing.assert_allclose(loss_intervals(loaded.drop_times()), [0.75])
