@@ -7,9 +7,10 @@ truncated.  This package makes failure a first-class, *injectable*,
 
 :class:`FaultPlan`
     A seed-reproducible schedule of injected faults — link flaps,
-    transient loss spikes, clock skew, probe-process crashes, tracefile
-    truncation — armed on the simulator leg (link down/up events) or the
-    campaign leg (path outages, mid-run crashes).
+    transient loss spikes, clock skew, probe-process crashes, worker kills
+    and hangs — armed on the simulator leg (link down/up events) or the
+    campaign leg (path outages, mid-run crashes, dead or wedged shard
+    workers).
 :class:`Result` / :class:`RetryPolicy`
     Per-item outcomes and bounded backoff, applied by the one process
     runner (:func:`repro.experiments.parallel.fan_out`) behind the
@@ -31,7 +32,6 @@ from repro.faults.plan import (
     LossSpike,
     ProbeCrash,
     ProbeCrashError,
-    TraceTruncation,
     WorkerHang,
     WorkerKill,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "ProbeCrashError",
     "Result",
     "RetryPolicy",
-    "TraceTruncation",
     "WorkerHang",
     "WorkerKill",
 ]

@@ -2,7 +2,7 @@
 
 A fault plan is a declarative schedule of failures to inject into a run —
 link flaps, transient loss-rate spikes, clock skew on probe timestamps,
-probe-process crashes, and tracefile truncation.  Plans are either built
+probe-process crashes, and worker kills and hangs.  Plans are either built
 explicitly (``plan.add_probe_crash(3)``) or *sampled* from a seed
 (:meth:`FaultPlan.sample_sim`, :meth:`FaultPlan.sample_campaign`), in
 which case every fault site/time is drawn from named
@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -47,7 +46,6 @@ __all__ = [
     "LossSpike",
     "ClockSkew",
     "ProbeCrash",
-    "TraceTruncation",
     "WorkerKill",
     "WorkerHang",
     "FaultPlan",
@@ -175,19 +173,6 @@ class WorkerHang:
             raise ValueError(f"duration must be positive, got {self.duration}")
 
 
-@dataclass(frozen=True)
-class TraceTruncation:
-    """Keep only the leading ``keep_fraction`` of a tracefile's bytes."""
-
-    keep_fraction: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 <= self.keep_fraction < 1.0):
-            raise ValueError(
-                f"keep_fraction must be in [0, 1), got {self.keep_fraction}"
-            )
-
-
 class FaultPlan:
     """A reproducible schedule of injected faults.
 
@@ -205,7 +190,6 @@ class FaultPlan:
         self.crashes: dict[int, ProbeCrash] = {}
         self.worker_kills: dict[int, WorkerKill] = {}
         self.worker_hangs: dict[int, WorkerHang] = {}
-        self.truncation: Optional[TraceTruncation] = None
         #: Realized injections by kind (counted where the plan executes).
         self.injected: dict[str, int] = {}
         self._registry: Optional["MetricsRegistry"] = None
@@ -261,11 +245,6 @@ class FaultPlan:
             shard_id=shard_id, after_paths=after_paths, hangs=hangs,
             duration=duration,
         )
-        return self
-
-    def set_trace_truncation(self, keep_fraction: float = 0.5) -> "FaultPlan":
-        """Arm tracefile truncation (see :meth:`corrupt_tracefile`)."""
-        self.truncation = TraceTruncation(keep_fraction=keep_fraction)
         return self
 
     @classmethod
@@ -409,10 +388,6 @@ class FaultPlan:
                  "hangs": h.hangs, "duration": h.duration}
                 for h in sorted(self.worker_hangs.values(), key=lambda h: h.shard_id)
             ],
-            "trace_truncation": (
-                None if self.truncation is None
-                else {"keep_fraction": self.truncation.keep_fraction}
-            ),
         }
 
     def __getstate__(self) -> dict:
@@ -547,20 +522,6 @@ class FaultPlan:
         if len(t):
             self.record("skewed_timestamps", int(len(t)))
         return t * (1.0 + self.skew.drift) + self.skew.offset
-
-    # -- tracefile leg ---------------------------------------------------
-    def corrupt_tracefile(self, path: Union[str, Path]) -> Path:
-        """Truncate ``path`` to the armed ``keep_fraction`` of its bytes
-        (simulating a crash mid-write of a non-atomic writer)."""
-        if self.truncation is None:
-            raise ValueError("no trace truncation armed on this plan")
-        p = Path(path)
-        size = p.stat().st_size
-        keep = int(size * self.truncation.keep_fraction)
-        with p.open("rb+") as fh:
-            fh.truncate(keep)
-        self.record("trace_truncation")
-        return p
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

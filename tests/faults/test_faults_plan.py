@@ -13,7 +13,6 @@ from repro.faults import (
     LossSpike,
     ProbeCrash,
     ProbeCrashError,
-    TraceTruncation,
 )
 
 pytestmark = pytest.mark.faults
@@ -47,11 +46,6 @@ class TestFaultSpecs:
             ProbeCrash(index=-1)
         with pytest.raises(ValueError):
             ProbeCrash(index=0, crashes=0)
-
-    def test_truncation_validation(self):
-        TraceTruncation(keep_fraction=0.0)
-        with pytest.raises(ValueError):
-            TraceTruncation(keep_fraction=1.0)
 
 
 class TestSampling:
@@ -153,7 +147,7 @@ class TestPlanObject:
         import json
 
         plan = (FaultPlan(2).add_link_flap(1.0, 2.0).add_loss_spike(0.0, 1.0, 0.1)
-                .set_clock_skew(0.1).add_probe_crash(1).set_trace_truncation(0.3))
+                .set_clock_skew(0.1).add_probe_crash(1).add_worker_kill(0).add_worker_hang(1, duration=0.5))
         json.dumps(plan.describe())
 
     def test_record_feeds_metrics(self):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan
 from repro.sim.packet import Packet
 from repro.sim.trace import DropTrace
 from repro.sim.tracefile import TraceCorruptError, load_drop_trace, save_drop_trace
@@ -99,18 +98,3 @@ class TestCorruptionDetection:
         with pytest.raises(ValueError, match="unsupported trace format"):
             load_drop_trace(path)
 
-
-class TestPlanTruncation:
-    def test_corrupt_tracefile_detected_on_load(self, tmp_path):
-        path = save_drop_trace(_trace(), tmp_path / "t.npz", rtt=0.05)
-        plan = FaultPlan(1).set_trace_truncation(keep_fraction=0.4)
-        plan.corrupt_tracefile(path)
-        assert plan.injected["trace_truncation"] == 1
-        with pytest.raises(TraceCorruptError) as err:
-            load_drop_trace(path)
-        assert err.value.path == path
-
-    def test_unarmed_plan_refuses(self, tmp_path):
-        path = save_drop_trace(_trace(), tmp_path / "t.npz", rtt=0.05)
-        with pytest.raises(ValueError, match="no trace truncation armed"):
-            FaultPlan(1).corrupt_tracefile(path)
