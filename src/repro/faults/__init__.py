@@ -7,10 +7,9 @@ truncated.  This package makes failure a first-class, *injectable*,
 
 :class:`FaultPlan`
     A seed-reproducible schedule of injected faults — link flaps,
-    transient loss spikes, clock skew, probe-process crashes, worker kills
-    and hangs — armed on the simulator leg (link down/up events) or the
-    campaign leg (path outages, mid-run crashes, dead or wedged shard
-    workers).
+    transient loss spikes, probe-process crashes, worker kills and hangs —
+    armed on the simulator leg (link down/up events) or the campaign leg
+    (path outages, mid-run crashes, dead or wedged shard workers).
 :class:`Result` / :class:`RetryPolicy`
     Per-item outcomes and bounded backoff, applied by the one process
     runner (:func:`repro.experiments.parallel.fan_out`) behind the
@@ -25,7 +24,6 @@ degraded-but-valid completion (``pytest -k faults``).
 
 from repro.faults.checkpoint import Checkpoint, CheckpointError
 from repro.faults.plan import (
-    ClockSkew,
     FaultPlan,
     InjectedFault,
     LinkFlap,
@@ -40,7 +38,6 @@ from repro.faults.resilient import Result, RetryPolicy
 __all__ = [
     "Checkpoint",
     "CheckpointError",
-    "ClockSkew",
     "FaultPlan",
     "InjectedFault",
     "LinkFlap",

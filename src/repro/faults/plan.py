@@ -1,8 +1,8 @@
 """Reproducible fault injection: the :class:`FaultPlan`.
 
 A fault plan is a declarative schedule of failures to inject into a run —
-link flaps, transient loss-rate spikes, clock skew on probe timestamps,
-probe-process crashes, and worker kills and hangs.  Plans are either built
+link flaps, transient loss-rate spikes, probe-process crashes, and
+worker kills and hangs.  Plans are either built
 explicitly (``plan.add_probe_crash(3)``) or *sampled* from a seed
 (:meth:`FaultPlan.sample_sim`, :meth:`FaultPlan.sample_campaign`), in
 which case every fault site/time is drawn from named
@@ -20,7 +20,7 @@ Two execution legs consume plans:
 * **Campaign leg** — the probe kernel (:mod:`repro.internet.analytic`)
   calls :meth:`crash_check` / :meth:`apply_probe_faults` per path, so
   flaps become path outages on the campaign clock, spikes add transient
-  loss, skew perturbs loss timestamps, and crashes raise
+  loss, and crashes raise
   :class:`ProbeCrashError` mid-run (resolved by the retry policy).
 """
 
@@ -44,7 +44,6 @@ __all__ = [
     "ProbeCrashError",
     "LinkFlap",
     "LossSpike",
-    "ClockSkew",
     "ProbeCrash",
     "WorkerKill",
     "WorkerHang",
@@ -99,22 +98,6 @@ class LossSpike:
             raise ValueError(
                 f"extra_loss_prob must be in (0, 1], got {self.extra_loss_prob}"
             )
-
-
-@dataclass(frozen=True)
-class ClockSkew:
-    """Probe-timestamp distortion: ``t -> t + offset + drift * t``.
-
-    Models an unsynchronized or drifting measurement-host clock; applied
-    to recorded loss timestamps, never to the underlying loss process.
-    """
-
-    offset: float = 0.0
-    drift: float = 0.0
-
-    def __post_init__(self):
-        if self.drift <= -1.0:
-            raise ValueError(f"drift must be > -1 (monotonic clock), got {self.drift}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +169,6 @@ class FaultPlan:
         self.streams = RngStreams(self.seed)
         self.flaps: list[LinkFlap] = []
         self.spikes: list[LossSpike] = []
-        self.skew: Optional[ClockSkew] = None
         self.crashes: dict[int, ProbeCrash] = {}
         self.worker_kills: dict[int, WorkerKill] = {}
         self.worker_hangs: dict[int, WorkerHang] = {}
@@ -210,11 +192,6 @@ class FaultPlan:
         self.spikes.append(
             LossSpike(start=start, duration=duration, extra_loss_prob=extra_loss_prob)
         )
-        return self
-
-    def set_clock_skew(self, offset: float = 0.0, drift: float = 0.0) -> "FaultPlan":
-        """Skew recorded probe timestamps."""
-        self.skew = ClockSkew(offset=offset, drift=drift)
         return self
 
     def add_probe_crash(self, index: int, crashes: int = 1) -> "FaultPlan":
@@ -370,10 +347,6 @@ class FaultPlan:
                  "extra_loss_prob": s.extra_loss_prob}
                 for s in self.spikes
             ],
-            "clock_skew": (
-                None if self.skew is None
-                else {"offset": self.skew.offset, "drift": self.skew.drift}
-            ),
             "probe_crashes": [
                 {"index": c.index, "crashes": c.crashes}
                 for c in sorted(self.crashes.values(), key=lambda c: c.index)
@@ -514,18 +487,8 @@ class FaultPlan:
                 lost |= hit
         return lost
 
-    def skew_times(self, times: np.ndarray) -> np.ndarray:
-        """Apply the armed clock skew to recorded timestamps."""
-        if self.skew is None:
-            return times
-        t = np.asarray(times, dtype=np.float64)
-        if len(t):
-            self.record("skewed_timestamps", int(len(t)))
-        return t * (1.0 + self.skew.drift) + self.skew.offset
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<FaultPlan seed={self.seed} flaps={len(self.flaps)} "
-            f"spikes={len(self.spikes)} crashes={len(self.crashes)} "
-            f"skew={self.skew is not None}>"
+            f"spikes={len(self.spikes)} crashes={len(self.crashes)}>"
         )

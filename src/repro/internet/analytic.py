@@ -60,9 +60,8 @@ and realize nothing.  A plan with flaps or spikes arms a ``mask_hook``:
 once a run's mask is written, the full send grid is realized from the
 saved jitter state (the one ``random(n)`` the run jumped over) and
 ``apply_probe_faults`` edits the mask; counts and loss timestamps read
-the hooked mask.  Clock skew is applied to the loss timestamps.  Either
-one means both runs of every path are evaluated, as the plan counts its
-injections on both.
+the hooked mask, and both runs of every path are evaluated, as the plan
+counts its injections on both.
 """
 
 from __future__ import annotations
@@ -394,7 +393,7 @@ def run_experiment_fast(seed: int, cfg: ProbeConfig, path, index: int,
     Unlike the shard path it always materializes both runs' loss
     timestamps, because the campaign record keeps them for invalid
     pairs too.  ``fault_plan`` may crash the experiment on this
-    ``attempt``, mask probes (outages, spikes) and skew the timestamps.
+    ``attempt`` and mask probes (outages, spikes).
 
     Returns ``(small, large, valid)`` with real :class:`ProbeRun`
     objects.
@@ -414,8 +413,6 @@ def run_experiment_fast(seed: int, cfg: ProbeConfig, path, index: int,
         hook = partial(plan.apply_probe_faults, started_at=started_at, index=index)
     kernel.run_pair(rng, episodes, drop_p, rand_p, hook)
     loss_times = [kernel.loss_times(0), kernel.loss_times(1)]
-    if plan is not None:
-        loss_times = [plan.skew_times(t) for t in loss_times]
     rtt_now = path.rtt_at(started_at)
     small, large = (
         ProbeRun(path=path, packet_size=size, n_sent=kernel.n,
@@ -438,7 +435,7 @@ def run_shard(spec, probe_config: Optional[ProbeConfig] = None,
     campaign, retrying a shard, or resuming after a kill all reproduce
     identical results.  ``heartbeat(done_paths)`` is called after every
     path (the supervisor's liveness signal).  ``fault_plan`` folds the
-    campaign-leg faults in (outages, spikes, skew, probe crashes) and —
+    campaign-leg faults in (outages, spikes, probe crashes) and —
     only when ``allow_process_faults`` is set by a process-isolated
     worker — the worker-level SIGKILL/hang faults.
 
@@ -455,7 +452,6 @@ def run_shard(spec, probe_config: Optional[ProbeConfig] = None,
     kernel = _kernel_for(cfg)
     plan = fault_plan
     masked = _masks_probes(plan)
-    skewed = plan is not None and plan.skew is not None
     injected_before = dict(plan.injected) if plan is not None else {}
 
     mesh = _cached(
@@ -525,23 +521,18 @@ def run_shard(spec, probe_config: Optional[ProbeConfig] = None,
             # is rejected whatever the 400 B run counts, and since the
             # shard-exp stream is single-use, its draws can be skipped
             # outright — the common case at short probe durations.  Not
-            # under a plan that masks or skews: it counts its injections
-            # on both runs, kept or not.
-            if c_small >= MIN_LOSSES or masked or skewed:
+            # under a plan that masks: it counts its injections on both
+            # runs, kept or not.
+            if c_small >= MIN_LOSSES or masked:
                 run_one(1, rng, starts, durations, drop_p, rand_p, hook)
                 valid = kernel.validate()
             else:
                 valid = False
-            if skewed:
-                small_t = plan.skew_times(kernel.loss_times(0))
-                large_t = plan.skew_times(kernel.loss_times(1))
-            elif valid:
-                small_t, large_t = kernel.loss_times(0), kernel.loss_times(1)
             if valid:
                 n_valid += 1
                 rtt_now = _rtt_at(base_rtt, amplitude, phase, started_at)
-                fold(intervals_from_trace(small_t, rtt_now))
-                fold(intervals_from_trace(large_t, rtt_now))
+                fold(intervals_from_trace(kernel.loss_times(0), rtt_now))
+                fold(intervals_from_trace(kernel.loss_times(1), rtt_now))
             else:
                 n_rejected += 1
             done += 1

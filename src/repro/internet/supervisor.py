@@ -4,15 +4,12 @@
 function of ``(seed, path range)``; this module runs those shards under a
 supervising parent that treats worker death as a normal input:
 
-* **Heartbeats** — each worker reports ``(paths done, wall clock)`` to
-  the parent over its pipe (:func:`~repro.experiments.parallel.report_progress`,
+* **Heartbeats** — each worker reports its count of paths done to the
+  parent over its pipe (:func:`~repro.experiments.parallel.report_progress`,
   at most one message per :data:`PROGRESS_INTERVAL`) as it walks its
   paths.  The parent judges liveness on its *own* monotonic clock: a
   worker whose progress has not advanced within ``hang_timeout`` is
-  wedged and gets SIGKILLed, whatever its clock claims.  A heartbeat
-  whose wall-clock stamp disagrees with the parent's by more than
-  ``skew_tolerance`` is flagged (``worker.clock_skew`` span event) but
-  never trusted for liveness decisions.
+  wedged and gets SIGKILLed.
 * **Retry with backoff** — a dead or reaped worker's shard is
   rescheduled under the :class:`~repro.faults.RetryPolicy` (deterministic
   jitter, so two supervisors back off identically).  Shards that keep
@@ -92,15 +89,11 @@ class SupervisorConfig:
     ``workers=0`` executes shards in-process (serial, deterministic, no
     process faults); ``workers>=1`` fans out over that many forked worker
     processes.  ``hang_timeout`` is measured on the parent's monotonic
-    clock since the last observed progress *advance* (never from
-    worker-reported timestamps).  ``skew_tolerance`` bounds how far a
-    heartbeat's wall clock may drift from the parent's before the worker
-    is flagged as clock-skewed.
+    clock since the last observed progress *advance*.
     """
 
     workers: int = 2
     hang_timeout: float = 30.0
-    skew_tolerance: float = 300.0
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(retries=2, base=0.02, max_delay=0.5)
     )
@@ -110,8 +103,6 @@ class SupervisorConfig:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.hang_timeout <= 0:
             raise ValueError("hang_timeout must be positive")
-        if self.skew_tolerance <= 0:
-            raise ValueError("skew_tolerance must be positive")
 
 
 @dataclass
@@ -217,13 +208,12 @@ class ShardedCampaignResult:
 class _Liveness:
     """Parent-side view of one shard attempt running in a worker."""
 
-    __slots__ = ("attempt", "last_done", "last_advance", "skew_flagged")
+    __slots__ = ("attempt", "last_done", "last_advance")
 
     def __init__(self, attempt: int):
         self.attempt = attempt
         self.last_done = -1
         self.last_advance = time.monotonic()
-        self.skew_flagged = False
 
 
 class CampaignSupervisor:
@@ -448,7 +438,7 @@ class CampaignSupervisor:
             for index, (attempt, progress) in running.items():
                 state = live[index]
                 if progress is not None:
-                    self._note_progress(pending[index], state, *progress)
+                    self._note_progress(pending[index], state, progress)
                 stalled_for = time.monotonic() - state.last_advance
                 wake_in = min(wake_in, timeout - stalled_for)
                 if stalled_for > timeout:
@@ -473,7 +463,7 @@ class CampaignSupervisor:
     def _run_attempt(self, spec: ShardSpec, attempt: int) -> ShardResult:
         """One shard attempt.
 
-        In a worker process it heartbeats ``(done, wall)`` to the parent
+        In a worker process it heartbeats its paths done to the parent
         (at most one message per :data:`PROGRESS_INTERVAL`) and runs with
         process-level faults armed; a SIGKILL (real or injected) returns
         nothing, which is exactly the point — the parent must cope.
@@ -483,7 +473,6 @@ class CampaignSupervisor:
         if not self.config.workers:
             return run_shard(spec, probe_config=self.probe_config,
                              fault_plan=self.fault_plan, attempt=attempt)
-        skew = self.fault_plan.skew if self.fault_plan is not None else None
         last_sent = float("-inf")
 
         def heartbeat(done: int) -> None:
@@ -492,10 +481,7 @@ class CampaignSupervisor:
             if done > 0 and now - last_sent < PROGRESS_INTERVAL:
                 return
             last_sent = now
-            wall = time.time()
-            if skew is not None:
-                wall += skew.offset  # a skewed worker stamps a skewed clock
-            report_progress((done, wall))
+            report_progress(done)
 
         heartbeat(0)
         return run_shard(
@@ -503,8 +489,7 @@ class CampaignSupervisor:
             heartbeat=heartbeat, attempt=attempt, allow_process_faults=True,
         )
 
-    def _note_progress(self, spec: ShardSpec, state: _Liveness, done: int,
-                       wall: float) -> None:
+    def _note_progress(self, spec: ShardSpec, state: _Liveness, done: int) -> None:
         """Fold the attempt's latest heartbeat into parent-side liveness
         state."""
         if done > state.last_done:
@@ -517,13 +502,6 @@ class CampaignSupervisor:
                     "shard.progress", shard=spec.shard_id,
                     done=done, attempt=state.attempt,
                 )
-        skew = abs(wall - time.time())
-        if skew > self.config.skew_tolerance and not state.skew_flagged:
-            state.skew_flagged = True
-            self._event(
-                "worker.clock_skew", shard=spec.shard_id,
-                skew_seconds=round(skew, 3),
-            )
 
     def _attempt_failed(self, spec: ShardSpec, res: Result) -> None:
         if getattr(res.error, "exitcode", None) == -signal.SIGKILL:

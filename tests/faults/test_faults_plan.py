@@ -7,7 +7,6 @@ import pytest
 
 from repro.config import RunConfig
 from repro.faults import (
-    ClockSkew,
     FaultPlan,
     LinkFlap,
     LossSpike,
@@ -34,11 +33,6 @@ class TestFaultSpecs:
             LossSpike(start=0.0, duration=1.0, extra_loss_prob=0.0)
         with pytest.raises(ValueError):
             LossSpike(start=0.0, duration=1.0, extra_loss_prob=1.5)
-
-    def test_skew_validation(self):
-        ClockSkew(offset=-0.5, drift=0.01)
-        with pytest.raises(ValueError):
-            ClockSkew(drift=-1.0)
 
     def test_crash_validation(self):
         ProbeCrash(index=0)
@@ -122,16 +116,6 @@ class TestInjectionHooks:
         assert out.all()
         assert plan.injected.get("outage_loss", 0) == 0  # nothing newly lost
 
-    def test_skew_times(self):
-        plan = FaultPlan(1).set_clock_skew(offset=0.5, drift=0.1)
-        out = plan.skew_times(np.array([0.0, 10.0]))
-        np.testing.assert_allclose(out, [0.5, 11.5])
-        assert plan.injected["skewed_timestamps"] == 2
-
-    def test_skew_disabled_passthrough(self):
-        t = np.array([1.0, 2.0])
-        assert FaultPlan(1).skew_times(t) is t
-
 
 class TestPlanObject:
     def test_pickle_roundtrip_drops_registry(self):
@@ -147,7 +131,7 @@ class TestPlanObject:
         import json
 
         plan = (FaultPlan(2).add_link_flap(1.0, 2.0).add_loss_spike(0.0, 1.0, 0.1)
-                .set_clock_skew(0.1).add_probe_crash(1).add_worker_kill(0).add_worker_hang(1, duration=0.5))
+                .add_probe_crash(1).add_worker_kill(0).add_worker_hang(1, duration=0.5))
         json.dumps(plan.describe())
 
     def test_record_feeds_metrics(self):

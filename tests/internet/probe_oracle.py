@@ -3,7 +3,7 @@
 Until PR 23 ``shards.run_shard`` and ``campaign._experiment_worker`` each
 carried a second copy of the probe pair — ``RngStreams``,
 ``sample_path_loss_model``, ``sample_episodes``, two ``run_probe`` calls
-with a fault plan's ``mask_hook``, ``skew_times``, ``validate_pair``,
+with a fault plan's ``mask_hook``, ``validate_pair``,
 ``GapHistogram.fold`` — that an environment knob or any armed
 :class:`~repro.faults.FaultPlan` routed to.  The shipped code now runs
 every path on the analytic kernel; these are the old loops (the probe
@@ -49,9 +49,6 @@ def _probe_pair(path, model, rng, cfg, plan, index, started_at):
     rtt_now = path.rtt_at(started_at)
     small.rtt = rtt_now
     large.rtt = rtt_now
-    if plan is not None and plan.skew is not None:
-        small.loss_times = plan.skew_times(small.loss_times)
-        large.loss_times = plan.skew_times(large.loss_times)
     return small, large
 
 

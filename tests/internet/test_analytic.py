@@ -489,7 +489,7 @@ class TestShardEquivalence:
 # Fault plans are masks over the kernel
 # ----------------------------------------------------------------------
 def _seam_plan(starts, crash_index, span=30.0):
-    """Two flaps, one spike, skew (offset and drift) and one probe crash
+    """Two flaps, one spike and one probe crash
     laid over the experiments that start at ``starts`` and last ``span``
     seconds: an outage inside one experiment with the spike running over
     its tail and past it, and an outage that is already on when another
@@ -500,7 +500,6 @@ def _seam_plan(starts, crash_index, span=30.0):
         .add_link_flap(a + span / 6, a + 0.4 * span)
         .add_link_flap(b - 10.0, b + span / 10)
         .add_loss_spike(a + span / 3, 0.8 * span, 0.05)
-        .set_clock_skew(offset=12.5, drift=1e-4)
         .add_probe_crash(crash_index)
     )
 
@@ -515,12 +514,12 @@ _SEAM_IDS = ["d30", "nojitter", "jitter0.9", "interval0.005"]
 
 
 class TestFaultSeam:
-    """What flaps, spikes, skew and crashes do to a shard and to a
+    """What flaps, spikes and crashes do to a shard and to a
     campaign record, against the object loops: the measurement *and* the
     plan's injection counts."""
 
     @pytest.mark.parametrize("cfg", _SEAM_CONFIGS, ids=_SEAM_IDS)
-    def test_shard_under_flaps_spike_skew_and_crash(self, cfg):
+    def test_shard_under_flaps_spike_and_crash(self, cfg):
         _fresh_caches()
         spec = plan_shards(16, 8, seed=2006)[3]  # paths 90..119
         paths = range(spec.start, spec.stop)
@@ -539,11 +538,11 @@ class TestFaultSeam:
         want, got = images
         assert got == want
         injected = want[-1]
-        assert set(injected) == {"outage_loss", "spike_loss", "skewed_timestamps"}
+        assert set(injected) == {"outage_loss", "spike_loss"}
         assert 0 < want[2] < spec.n_paths  # pairs kept and pairs rejected
 
     @pytest.mark.parametrize("cfg", _SEAM_CONFIGS, ids=_SEAM_IDS)
-    def test_campaign_record_under_flaps_spike_skew_and_crash(self, cfg):
+    def test_campaign_record_under_flaps_spike_and_crash(self, cfg):
         from repro.internet.campaign import _experiment_worker
 
         _fresh_caches()
@@ -556,10 +555,10 @@ class TestFaultSeam:
         want, got = records
         assert got == want
         assert [sorted(r["injected"]) for r in want] == [
-            ["skewed_timestamps"],
-            ["outage_loss", "skewed_timestamps", "spike_loss"],
-            ["skewed_timestamps"],
-            ["outage_loss", "skewed_timestamps"],
+            [],
+            ["outage_loss", "spike_loss"],
+            [],
+            ["outage_loss"],
         ]
 
     @settings(max_examples=100)
@@ -571,11 +570,9 @@ class TestFaultSeam:
         spikes=st.lists(st.tuples(st.integers(0, 5), st.floats(-1.0, 1.0),
                                   st.floats(0.01, 1.5), st.floats(0.01, 1.0)),
                         max_size=2),
-        skew=st.one_of(st.none(), st.tuples(st.floats(-50.0, 50.0),
-                                            st.floats(-1e-3, 1e-3))),
     )
     def test_random_windows_match_the_object_loop(self, seed, jitter, flaps,
-                                                  spikes, skew):
+                                                  spikes):
         """Windows as (path, start, length), in probe durations, relative
         to that path's experiment: before it, across either end, inside."""
         _fresh_caches()
@@ -591,8 +588,6 @@ class TestFaultSeam:
             for path, start, length, prob in spikes:
                 p.add_loss_spike(max(0.0, t0[path] + start * cfg.duration),
                                  length * cfg.duration, prob)
-            if skew is not None:
-                p.set_clock_skew(*skew)
             return p
 
         want = run_shard_objects(spec, probe_config=cfg, fault_plan=plan())
