@@ -84,14 +84,6 @@ class ParallelTransferResult:
         """Makespan over the theoretic lower bound (Figure 8's Y-axis)."""
         return self.makespan / self.bound
 
-    @property
-    def flow_spread(self) -> float:
-        """Slowest minus fastest flow completion: the desynchronization
-        the paper attributes to bursty loss in slow start."""
-        if not self.finished:
-            return float("inf")
-        return max(self.completion_times) - min(self.completion_times)
-
 
 class ParallelTransfer:
     """Wire a parallel transfer onto an existing dumbbell and run it."""

@@ -6,7 +6,7 @@ This package is the analytical half of the paper:
   inter-loss intervals and their PDF at the paper's 0.02-RTT resolution
   (Figures 2–4), with same-rate Poisson references.
 * :mod:`repro.core.burstiness` — headline mass fractions (<0.01 RTT,
-  <1 RTT), CV, dispersion, autocorrelation, burst clustering.
+  <1 RTT), CV, dispersion, burst clustering.
 * :mod:`repro.core.poisson` — formal Poisson comparisons (KS test,
   first-bin excess).
 * :mod:`repro.core.gilbert` — Gilbert–Elliott fit/synthesis for loss
@@ -25,7 +25,6 @@ from repro.core.burstiness import (
     coefficient_of_variation,
     fraction_within,
     index_of_dispersion,
-    interval_autocorrelation,
 )
 from repro.core.detection import (
     DetectionModel,
@@ -41,7 +40,6 @@ from repro.core.events import (
     distinct_flows_per_event,
     event_sizes,
     event_spans,
-    losses_per_event,
 )
 from repro.core.gilbert import (
     GilbertModel,
@@ -51,7 +49,7 @@ from repro.core.gilbert import (
 )
 from repro.core.intervals import intervals_from_trace, loss_intervals, normalize_by_rtt
 from repro.core.pdf import IntervalPdf, interval_pdf, poisson_reference_pdf
-from repro.core.fairness import jain_index, min_max_ratio, time_to_fair
+from repro.core.fairness import jain_index, time_to_fair
 from repro.core.queueing import (
     mm1_utilization,
     mm1k_blocking_probability,
@@ -119,7 +117,6 @@ __all__ = [
     "hurst_rescaled_range",
     "idc_curve",
     "index_of_dispersion",
-    "interval_autocorrelation",
     "interval_pdf",
     "intervals_from_trace",
     "jain_index",
@@ -127,8 +124,6 @@ __all__ = [
     "l_window_based",
     "loss_intervals",
     "loss_run_lengths",
-    "losses_per_event",
-    "min_max_ratio",
     "mm1_utilization",
     "mm1k_blocking_probability",
     "mm1k_distribution",

@@ -4,7 +4,7 @@ The paper quantifies burstiness informally ("more than 95% of the packet
 losses cluster within short time periods smaller than 0.01 RTT"); this
 module provides that statistic plus the standard rigor the paper's future
 work calls for: coefficient of variation, index of dispersion for counts,
-interval autocorrelation, and burst clustering.
+and burst clustering.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "fraction_within",
     "coefficient_of_variation",
     "index_of_dispersion",
-    "interval_autocorrelation",
     "Burst",
     "cluster_bursts",
     "burst_sizes",
@@ -66,28 +65,6 @@ def index_of_dispersion(times: np.ndarray, window: float, horizon: float) -> flo
     if m == 0:
         return float("nan")
     return float(counts.var() / m)
-
-
-def interval_autocorrelation(intervals: np.ndarray, max_lag: int = 10) -> np.ndarray:
-    """Autocorrelation of the interval sequence at lags 1..max_lag.
-
-    i.i.d. exponential intervals (Poisson) give ~0 at all lags; clustered
-    losses give positive short-lag correlation.
-    """
-    x = np.asarray(intervals, dtype=np.float64)
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
-    n = len(x)
-    if n < max_lag + 2:
-        return np.full(max_lag, np.nan)
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
-    if denom == 0:
-        return np.zeros(max_lag)
-    out = np.empty(max_lag)
-    for lag in range(1, max_lag + 1):
-        out[lag - 1] = float(np.dot(xc[:-lag], xc[lag:])) / denom
-    return out
 
 
 @dataclass

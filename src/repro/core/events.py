@@ -19,7 +19,6 @@ __all__ = [
     "event_spans",
     "distinct_flows_per_event",
     "event_sizes",
-    "losses_per_event",
 ]
 
 
@@ -153,14 +152,3 @@ def cluster_loss_events(
 def event_sizes(events: list[LossEvent]) -> np.ndarray:
     """Number of dropped packets per event (the paper's ``M``)."""
     return np.asarray([e.count for e in events], dtype=np.int64)
-
-
-def losses_per_event(events: list[LossEvent]) -> float:
-    """Mean packets dropped per congestion event.
-
-    Near 1 for a Poisson-like loss process at low rate; large under the
-    DropTail burstiness the paper measures.
-    """
-    if not events:
-        return float("nan")
-    return float(event_sizes(events).mean())

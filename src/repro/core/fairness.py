@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["jain_index", "min_max_ratio", "time_to_fair"]
+__all__ = ["jain_index", "time_to_fair"]
 
 
 def jain_index(rates: np.ndarray) -> float:
@@ -19,17 +19,6 @@ def jain_index(rates: np.ndarray) -> float:
     if len(x) == 0 or np.all(x == 0):
         return float("nan")
     return float(x.sum() ** 2 / (len(x) * np.dot(x, x)))
-
-
-def min_max_ratio(rates: np.ndarray) -> float:
-    """min/max allocation ratio: 1 = equal, 0 = someone starved."""
-    x = np.asarray(rates, dtype=np.float64)
-    if len(x) == 0:
-        return float("nan")
-    mx = x.max()
-    if mx <= 0:
-        return float("nan")
-    return float(x.min() / mx)
 
 
 def time_to_fair(

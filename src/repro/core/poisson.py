@@ -89,8 +89,8 @@ def first_bin_excess(
 class PoissonComparison:
     """Result of comparing a loss process to its same-rate Poisson twin.
 
-    ``ks_statistic`` / ``ks_pvalue`` are :func:`exponential_ks_test` of
-    ``intervals``, evaluated on first read and kept.
+    ``ks_pvalue`` comes from :func:`exponential_ks_test` of ``intervals``,
+    evaluated on first read and kept.
     """
 
     intervals: np.ndarray = field(repr=False, compare=False)
@@ -100,10 +100,6 @@ class PoissonComparison:
     @cached_property
     def _ks(self) -> tuple[float, float]:
         return exponential_ks_test(self.intervals)
-
-    @property
-    def ks_statistic(self) -> float:
-        return self._ks[0]
 
     @property
     def ks_pvalue(self) -> float:

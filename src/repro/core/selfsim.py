@@ -139,12 +139,6 @@ class SelfSimilarityReport:
             return float("nan")
         return float(valid[-1] / valid[0])
 
-    @property
-    def looks_poisson(self) -> bool:
-        """True when the IDC curve stays near 1 at every scale."""
-        valid = self.idc[~np.isnan(self.idc)]
-        return bool(len(valid)) and bool(np.all(np.abs(valid - 1.0) < 0.5))
-
 
 def self_similarity_report(
     times: np.ndarray,

@@ -47,7 +47,6 @@ __all__ = [
     "ManyFlowsRow",
     "ManyFlowsResult",
     "packet_scenario",
-    "packet_scenario_events",
     "run_manyflows_fluid",
     "run_manyflows_packet",
     "run_manyflows",
@@ -72,11 +71,6 @@ class ManyFlowsCell:
     throughput_share: tuple[float, ...]
     class_loss_event_rate: tuple[float, ...]  # per flow, events/s
     loss_rate: float
-
-    @property
-    def flows_per_s(self) -> float:
-        """Simulated flows per wall-clock second (the speedup metric)."""
-        return self.n / self.wall_s if self.wall_s > 0 else float("inf")
 
 
 @dataclass(frozen=True)
@@ -162,13 +156,6 @@ def _class_caps(sc: Scale) -> tuple[tuple[float, float], ...]:
         w_max = 2.0 * pipe
         caps.append((w_max, w_max / 2.0))
     return tuple(caps)
-
-
-def packet_scenario_events(n: int, sc: Optional[Scale] = None) -> float:
-    """Rough forward-packet count of the packet run (for sizing docs)."""
-    sc = current_scale(sc)
-    capacity_bps, _ = _scenario_dims(n, sc)
-    return capacity_bps / 8.0 / 1000.0 * sc.manyflows_duration
 
 
 def fluid_scenario(n: int, sc: Optional[Scale] = None) -> FluidScenario:

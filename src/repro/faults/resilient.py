@@ -46,13 +46,6 @@ class Result:
             return ""
         return f"{type(self.error).__name__}: {self.error}"
 
-    def unwrap(self) -> Any:
-        """The value, or re-raise the recorded error."""
-        if self.ok:
-            return self.value
-        assert self.error is not None
-        raise self.error
-
 
 @dataclass(frozen=True)
 class RetryPolicy:

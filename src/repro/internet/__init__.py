@@ -50,7 +50,6 @@ from repro.internet.sites import (
     Site,
     n_directed_paths,
     sites,
-    sites_by_region,
     synthetic_sites,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "run_sharded_campaign",
     "sample_path_loss_model",
     "sites",
-    "sites_by_region",
     "synthesize_path",
     "synthetic_sites",
     "validate_pair",

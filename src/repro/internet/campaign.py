@@ -38,7 +38,6 @@ from repro.faults.checkpoint import Checkpoint
 from repro.faults.plan import FaultPlan
 from repro.faults.resilient import Result
 from repro.internet.analytic import injected_since, run_experiment_fast
-from repro.internet.pathmodel import PathLossModel, sample_path_loss_model
 from repro.internet.paths import PathRtt, RttMatrix
 from repro.internet.probe import ProbeConfig, ProbeRun
 from repro.internet.shards import CAMPAIGN_SPAN_SECONDS, canonical_fingerprint
@@ -226,42 +225,16 @@ class Campaign:
         self.matrix = rtt_matrix if rtt_matrix is not None else RttMatrix(self.streams)
         self.probe_config = probe_config or ProbeConfig()
         self.fault_plan = fault_plan
-        self._models: dict[tuple[str, str], PathLossModel] = {}
 
     @property
     def seed(self) -> int:
         """The campaign seed (every stream derives from it)."""
         return self.streams.seed
 
-    def model_for(self, path: PathRtt) -> PathLossModel:
-        """The (cached) loss model of a path."""
-        key = (path.src.hostname, path.dst.hostname)
-        m = self._models.get(key)
-        if m is None:
-            m = sample_path_loss_model(path, self.streams)
-            self._models[key] = m
-        return m
-
     def pick_path(self, rng: np.random.Generator) -> PathRtt:
         """Two distinct random sites -> the directed path between them."""
         i, j = rng.choice(len(SITES), size=2, replace=False)
         return self.matrix.path(SITES[i], SITES[j])
-
-    def run_experiment(
-        self, path: PathRtt, index: int, started_at: float = 0.0
-    ) -> Experiment:
-        """The paper's unit of measurement: a 48 B run and a 400 B run over
-        the same path under the same congestion-episode weather.
-
-        ``started_at`` places the experiment on the campaign clock; the
-        runs are normalized by the path's diurnal RTT at that time
-        ("depending on the time of the day", §3.1).
-        """
-        job = (
-            self.seed, self.probe_config, path, index, started_at,
-            self.fault_plan,
-        )
-        return _experiment_from_record(_experiment_worker(job), self.matrix)
 
     #: Campaign span: October-December 2006 is ~92 days.
     CAMPAIGN_SPAN_SECONDS = CAMPAIGN_SPAN_SECONDS

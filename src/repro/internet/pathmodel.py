@@ -102,19 +102,6 @@ class PathLossModel:
         lost = np.where(inside, u < self.episode_drop_prob, u < self.random_loss_prob)
         return lost
 
-    # -- analytic expectations (used by tests) ----------------------------
-    @property
-    def episode_duty_cycle(self) -> float:
-        """Long-run fraction of time inside a drop window (small-rate
-        approximation; valid when windows rarely overlap)."""
-        return min(1.0, self.episode_rate * self.episode_mean_duration)
-
-    @property
-    def expected_loss_rate(self) -> float:
-        """Approximate stationary per-packet loss probability."""
-        duty = self.episode_duty_cycle
-        return duty * self.episode_drop_prob + (1.0 - duty) * self.random_loss_prob
-
 
 def sample_path_loss_model(
     path: PathRtt,

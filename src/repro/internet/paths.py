@@ -145,10 +145,6 @@ class RttMatrix:
         except KeyError:
             raise KeyError(f"no path {s} -> {d}") from None
 
-    def all_paths(self) -> list[PathRtt]:
-        """Every directed path in the matrix."""
-        return list(self._paths.values())
-
     def __len__(self) -> int:
         return len(self._paths)
 

@@ -231,13 +231,6 @@ class GapHistogram:
             mean_interval=self.mean_interval,
         )
 
-    def cdf(self) -> np.ndarray:
-        """Cumulative fraction of intervals per bin edge (the Fig. 4 CDF),
-        computed from integer counts — bit-identical for any merge order."""
-        if self.n == 0:
-            return np.zeros(self.nbins, dtype=np.float64)
-        return np.cumsum(self.counts) / self.n
-
     # -- serialization ---------------------------------------------------
     def to_record(self) -> dict:
         """JSON-able state; the exact sum round-trips as numerator and
@@ -266,13 +259,6 @@ class GapHistogram:
         h.n_below = [int(v) for v in record["n_below"]]
         h._exact_sum = Fraction(int(record["sum_num"]), int(record["sum_den"]))
         return h
-
-    def state_nbytes(self) -> int:
-        """Approximate state footprint in bytes — constant in the number
-        of folds (the memory-independence invariant the tests enforce)."""
-        exact_bits = (self._exact_sum.numerator.bit_length()
-                      + self._exact_sum.denominator.bit_length())
-        return int(self.counts.nbytes) + 8 * (2 + len(self.n_below)) + exact_bits // 8
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

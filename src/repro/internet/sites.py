@@ -18,7 +18,6 @@ __all__ = [
     "SITES",
     "sites",
     "n_directed_paths",
-    "sites_by_region",
     "synthetic_sites",
 ]
 
@@ -86,11 +85,6 @@ def n_directed_paths() -> int:
     """Directed edges in the complete site graph: 26 * 25 = 650."""
     n = len(SITES)
     return n * (n - 1)
-
-
-def sites_by_region(region: Region) -> list[Site]:
-    """All sites located in the given region."""
-    return [s for s in SITES if s.region == region]
 
 
 #: Region mix for synthetic sites beyond Table 1, in paper proportion

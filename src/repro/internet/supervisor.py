@@ -159,10 +159,6 @@ class ShardedCampaignResult:
             ],
         }
 
-    def to_interval_pdf(self):
-        """The campaign's Figure 4 distribution."""
-        return self.histogram.to_interval_pdf()
-
     def fingerprint(self) -> str:
         """SHA-256 over measurement content + quarantine manifest."""
         payload = {

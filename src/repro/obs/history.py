@@ -31,7 +31,7 @@ from typing import Optional, Union
 from repro.obs.aggregate import FleetAggregator
 from repro.obs.bus import read_json_tolerant
 
-__all__ = ["collect_history", "generate_history", "generate_html_history",
+__all__ = ["collect_history", "generate_history",
            "main"]
 
 #: Schema tag of the records ``benchmarks/e2e/run.py --out`` writes.
@@ -218,11 +218,6 @@ def generate_history(root: Union[str, Path]) -> str:
         f"{model['torn_records']}_"
     )
     return "\n".join(out) + "\n"
-
-
-def generate_html_history(root: Union[str, Path]) -> str:
-    """The timeline as a standalone HTML page (Markdown in ``<pre>``)."""
-    return _html_page(root, generate_history(root))
 
 
 def _html_page(root: Union[str, Path], md: str) -> str:

@@ -9,14 +9,13 @@ Three metric kinds cover everything the simulator reports:
   samples, callback durations).
 
 A :class:`MetricsRegistry` is a flat namespace of metrics plus a warning
-log; ``as_dict()`` / ``write_json()`` produce the metrics file emitted
-next to experiment results.  Dotted names (``queue.bottleneck.dropped``)
+log; ``as_dict()`` is the metrics file emitted next to experiment
+results.  Dotted names (``queue.bottleneck.dropped``)
 are a convention, not a hierarchy.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from pathlib import Path
@@ -229,19 +228,6 @@ class MetricsRegistry:
             "warnings": list(self.warnings),
             **self.sections,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        """The full registry as a JSON string."""
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=False)
-
-    def write_json(self, path: Union[str, Path]) -> Path:
-        """Write the registry to ``path`` atomically; returns the path.
-
-        Uses the tmp + fsync + rename discipline (same as tracefile
-        archives), so a run crashing mid-export never leaves a truncated
-        metrics file behind.
-        """
-        return atomic_write_text(path, self.to_json() + "\n")
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)

@@ -117,11 +117,6 @@ class SpanTracer:
         self._seq += 1
         return self._seq
 
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
     # -- recording ------------------------------------------------------
     @contextmanager
     def span(self, name: str, **attrs) -> Iterator[Span]:
@@ -182,10 +177,6 @@ class SpanTracer:
         return rec
 
     # -- export ---------------------------------------------------------
-    def to_records(self) -> list[dict]:
-        """All closed records in completion order (open spans excluded)."""
-        return list(self.records)
-
     def to_jsonl(self) -> str:
         """The trace as JSON-lines text."""
         lines = [json.dumps(r, sort_keys=True) for r in self.records]

@@ -177,18 +177,6 @@ class Queue:
             self.peak_occupancy = len(self._q)
 
     # -- observability ----------------------------------------------------
-    def conservation_residuals(self) -> dict[str, int]:
-        """Deviation of each conservation identity from zero.
-
-        All-zero residuals mean the counters balance; any non-zero entry is
-        an accounting bug (:func:`repro.obs.invariants.check_queue` raises
-        on it with a full snapshot).
-        """
-        return {
-            "arrival": self.arrived - self.enqueued - self.dropped,
-            "occupancy": self.enqueued - self.dequeued - self.dropped_head - len(self),
-        }
-
     def attach_metrics(self, registry: "MetricsRegistry") -> None:
         """Expose live conservation counters as callback gauges in
         ``registry`` under ``queue.<name>.*``."""
@@ -571,12 +559,6 @@ class CoDelQueue(Queue):
                 self.sojourn_peak = s
         return pkt
 
-    def mean_sojourn(self) -> float:
-        """Mean sojourn time over delivered packets (NaN before any)."""
-        if self.dequeued == 0:
-            return float("nan")
-        return self.sojourn_sum / self.dequeued
-
 
 class _FqBucket:
     """One FQ-CoDel flow bucket: its backlog, DRR deficit, CoDel state."""
@@ -735,10 +717,6 @@ class FqCoDelQueue(Queue):
             self.bytes -= pkt.size
             self.dequeued += 1
             return pkt
-
-    def backlog_of(self, flow_id: int) -> int:
-        """Byte backlog of the bucket ``flow_id`` hashes into (tests)."""
-        return self._buckets[flow_id % self.n_buckets].byte_backlog
 
 
 # ---------------------------------------------------------------------------

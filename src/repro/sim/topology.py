@@ -163,19 +163,6 @@ class Dumbbell:
             raise ValueError("no pairs attached")
         return sum(p.rtt for p in self.pairs) / len(self.pairs)
 
-    def conservation_ok(self) -> bool:
-        """Bottleneck packet conservation: arrived == enqueued + dropped and
-        enqueued == dequeued + queued, in both directions.
-
-        Boolean convenience; :class:`repro.obs.InvariantChecker` raises a
-        diagnostic :class:`~repro.obs.InvariantViolation` instead.
-        """
-        return not any(
-            residual
-            for q in (self.forward_queue, self.reverse_queue)
-            for residual in q.conservation_residuals().values()
-        )
-
 
 def build_dumbbell(sim: Simulator, config: Optional[DumbbellConfig] = None) -> Dumbbell:
     """Build an empty dumbbell; attach host pairs with :meth:`Dumbbell.add_pair`."""

@@ -229,10 +229,6 @@ class DropTrace:
         m = self.marked
         return t[~m]
 
-    def flows_hit(self) -> np.ndarray:
-        """Distinct flow ids that lost at least one packet."""
-        return np.unique(self.flow_ids)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DropTrace {self.name}: {len(self)} records>"
 
@@ -304,20 +300,6 @@ class DelayTrace:
     def flow_ids(self) -> np.ndarray:
         """Per-record flow ids as an int64 array."""
         return _col_i64(self._flow_ids)
-
-    def queueing_delays(self) -> np.ndarray:
-        """Delays minus the observed floor (per-trace propagation bound)."""
-        d = self.delays
-        if len(d) == 0:
-            return d
-        return d - d.min()
-
-    def percentile(self, q: float) -> float:
-        """Delay percentile (NaN on an empty trace)."""
-        d = self.delays
-        if len(d) == 0:
-            return float("nan")
-        return float(np.percentile(d, q))
 
 
 class ThroughputTrace:

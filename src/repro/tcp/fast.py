@@ -118,11 +118,3 @@ class FastSender(TcpSender):
         if self._update_timer is not None:
             self._update_timer.cancel()
             self._update_timer = None
-
-    # -- diagnostics ----------------------------------------------------------
-    @property
-    def queueing_delay_estimate(self) -> float:
-        """Current estimated queueing delay (sRTT minus baseRTT)."""
-        if self.srtt is None or self.base_rtt is None:
-            return float("nan")
-        return max(0.0, self.srtt - self.base_rtt)

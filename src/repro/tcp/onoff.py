@@ -56,11 +56,6 @@ class OnOffSource:
         self._timer: Optional[Event] = None
         self._stopped = False
 
-    @property
-    def mean_rate_bps(self) -> float:
-        """Long-run mean emission rate of the on-off source."""
-        return self.peak_rate_bps * self.mean_on / (self.mean_on + self.mean_off)
-
     def start(self, at: float = 0.0) -> None:
         # Begin in a random phase so 50 sources do not synchronize.
         """Begin operating at absolute simulation time ``at``."""

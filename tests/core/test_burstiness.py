@@ -9,7 +9,6 @@ from repro.core import (
     coefficient_of_variation,
     fraction_within,
     index_of_dispersion,
-    interval_autocorrelation,
 )
 
 
@@ -68,27 +67,6 @@ class TestIndexOfDispersion:
         with pytest.raises(ValueError):
             index_of_dispersion(np.array([1.0]), window=0, horizon=10)
         assert np.isnan(index_of_dispersion(np.array([]), window=1, horizon=10))
-
-
-class TestAutocorrelation:
-    def test_iid_near_zero(self):
-        rng = np.random.default_rng(3)
-        x = rng.exponential(1.0, 50_000)
-        ac = interval_autocorrelation(x, max_lag=5)
-        assert np.all(np.abs(ac) < 0.05)
-
-    def test_alternating_negative_lag1(self):
-        x = np.tile([0.1, 10.0], 500)
-        ac = interval_autocorrelation(x, max_lag=2)
-        assert ac[0] < -0.9
-        assert ac[1] > 0.9
-
-    def test_short_input_nan(self):
-        assert np.all(np.isnan(interval_autocorrelation(np.array([1.0, 2.0]), 10)))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            interval_autocorrelation(np.arange(100.0), max_lag=0)
 
 
 class TestClusterBursts:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import jain_index, min_max_ratio, time_to_fair
+from repro.core import jain_index, time_to_fair
 
 
 class TestJain:
@@ -21,17 +21,6 @@ class TestJain:
     def test_degenerate(self):
         assert np.isnan(jain_index(np.array([])))
         assert np.isnan(jain_index(np.zeros(4)))
-
-
-class TestMinMax:
-    def test_values(self):
-        assert min_max_ratio(np.array([2.0, 4.0])) == pytest.approx(0.5)
-        assert min_max_ratio(np.array([5.0, 5.0])) == pytest.approx(1.0)
-        assert min_max_ratio(np.array([0.0, 5.0])) == pytest.approx(0.0)
-
-    def test_degenerate(self):
-        assert np.isnan(min_max_ratio(np.array([])))
-        assert np.isnan(min_max_ratio(np.zeros(3)))
 
 
 class TestTimeToFair:

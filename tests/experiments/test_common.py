@@ -66,7 +66,8 @@ class TestNoiseFleet:
         streams = RngStreams(3)
         sources = add_noise_fleet(sim, db, streams, n_flows=5, load_fraction=0.2)
         assert len(sources) == 10  # 5 per direction
-        agg = sum(s.mean_rate_bps for s in sources[::2])
+        agg = sum(s.peak_rate_bps * s.mean_on / (s.mean_on + s.mean_off)
+                  for s in sources[::2])
         assert agg == pytest.approx(2e6)  # 20% of 10 Mbps forward
         sim.run(until=20.0)
         # Both directions actually carried noise through the bottleneck.

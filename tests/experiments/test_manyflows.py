@@ -33,8 +33,6 @@ from repro.experiments import Scale, run_manyflows
 from repro.experiments.manyflows import (
     CLASS_RTTS,
     fluid_scenario,
-    packet_scenario_events,
-    run_manyflows_fluid,
     run_manyflows_packet,
 )
 
@@ -147,10 +145,6 @@ class TestSingleBackendRuns:
         with pytest.raises(ValueError, match="backend"):
             run_manyflows(seed=1, scale=LANE, backend="quantum")
 
-    def test_cells_expose_the_bench_metric(self):
-        cell = run_manyflows_fluid(300, LANE)
-        assert cell.flows_per_s == pytest.approx(cell.n / cell.wall_s)
-
 
 class TestScenarioPlumbing:
     def test_weak_convergence_scaling(self):
@@ -169,11 +163,6 @@ class TestScenarioPlumbing:
         for cls in scn.classes:
             assert cls.w_max < 1e6
             assert cls.ssthresh0 == pytest.approx(cls.w_max / 2.0)
-
-    def test_event_count_estimate_scales_linearly(self):
-        assert packet_scenario_events(2000, LANE) == pytest.approx(
-            2 * packet_scenario_events(1000, LANE)
-        )
 
     def test_too_few_flows_for_the_classes(self):
         with pytest.raises(ValueError, match="at least"):

@@ -134,11 +134,3 @@ class TestCampaignResultShape:
         b = make_campaign().run(N)
         b.meta["resumed"] = 999
         assert a.fingerprint() == b.fingerprint()
-
-    def test_run_experiment_single_cell_matches_worker(self):
-        camp = make_campaign()
-        picker = camp.streams.stream("pair-picker")
-        path = camp.pick_path(picker)
-        exp = camp.run_experiment(path, index=0, started_at=100.0)
-        assert exp.started_at == 100.0
-        assert exp.small.packet_size < exp.large.packet_size

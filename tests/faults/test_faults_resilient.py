@@ -13,14 +13,9 @@ pytestmark = pytest.mark.faults
 
 
 class TestResult:
-    def test_ok_unwrap(self):
-        assert Result(index=0, ok=True, value=42).unwrap() == 42
-
-    def test_error_unwrap_reraises(self):
+    def test_error_text_names_type_and_message(self):
         err = RuntimeError("boom")
         res = Result(index=0, ok=False, error=err, attempts=3)
-        with pytest.raises(RuntimeError, match="boom"):
-            res.unwrap()
         assert res.error_text == "RuntimeError: boom"
 
     def test_ok_error_text_empty(self):

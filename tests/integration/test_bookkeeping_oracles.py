@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.common import FAST
 from repro.experiments.zoo_grid import run_zoo_cell
+from repro.obs.invariants import check_queue
 from repro.sim.packet import DATA, Packet
 from repro.sim.queues import CoDelParams, FqCoDelQueue
 from repro.tcp.bbr import BTLBW_WINDOW_ROUNDS, BbrSender
@@ -147,8 +148,8 @@ def test_fq_codel_evicts_head_of_first_fattest_bucket(capacity, ops):
         assert len(q) == sum(map(len, model)) <= capacity
         assert q.bytes == sum(p.size for b in model for p in b)
         for i, b in enumerate(model):
-            assert q.backlog_of(i) == sum(p.size for p in b)
-        assert q.conservation_residuals() == {"arrival": 0, "occupancy": 0}
+            assert q._buckets[i].byte_backlog == sum(p.size for p in b)
+        check_queue(q)
     assert q.dropped_head >= evictions
 
 

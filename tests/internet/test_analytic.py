@@ -37,6 +37,7 @@ from repro.internet.probe import PROBE_SIZES, ProbeConfig, run_probe, validate_p
 from repro.internet.shards import CAMPAIGN_SPAN_SECONDS, plan_shards, run_shard
 from repro.internet.sites import synthetic_sites
 from repro.sim.rng import FastStreams, RngStreams
+from tests.internet import matrix_paths
 from tests.internet.probe_oracle import experiment_worker_objects, run_shard_objects
 
 
@@ -451,7 +452,7 @@ def _campaign_jobs(cfg, plan_for=lambda starts: None, n=4):
     matrix = RttMatrix(RngStreams(2006))
     starts = [1000.0 * (i + 0.5) for i in range(n)]
     return [(2006, cfg, p, i, starts[i], plan_for(starts))
-            for i, p in enumerate(matrix.all_paths()[:n])]
+            for i, p in enumerate(matrix_paths(matrix)[:n])]
 
 
 class TestShardEquivalence:
@@ -475,7 +476,7 @@ class TestShardEquivalence:
     def test_run_experiment_fast_returns_real_probe_runs(self):
         _fresh_caches()
         matrix = RttMatrix(RngStreams(2006))
-        path = matrix.all_paths()[0]
+        path = matrix_paths(matrix)[0]
         small, large, valid = run_experiment_fast(
             2006, ProbeConfig(duration=2.0), path, 0, 500.0)
         assert small.packet_size == PROBE_SIZES[0]
@@ -654,10 +655,8 @@ class TestWhatAPlanCosts:
         cfg = ProbeConfig(duration=1.0, jitter=1 - 1e-14)
         with pytest.raises(ValueError, match="not strictly monotone"):
             run_shard(plan_shards(8, 2)[0], probe_config=cfg)
-        camp = Campaign(probe_config=cfg)
-        path = camp.pick_path(camp.streams.stream("pair-picker"))
         with pytest.raises(ValueError, match="not strictly monotone"):
-            camp.run_experiment(path, index=0)
+            Campaign(probe_config=cfg).run(1)
 
 
 # ----------------------------------------------------------------------

@@ -57,11 +57,6 @@ class TestCampaign:
         for src, dst in res.paths_measured():
             assert camp.matrix.path(src, dst) is not None
 
-    def test_models_cached_per_path(self):
-        camp = Campaign(seed=1)
-        p = camp.matrix.all_paths()[0]
-        assert camp.model_for(p) is camp.model_for(p)
-
     def test_invalid_count(self):
         camp = Campaign(seed=1)
         with pytest.raises(ValueError):

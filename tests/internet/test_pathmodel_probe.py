@@ -14,6 +14,7 @@ from repro.internet import (
 )
 from repro.internet.probe import PROBE_SIZES
 from repro.sim.rng import RngStreams
+from tests.internet import matrix_paths
 
 
 def model(rtt=0.1, erate=1.0, edur=0.005, h=0.9, eps=1e-4):
@@ -37,11 +38,6 @@ class TestPathLossModel:
         with pytest.raises(ValueError):
             model(eps=-0.1)
 
-    def test_expected_loss_rate(self):
-        m = model(erate=2.0, edur=0.01, h=0.5, eps=1e-3)
-        # duty = 0.02; p = 0.02*0.5 + 0.98*0.001
-        assert m.expected_loss_rate == pytest.approx(0.02 * 0.5 + 0.98 * 1e-3)
-
     def test_episode_sampling_count(self):
         m = model(erate=5.0)
         rng = np.random.default_rng(0)
@@ -55,7 +51,8 @@ class TestPathLossModel:
         rng = np.random.default_rng(1)
         t = np.arange(0, 600.0, 0.001)
         lost = m.lost_mask(t, rng)
-        assert lost.mean() == pytest.approx(m.expected_loss_rate, rel=0.25)
+        duty = 1.0 * 0.01  # episode rate x mean duration: time inside episodes
+        assert lost.mean() == pytest.approx(duty * 0.8 + (1 - duty) * 1e-4, rel=0.25)
 
     def test_losses_cluster_in_episodes(self):
         m = model(erate=0.5, edur=0.01, h=0.95, eps=0.0)
@@ -97,7 +94,7 @@ class TestPathLossModel:
 class TestSampleModel:
     def test_deterministic_per_path(self):
         mtx = build_rtt_matrix()
-        p = mtx.all_paths()[0]
+        p = matrix_paths(mtx)[0]
         a = sample_path_loss_model(p, RngStreams(9))
         b = sample_path_loss_model(p, RngStreams(9))
         assert a.episode_rate == b.episode_rate
@@ -107,13 +104,13 @@ class TestSampleModel:
         mtx = build_rtt_matrix()
         streams = RngStreams(9)
         rates = {sample_path_loss_model(p, streams).episode_rate
-                 for p in mtx.all_paths()[:20]}
+                 for p in matrix_paths(mtx)[:20]}
         assert len(rates) == 20
 
     def test_duration_scales_with_rtt(self):
         mtx = build_rtt_matrix()
         streams = RngStreams(9)
-        long_paths = [p for p in mtx.all_paths() if p.base_rtt > 0.2]
+        long_paths = [p for p in matrix_paths(mtx) if p.base_rtt > 0.2]
         m = sample_path_loss_model(long_paths[0], streams)
         assert m.episode_mean_duration >= 0.025 * 0.2
 
@@ -122,7 +119,7 @@ class TestProbe:
     def test_probe_counts_and_ordering(self):
         cfg = ProbeConfig(interval=0.001, duration=10.0, jitter=0.0)
         mtx = build_rtt_matrix()
-        p = mtx.all_paths()[0]
+        p = matrix_paths(mtx)[0]
         run = run_probe(p, model(rtt=p.base_rtt), np.random.default_rng(0), cfg)
         assert run.n_sent == 10_000
         assert np.all(np.diff(run.loss_times) >= 0)
@@ -131,14 +128,14 @@ class TestProbe:
     def test_jitter_keeps_times_sorted(self):
         cfg = ProbeConfig(interval=0.001, duration=5.0, jitter=0.3)
         mtx = build_rtt_matrix()
-        p = mtx.all_paths()[1]
+        p = matrix_paths(mtx)[1]
         run = run_probe(p, model(rtt=p.base_rtt), np.random.default_rng(1), cfg)
         assert np.all(np.diff(run.loss_times) >= 0)
 
     def test_intervals_normalized_by_path_rtt(self):
         cfg = ProbeConfig(interval=0.001, duration=30.0, jitter=0.0)
         mtx = build_rtt_matrix()
-        p = mtx.all_paths()[2]
+        p = matrix_paths(mtx)[2]
         run = run_probe(p, model(rtt=p.base_rtt, erate=2.0), np.random.default_rng(2), cfg)
         x = run.intervals_rtt()
         if len(x):
@@ -168,7 +165,7 @@ class TestProbe:
         cfg = ProbeConfig(duration=duration, interval=interval, jitter=0.0)
         assert cfg.n_probes == n
         mtx = build_rtt_matrix()
-        p = mtx.all_paths()[0]
+        p = matrix_paths(mtx)[0]
         run = run_probe(p, model(rtt=p.base_rtt), np.random.default_rng(0), cfg)
         assert run.n_sent == n
 
@@ -200,7 +197,7 @@ class TestProbe:
 class TestValidatePair:
     def _runs(self, rate_a, rate_b, n=10_000):
         mtx = build_rtt_matrix()
-        p = mtx.all_paths()[0]
+        p = matrix_paths(mtx)[0]
         from repro.internet.probe import ProbeRun
 
         a = ProbeRun(path=p, packet_size=48, n_sent=n,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.internet import PathLossModel, build_rtt_matrix, validate_pair
 from repro.internet.probe import ProbeRun
+from tests.internet import matrix_paths
 
 models = st.builds(
     PathLossModel,
@@ -50,7 +51,7 @@ def test_same_weather_same_windows(model, seed):
 @given(st.integers(min_value=0, max_value=649))
 def test_every_path_has_sane_rtt(idx):
     matrix = build_rtt_matrix()
-    p = matrix.all_paths()[idx]
+    p = matrix_paths(matrix)[idx]
     assert 0.002 <= p.base_rtt <= 1.0
     # Diurnal variation stays within its amplitude at all hours.
     for h in range(0, 24, 6):
@@ -60,7 +61,7 @@ def test_every_path_has_sane_rtt(idx):
 
 def _mk_run(n_sent, n_lost, rtt=0.1):
     mtx = build_rtt_matrix()
-    p = mtx.all_paths()[0]
+    p = matrix_paths(mtx)[0]
     return ProbeRun(
         path=p, packet_size=48, n_sent=n_sent,
         loss_times=np.linspace(0, 10, n_lost), rtt=rtt,

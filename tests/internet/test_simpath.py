@@ -9,6 +9,7 @@ from repro.sim import Simulator
 from repro.sim.node import Host
 from repro.sim.packet import Packet
 from repro.tcp import CbrSource, NewRenoSender, ProbeSink, TcpSink
+from tests.internet import matrix_paths
 
 
 def model(erate=1.0, edur=0.01, h=0.9, eps=1e-4, rtt=0.1):
@@ -79,7 +80,7 @@ class TestBuildSimPath:
         reconstructable from receiver gaps."""
         sim = Simulator()
         mtx = build_rtt_matrix()
-        path = mtx.all_paths()[0]
+        path = matrix_paths(mtx)[0]
         m = model(erate=2.0, edur=0.01, h=0.9, eps=1e-3, rtt=path.base_rtt)
         src, dst, trace = build_sim_path(sim, path, m, np.random.default_rng(3),
                                          horizon=60.0)
@@ -99,7 +100,7 @@ class TestBuildSimPath:
         """TCP survives a lossy WAN: retransmissions recover model drops."""
         sim = Simulator()
         mtx = build_rtt_matrix()
-        path = mtx.all_paths()[10]
+        path = matrix_paths(mtx)[10]
         # ~2.5% per-packet loss: a 400-packet transfer sees ~10 drops.
         m = model(erate=5.0, edur=0.005, h=0.8, eps=5e-3, rtt=path.base_rtt)
         src, dst, _ = build_sim_path(sim, path, m, np.random.default_rng(4),
@@ -116,7 +117,7 @@ class TestBuildSimPath:
     def test_rtt_matches_path(self):
         sim = Simulator()
         mtx = build_rtt_matrix()
-        path = mtx.all_paths()[5]
+        path = matrix_paths(mtx)[5]
         m = model(erate=0.0, eps=0.0, rtt=path.base_rtt)
         src, dst, _ = build_sim_path(sim, path, m, np.random.default_rng(5))
         got = []

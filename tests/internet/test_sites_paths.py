@@ -10,9 +10,13 @@ from repro.internet import (
     build_rtt_matrix,
     n_directed_paths,
     sites,
-    sites_by_region,
 )
 from repro.sim.rng import RngStreams
+from tests.internet import matrix_paths
+
+
+def _sites_in(region):
+    return [s for s in SITES if s.region == region]
 
 
 class TestSites:
@@ -27,19 +31,19 @@ class TestSites:
         # "6 are in California, 11 are in other parts of United States,
         #  3 are in Canada and the rest are in Asia, Europe and Southern
         #  America" (plus Israel).
-        ca = sites_by_region(Region.CALIFORNIA)
+        ca = _sites_in(Region.CALIFORNIA)
         assert len(ca) == 6
         other_us = (
-            sites_by_region(Region.US_WEST)
-            + sites_by_region(Region.US_CENTRAL)
-            + sites_by_region(Region.US_EAST)
+            _sites_in(Region.US_WEST)
+            + _sites_in(Region.US_CENTRAL)
+            + _sites_in(Region.US_EAST)
         )
         assert len(other_us) == 11
-        assert len(sites_by_region(Region.CANADA)) == 3
-        assert len(sites_by_region(Region.ASIA)) == 3
-        assert len(sites_by_region(Region.EUROPE)) == 1
-        assert len(sites_by_region(Region.SOUTH_AMERICA)) == 1
-        assert len(sites_by_region(Region.MIDDLE_EAST)) == 1
+        assert len(_sites_in(Region.CANADA)) == 3
+        assert len(_sites_in(Region.ASIA)) == 3
+        assert len(_sites_in(Region.EUROPE)) == 1
+        assert len(_sites_in(Region.SOUTH_AMERICA)) == 1
+        assert len(_sites_in(Region.MIDDLE_EAST)) == 1
 
     def test_hostnames_unique(self):
         names = [s.hostname for s in SITES]
@@ -55,7 +59,7 @@ class TestRttMatrix:
     def test_all_650_paths_present(self):
         m = build_rtt_matrix()
         assert len(m) == 650
-        assert len(m.all_paths()) == 650
+        assert len(matrix_paths(m)) == 650
 
     def test_rtt_range_spans_paper_claim(self):
         # "from 2ms to more than 200ms" / highest "more than 300ms".
@@ -91,8 +95,8 @@ class TestRttMatrix:
     def test_regional_ordering(self):
         """Cross-continental paths are slower than intra-California ones."""
         m = build_rtt_matrix()
-        ca = sites_by_region(Region.CALIFORNIA)
-        asia = sites_by_region(Region.ASIA)
+        ca = _sites_in(Region.CALIFORNIA)
+        asia = _sites_in(Region.ASIA)
         intra = [m.path(a, b).base_rtt for a in ca for b in ca if a is not b]
         inter = [m.path(a, b).base_rtt for a in ca for b in asia]
         assert np.mean(inter) > 5 * np.mean(intra)

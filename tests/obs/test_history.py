@@ -9,7 +9,6 @@ from repro.obs.aggregate import FleetAggregator
 from repro.obs.history import (
     collect_history,
     generate_history,
-    generate_html_history,
     main,
 )
 
@@ -155,7 +154,9 @@ class TestRender:
 
     def test_html_escapes_markdown(self, tmp_path):
         _fleet_dir(tmp_path, "camp", quarantine=True)
-        page = generate_html_history(tmp_path)
+        out = tmp_path / "timeline.md"
+        assert main([str(tmp_path), "--out", str(out), "--html"]) == 0
+        page = out.with_suffix(".html").read_text()
         assert page.startswith("<!doctype html>")
         assert "<pre>" in page
         assert "**DEGRADED**" in page  # markdown body survives, escaped

@@ -1,6 +1,5 @@
 """Unit tests for metric primitives and the registry JSON export."""
 
-import json
 import math
 
 import pytest
@@ -105,24 +104,6 @@ class TestMetricsRegistry:
         assert d["histograms"]["h"]["counts"] == [1]
         assert d["warnings"] == ["something odd"]
         assert d["extra"] == {"k": 1}
-
-    def test_write_json_roundtrip(self, tmp_path):
-        r = MetricsRegistry("run2")
-        r.counter("c").inc()
-        path = r.write_json(tmp_path / "sub" / "m.json")
-        data = json.loads(path.read_text())
-        assert data["name"] == "run2"
-        assert data["counters"]["c"] == 1
-
-    def test_write_json_replaces_atomically(self, tmp_path):
-        target = tmp_path / "m.json"
-        r = MetricsRegistry("run3")
-        r.write_json(target)
-        r.counter("c").inc(2)
-        r.write_json(target)  # overwrite of an existing artifact
-        assert json.loads(target.read_text())["counters"]["c"] == 2
-        # No temp litter survives a successful write.
-        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 class TestAtomicWriteText:

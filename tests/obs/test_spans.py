@@ -15,9 +15,9 @@ class TestSpanTracer:
             with tr.span("inner") as inner:
                 assert inner.parent == outer.seq
                 assert inner.depth == 1
-            assert tr.current is outer
-        assert tr.current is None
-        recs = tr.to_records()
+            assert tr._stack[-1] is outer
+        assert not tr._stack
+        recs = tr.records
         # Children close (and record) before parents.
         assert [r["name"] for r in recs] == ["inner", "outer"]
         assert recs[1]["parent"] is None
@@ -29,7 +29,7 @@ class TestSpanTracer:
         sim.schedule(1.0, lambda: None)
         with tr.span("run"):
             sim.run(until=1.5)
-        rec = tr.to_records()[0]
+        rec = tr.records[0]
         assert rec["sim_start"] == 0.0
         assert rec["sim_end"] == pytest.approx(1.5)
         assert rec["wall_ms"] is not None
@@ -38,7 +38,7 @@ class TestSpanTracer:
         tr = SpanTracer("t")
         with tr.span("x"):
             pass
-        rec = tr.to_records()[0]
+        rec = tr.records[0]
         assert rec["sim_start"] is None
         assert rec["sim_end"] is None
 
@@ -50,7 +50,7 @@ class TestSpanTracer:
         tr = SpanTracer("t")
         with tr.span("phase") as sp:
             tr.event("fault.link_down", count=1)
-        ev = [r for r in tr.to_records() if r["kind"] == "event"][0]
+        ev = [r for r in tr.records if r["kind"] == "event"][0]
         assert ev["parent"] == sp.seq
         assert ev["attrs"] == {"count": 1}
 
@@ -59,15 +59,15 @@ class TestSpanTracer:
         rec = tr.record_span("item", index=3, ok=True, attempts=1)
         assert rec["kind"] == "span"
         assert rec["attrs"]["index"] == 3
-        assert tr.to_records() == [rec]
+        assert tr.records == [rec]
 
     def test_exception_still_closes_span(self):
         tr = SpanTracer("t")
         with pytest.raises(RuntimeError):
             with tr.span("broken"):
                 raise RuntimeError("boom")
-        assert tr.current is None
-        assert tr.to_records()[0]["name"] == "broken"
+        assert not tr._stack
+        assert tr.records[0]["name"] == "broken"
 
     def test_jsonl_round_trip(self, tmp_path):
         tr = SpanTracer("t")

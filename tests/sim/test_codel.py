@@ -21,6 +21,11 @@ def mkpkt(seq=0, size=1000, flow=0, ecn=False):
     return Packet(flow_id=flow, seq=seq, size=size, ecn_capable=ecn)
 
 
+def backlog(q, flow_id):
+    """Byte backlog of the FQ-CoDel bucket ``flow_id`` hashes into."""
+    return q._buckets[flow_id % q.n_buckets].byte_backlog
+
+
 def conservation_ok(q):
     assert q.arrived == q.enqueued + q.dropped
     assert q.enqueued == q.dequeued + q.dropped_head + len(q)
@@ -148,11 +153,8 @@ class TestCoDel:
         for k in range(4):
             q.pop(0.001 * (k + 1))
         assert q.sojourn_peak == pytest.approx(0.004)
-        assert q.mean_sojourn() == pytest.approx(0.0025)
+        assert q.sojourn_sum / q.dequeued == pytest.approx(0.0025)
         assert q.last_sojourn == pytest.approx(0.004)
-
-    def test_mean_sojourn_nan_before_any_dequeue(self):
-        assert np.isnan(CoDelQueue(10).mean_sojourn())
 
 
 class TestFqCoDel:
@@ -173,9 +175,9 @@ class TestFqCoDel:
         for i in range(7):
             q.push(mkpkt(i, flow=3), 0.0)
         q.push(mkpkt(0, flow=4, size=500), 0.0)
-        assert q.backlog_of(3) == 7 * 1000  # byte backlog
-        assert q.backlog_of(4) == 500
-        assert q.backlog_of(99) == 0
+        assert backlog(q, 3) == 7 * 1000  # byte backlog
+        assert backlog(q, 4) == 500
+        assert backlog(q, 99) == 0
 
     def test_overflow_evicts_from_fattest_bucket(self):
         """Over capacity, FQ-CoDel drops from the largest backlog, so a
@@ -187,7 +189,7 @@ class TestFqCoDel:
             q.push(mkpkt(i, flow=1), 0.0)
         assert len(q) == 10
         assert q.dropped_head > 0  # evictions are head drops
-        assert q.backlog_of(2) == 3 * 1000  # the thin flow kept every packet
+        assert backlog(q, 2) == 3 * 1000  # the thin flow kept every packet
         conservation_ok(q)
 
     def test_eviction_fires_head_drop_hook(self):

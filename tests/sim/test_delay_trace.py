@@ -18,22 +18,9 @@ class TestDelayTrace:
         np.testing.assert_allclose(tr.times, [1.05])
         assert tr.flow_ids[0] == 1
 
-    def test_queueing_delays_subtract_floor(self):
-        tr = DelayTrace()
-        for created, arrived in ((0.0, 0.010), (1.0, 1.013), (2.0, 2.020)):
-            tr.record(Packet(1, 0, 1000, created=created), arrived)
-        np.testing.assert_allclose(tr.queueing_delays(), [0.0, 0.003, 0.010])
-
-    def test_percentile(self):
-        tr = DelayTrace()
-        for d in np.linspace(0.01, 0.02, 11):
-            tr.record(Packet(1, 0, 100, created=0.0), float(d))
-        assert tr.percentile(50) == pytest.approx(0.015)
-
     def test_empty(self):
         tr = DelayTrace()
-        assert tr.queueing_delays().shape == (0,)
-        assert np.isnan(tr.percentile(50))
+        assert tr.delays.shape == (0,)
 
 
 class TestEndToEndDelay:
@@ -60,7 +47,7 @@ class TestEndToEndDelay:
         buffer's worth: max queueing ~= buffer * pkt_time."""
         tr, db = self._run(NewRenoSender, buffer_pkts=60)
         buffer_delay = 60 * 1000 * 8 / 10e6  # 48 ms
-        assert tr.queueing_delays().max() > 0.8 * buffer_delay
+        assert (tr.delays - tr.delays.min()).max() > 0.8 * buffer_delay
 
     def test_delay_based_keeps_queue_short(self):
         """FAST parks ~alpha packets: between-episode queueing stays near
@@ -68,5 +55,5 @@ class TestEndToEndDelay:
         tr, _ = self._run(FastSender, buffer_pkts=60, alpha=8.0)
         target = 8 * 1000 * 8 / 10e6  # 6.4 ms
         # Steady-state (post slow-start) queueing: use the median.
-        assert tr.percentile(50) - tr.delays.min() < 2.5 * target
-        assert tr.queueing_delays().max() < 48e-3  # never fills the buffer
+        assert np.percentile(tr.delays, 50) - tr.delays.min() < 2.5 * target
+        assert (tr.delays - tr.delays.min()).max() < 48e-3  # never fills the buffer

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.invariants import check_queue
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import REDQueue
@@ -66,7 +67,8 @@ def test_bottleneck_drops_are_traced():
         pair.left.send(Packet(1, i, 1000, src=pair.left.node_id, dst=pair.right.node_id))
     sim.run()
     assert len(db.drop_trace) > 0
-    assert db.conservation_ok()
+    check_queue(db.forward_queue)
+    check_queue(db.reverse_queue)
 
 
 def test_bdp_packets_helper():

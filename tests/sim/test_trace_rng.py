@@ -34,7 +34,7 @@ class TestDropTrace:
         tr = DropTrace()
         for f in [3, 1, 3, 2]:
             tr.record(mkpkt(flow=f), 0.0)
-        np.testing.assert_array_equal(tr.flows_hit(), [1, 2, 3])
+        np.testing.assert_array_equal(np.unique(tr.flow_ids), [1, 2, 3])
 
     def test_empty_trace(self):
         tr = DropTrace()

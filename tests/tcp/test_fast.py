@@ -50,7 +50,7 @@ class TestEquilibrium:
         snd.start()
         sim.run(until=20.0)
         expected = 10.0 * 1000 * 8 / 20e6  # 4 ms
-        assert snd.queueing_delay_estimate == pytest.approx(expected, rel=0.5)
+        assert snd.srtt - snd.base_rtt == pytest.approx(expected, rel=0.5)
 
     def test_window_stable_after_convergence(self):
         """No sawtooth: the window's late-run variation is tiny."""
