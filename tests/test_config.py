@@ -262,3 +262,191 @@ def test_processes_start_only_in_the_runner():
             if PROCESS_STARTERS.get(what) != module:
                 stray.append(f"{module}:{line} {what}")
     assert not stray
+
+
+# -- the reachability audit -----------------------------------------------
+REPO = PACKAGE.parent.parent
+
+_PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
+
+#: The defs no root reaches that stay anyway, each with its one reason.
+#: A reason is one of four kinds: a test oracle, a stdlib override, an
+#: open ROADMAP item that needs the def, or library API that
+#: docs/TUTORIAL.md documents.  An entry covers the members of the class
+#: it names.  This list only shrinks.
+UNREACHED_ON_PURPOSE = {
+    "repro.sim.reference.ReferenceSimulator":
+        "test oracle: the original heap engine Simulator is held to",
+    "repro.internet.probe.run_probe":
+        "test oracle: the per-path probe run of tests/internet/probe_oracle.py",
+    "repro.internet.pathmodel.PathLossModel.lost_mask":
+        "test oracle: the per-probe loss decision the analytic kernel is held to",
+    "repro.internet.shards.SyntheticMesh.path_by_index":
+        "test oracle: the mesh accessor tests/internet/probe_oracle.py walks",
+    "repro.core.queueing.mm1k_distribution":
+        "test oracle: M/M/1/K closed form for the queue validation tests",
+    "repro.core.queueing.mm1k_blocking_probability":
+        "test oracle: M/M/1/K closed form for the queue validation tests",
+    "repro.core.queueing.mm1k_mean_occupancy":
+        "test oracle: M/M/1/K closed form for the queue validation tests",
+    "repro.core.queueing.mm1_utilization":
+        "test oracle: M/M/1 closed form for the queue validation tests",
+    "repro.obs.httpd.ObsServer.__init__.Handler.do_GET":
+        "stdlib override: http.server dispatches GET to it",
+    "repro.obs.httpd.ObsServer.__init__.Handler.log_message":
+        "stdlib override: silences http.server's per-request log",
+    "repro.core.detection.DetectionModel":
+        "ROADMAP 8 (a): the Eq. 1-2 expectations the clump-size law generalises",
+    "repro.core.detection.empirical_flows_per_event":
+        "ROADMAP 12 (b): measured Eq. 1-2 detections against planted truth",
+    "repro.core.detection.predicted_throughput_ratio":
+        "ROADMAP 3 (a): the sqrt(p) helper the AIMD predictor replaces",
+    "repro.core.events.event_sizes":
+        "ROADMAP 12 (b): the per-event drop counts M that Eq. 1-2 take",
+    "repro.core.burstiness.index_of_dispersion":
+        "ROADMAP 12 (b): IDC recovered from planted truth",
+    "repro.core.selfsim.SelfSimilarityReport.idc_growth":
+        "ROADMAP 12 (b): IDC growth across scales on planted truth",
+    "repro.core.poisson.poisson_process":
+        "ROADMAP 7 (d): the planted Poisson drop stream eta is checked on",
+    "repro.sim.trace.DelayTrace.delays":
+        "ROADMAP 3 (a): per-class delay including queueing",
+    "repro.core.fairness.time_to_fair":
+        "ROADMAP 1 (d): shares among BBR flows converge",
+    "repro.internet.shards.GapHistogram.to_interval_pdf":
+        "ROADMAP 11 (c): one interval binning, proved against core.pdf",
+    "repro.sim.tracefile.save_drop_trace": "TUTORIAL-documented library API",
+    "repro.sim.tracefile.load_drop_trace": "TUTORIAL-documented library API",
+    "repro.sim.tracefile.TraceCorruptError": "TUTORIAL-documented library API",
+}
+
+
+def _names(node, tracked=lambda n: False):
+    """Names ``node`` uses (``ast.Name`` ids and attribute names), and the
+    nested defs ``tracked`` picks out, which are left unread.  Imports and
+    ``__all__`` are not uses."""
+    named, nested = set(), []
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (ast.Import, ast.ImportFrom)) or _is_all(n):
+            continue
+        if tracked(n):
+            nested.append(n)
+            stack.extend(n.decorator_list)  # run where the def statement runs
+            continue
+        if isinstance(n, ast.Name):
+            named.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            named.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return named, nested
+
+
+def _is_all(node):
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _root_names():
+    """Names used by what a user runs outside the package: every example,
+    every file under ``benchmarks/`` and the TUTORIAL's python blocks."""
+    sources = [p.read_text() for p in sorted((REPO / "examples").glob("*.py"))]
+    sources += [p.read_text() for p in sorted((REPO / "benchmarks").rglob("*.py"))]
+    sources += _PYTHON_BLOCK.findall((REPO / "docs" / "TUTORIAL.md").read_text())
+    named = set()
+    for source in sources:
+        named |= _names(ast.parse(source))[0]
+    return named
+
+
+def _package_defs():
+    """``{qualified name: (def node, enclosing qualified name, names its
+    own code uses)}`` for every module-level function, class and method
+    in the package, classes nested in functions included; and the names
+    the modules' own statements use (``cli.main`` is reached this way,
+    from ``__main__``)."""
+    defs, module_names = {}, set()
+
+    def visit(node, qual, parent):
+        holder = isinstance(node, (ast.Module, ast.ClassDef))
+
+        def tracked(n):
+            return isinstance(n, ast.ClassDef) or (
+                holder and n in node.body
+                and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+        named, nested = _names(node, tracked)
+        if parent is None:
+            module_names.update(named)
+        else:
+            defs[qual] = (node, parent, named)
+        for child in nested:
+            visit(child, f"{qual}.{child.name}", qual)
+
+    for path in _package_sources():
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        visit(ast.parse(path.read_text()), module, None)
+    return defs, module_names
+
+
+def _registered(node):
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id.startswith("register_") for d in node.decorator_list)
+
+
+def _reached(defs, named, seeds=()):
+    """The fixpoint: a def is reached when its enclosing def is (a module
+    always is) and reached code uses its name, or when it is a dunder,
+    registered by a ``@register_*(...)`` decorator or one of ``seeds``."""
+    named = set(named)
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for qual, (node, parent, uses) in defs.items():
+            if qual in reached or (parent in defs and parent not in reached):
+                continue
+            name = node.name
+            if (name in named or qual in seeds or _registered(node)
+                    or (name.startswith("__") and name.endswith("__"))):
+                reached.add(qual)
+                named |= uses
+                grew = True
+    return reached
+
+
+@pytest.fixture(scope="module")
+def reachability():
+    defs, module_names = _package_defs()
+    return defs, module_names | _root_names()
+
+
+def test_every_def_is_reached_from_what_a_user_runs(reachability):
+    """A def in ``src/repro`` is reached from the CLI, an example, a
+    benchmark, a TUTORIAL snippet or a module's own statements (a
+    registry decorator, say), or it is on ``UNREACHED_ON_PURPOSE``.  Code
+    only ``tests/`` calls is not shipped: it moves to ``tests/`` or goes."""
+    defs, named = reachability
+    reached = _reached(defs, named, seeds=set(UNREACHED_ON_PURPOSE))
+    kept = tuple(f"{q}." for q in UNREACHED_ON_PURPOSE)
+    unreached = [f"{q} ({defs[q][0].lineno})" for q in defs
+                 if q not in reached and not q.startswith(kept)]
+    assert not unreached
+
+
+def test_unreached_on_purpose_is_not_stale(reachability):
+    """Each entry still names a def, no root reaches it, and its reason
+    is one of the four kinds."""
+    defs, named = reachability
+    reached = _reached(defs, named)
+    stale = [q for q in UNREACHED_ON_PURPOSE if q not in defs or q in reached]
+    assert not stale
+    kinds = ("test oracle: ", "stdlib override: ", "ROADMAP ",
+             "TUTORIAL-documented library API")
+    assert all(r.startswith(kinds) for r in UNREACHED_ON_PURPOSE.values())
