@@ -435,7 +435,11 @@ def _run_campaign(args) -> int:
         else ProbeConfig()
     )
     workers = args.workers if args.workers is not None else 0
-    specs = plan_shards(args.sites, args.shards, seed=seed, n_paths=args.paths)
+    try:
+        specs = plan_shards(args.sites, args.shards, seed=seed, n_paths=args.paths)
+    except ValueError as exc:  # an impossible plan
+        print(f"campaign: {exc}", file=sys.stderr)
+        return 1
     fault_plan = None
     if args.inject_faults is not None:
         fault_plan = FaultPlan.sample_shard_faults(

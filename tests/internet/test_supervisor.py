@@ -297,6 +297,14 @@ class TestDamagedStateOnTheCli:
         assert err.startswith("campaign: "), err
         assert "already holds campaign state" in err
 
+    def test_impossible_shard_plan_is_named(self, tmp_path, capsys):
+        code = main(["campaign", "--sites", "2", "--shards", "5",
+                     "--state-dir", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "campaign: n_shards must be in [1, 2] for 2 paths, got 5\n"
+        assert not (tmp_path / "d").exists()
+
 
 class TestConfigValidation:
     def test_rejects_bad_knobs(self):

@@ -442,7 +442,7 @@ def test_every_def_is_reached_from_what_a_user_runs(reachability):
 
 def test_unreached_on_purpose_is_not_stale(reachability):
     """Each entry still names a def, no root reaches it, and its reason
-    is one of the four kinds."""
+    is one of the four kinds; a tutorial entry is named in the tutorial."""
     defs, named = reachability
     reached = _reached(defs, named)
     stale = [q for q in UNREACHED_ON_PURPOSE if q not in defs or q in reached]
@@ -450,3 +450,6 @@ def test_unreached_on_purpose_is_not_stale(reachability):
     kinds = ("test oracle: ", "stdlib override: ", "ROADMAP ",
              "TUTORIAL-documented library API")
     assert all(r.startswith(kinds) for r in UNREACHED_ON_PURPOSE.values())
+    tutorial = (REPO / "docs" / "TUTORIAL.md").read_text()
+    assert all(q.rsplit(".", 1)[1] in tutorial
+               for q, r in UNREACHED_ON_PURPOSE.items() if r.startswith("TUTORIAL"))
