@@ -12,24 +12,15 @@ covered by ``test_shards.py``: ``test_scales_to_thousands_of_sites``
 (10,000 paths of a 120-site mesh through ``run_shard``).
 """
 
-import os
 import re
 import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parents[2]
-
-
-def cli_env() -> dict:
-    """Subprocess env: the repo on PYTHONPATH, no leaked REPRO_* knobs."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env["PYTHONPATH"] = str(REPO / "src")
-    return env
+from tests.conftest import REPO, cli_env
 
 # Paper-scale content (26 sites / 650 paths) sharded 16 ways: enough
 # shards that a mid-run kill reliably lands between the first completed

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from repro.obs.aggregate import FleetAggregator
 from repro.obs.console import _bar, _fmt_duration, render_snapshot, run_top
+from tests.conftest import cli_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "campaign_state.top.txt"
@@ -48,14 +49,13 @@ class TestOnceFixture:
 
     def test_golden_via_module_entrypoint(self, monkeypatch):
         """The committed golden also pins ``python -m repro top --once``."""
-        src = Path(__file__).resolve().parents[2] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "top", "campaign_state",
              "--once"],
             cwd=FIXTURES,
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            env=cli_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == GOLDEN.read_text()

@@ -10,18 +10,16 @@ COMPLETE with zero torn records.
 
 import io
 import json
-import os
 import subprocess
 import sys
 import time
 import urllib.request
-from pathlib import Path
 
 from repro.obs.aggregate import FleetAggregator
 from repro.obs.console import run_top
 from repro.obs.httpd import PORT_FILE
+from tests.conftest import cli_env
 
-SRC = Path(__file__).resolve().parents[2] / "src"
 SITES, SHARDS, PATHS = 30, 8, 400
 
 #: Generous: the whole campaign takes ~2.5 s on a laptop core.
@@ -36,13 +34,11 @@ def _get(port: int, path: str) -> bytes:
 
 def test_campaign_serves_metrics_and_top_reads_it_back(tmp_path):
     state = tmp_path / "campaign"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env["PYTHONPATH"] = str(SRC)
     child = subprocess.Popen(
         [sys.executable, "-m", "repro", "campaign", "--sites", str(SITES),
          "--shards", str(SHARDS), "--paths", str(PATHS), "--seed", "2006",
          "--state-dir", str(state), "--metrics-port", "0"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     deadline = time.monotonic() + DEADLINE_S
     try:

@@ -264,6 +264,33 @@ def test_processes_start_only_in_the_runner():
     assert not stray
 
 
+def _subprocess_envs(tree):
+    """``(line, env expression)`` of every ``subprocess`` call that passes
+    ``env=``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "subprocess"):
+            found.extend((node.lineno, kw.value) for kw in node.keywords
+                         if kw.arg == "env")
+    return found
+
+
+def test_subprocess_env_is_cli_env():
+    """A test that hands a child ``python`` its own ``env`` builds it with
+    ``tests.conftest.cli_env()``: a hand-built dict drops variables such
+    as ``PYTHONDONTWRITEBYTECODE`` and leaves bytecode under ``src/``."""
+    tests = PACKAGE.parent.parent / "tests"
+    stray = []
+    for path in sorted(tests.rglob("*.py")):
+        for line, env in _subprocess_envs(ast.parse(path.read_text())):
+            if not (isinstance(env, ast.Call) and isinstance(env.func, ast.Name)
+                    and env.func.id == "cli_env" and not env.args):
+                stray.append(f"{path.relative_to(tests)}:{line}")
+    assert not stray
+
+
 # -- the reachability audit -----------------------------------------------
 REPO = PACKAGE.parent.parent
 

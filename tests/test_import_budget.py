@@ -7,12 +7,10 @@ changed when it is computed, not what it is.
 """
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +20,8 @@ from scipy import stats
 
 from repro.core import compare_to_poisson, exponential_ks_test
 from repro.experiments import FAST, run_fig2
+from tests.conftest import cli_env
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: The e2e ledger's smoke sizes (benchmarks/e2e/workloads.py).
 SMOKE_OVERRIDES = dict(
@@ -39,11 +37,9 @@ def fig2_smoke():
 
 
 def _python(code: str, cwd=None) -> str:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env["PYTHONPATH"] = SRC
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+        capture_output=True, text=True, env=cli_env(), cwd=cwd, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
