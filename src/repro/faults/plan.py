@@ -1,9 +1,9 @@
 """Reproducible fault injection: the :class:`FaultPlan`.
 
 A fault plan is a declarative schedule of failures to inject into a run —
-link flaps, transient loss-rate spikes, probe-process crashes, and
-worker kills and hangs.  Plans are either built
-explicitly (``plan.add_probe_crash(3)``) or *sampled* from a seed
+link flaps, transient loss-rate spikes, probe-process crashes, and worker
+kills and hangs.  Plans are either built explicitly
+(``plan.add_probe_crash(3)``) or *sampled* from a seed
 (:meth:`FaultPlan.sample_sim`, :meth:`FaultPlan.sample_campaign`), in
 which case every fault site/time is drawn from named
 :class:`~repro.sim.rng.RngStreams`, so the exact same faults replay from
@@ -20,8 +20,8 @@ Two execution legs consume plans:
 * **Campaign leg** — the probe kernel (:mod:`repro.internet.analytic`)
   calls :meth:`crash_check` / :meth:`apply_probe_faults` per path, so
   flaps become path outages on the campaign clock, spikes add transient
-  loss, and crashes raise
-  :class:`ProbeCrashError` mid-run (resolved by the retry policy).
+  loss, and crashes raise :class:`ProbeCrashError` mid-run (resolved by
+  the retry policy).
 """
 
 from __future__ import annotations

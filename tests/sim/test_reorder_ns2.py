@@ -7,7 +7,6 @@ from repro.sim import Simulator
 from repro.sim.link import Link
 from repro.sim.node import Host
 from repro.sim.packet import Packet
-from repro.sim.trace import DropTrace
 from repro.tcp import NewRenoSender, SackSender, TcpSink
 
 
