@@ -98,7 +98,7 @@ bench-paper:
 # every deterministic driver's `--seed 1` text with its `[cmd: 1.2s]`
 # timing line stripped, one `<cmd> <sha256>` line each (~1 min).  Run it
 # in both checkouts and diff the two outputs.
-TEXT_HASH_CMDS = fig2 fig3 fig4 fig7 fig8 eq12 ecn red shortflows methodology delay
+TEXT_HASH_CMDS = fig2 fig3 fig4 fig7 fig8 eq12 ecn red shortflows methodology delay mapreduce table1
 
 text-hashes:
 	@out=$$(mktemp) || exit 1; \

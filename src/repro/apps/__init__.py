@@ -1,28 +1,20 @@
 """Distributed-application models.
 
-:class:`ParallelTransfer` reproduces the paper's GridFTP/GFS workload —
-a payload split into equal chunks over N parallel TCP flows, latency
-defined by the slowest flow — and :mod:`repro.apps.latency` provides the
-theoretic lower bound used to normalize Figure 8.
+:mod:`repro.apps.latency` provides the theoretic lower bound that
+normalizes Figure 8's parallel transfers (the workload itself is
+:func:`repro.experiments.fig8_parallel.fig8_spec`), :class:`MapReduceShuffle`
+the all-to-all shuffle and :class:`FlowChurn` short-flow arrivals.
 """
 
 from repro.apps.churn import ChurnConfig, FlowChurn
 from repro.apps.latency import LatencyStats, lower_bound, summarize_latencies
 from repro.apps.mapreduce import MapReduceShuffle, ShuffleConfig, ShuffleResult
-from repro.apps.parallel_transfer import (
-    ParallelTransfer,
-    ParallelTransferConfig,
-    ParallelTransferResult,
-)
 
 __all__ = [
     "ChurnConfig",
     "FlowChurn",
     "LatencyStats",
     "MapReduceShuffle",
-    "ParallelTransfer",
-    "ParallelTransferConfig",
-    "ParallelTransferResult",
     "ShuffleConfig",
     "ShuffleResult",
     "lower_bound",

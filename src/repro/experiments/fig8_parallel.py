@@ -11,29 +11,23 @@ only the flows that happen to lose slow-start packets fall behind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Type
+from typing import Optional
 
 import numpy as np
 
-from repro.apps.latency import LatencyStats, summarize_latencies
-from repro.apps.parallel_transfer import ParallelTransfer, ParallelTransferConfig
+from repro.apps.latency import LatencyStats, lower_bound, summarize_latencies
 from repro.config import RunConfig
 from repro.core.report import format_table
-from repro.experiments.common import Scale, add_noise_fleet, current_scale
+from repro.experiments.common import Scale, current_scale
+from repro.experiments.scenario import Scenario, run_scenario
 from repro.obs.runtime import open_flight_log
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
-from repro.sim.topology import DumbbellConfig, build_dumbbell
+from repro.sim.topology import DumbbellConfig
 from repro.tcp.newreno import NewRenoSender
+from repro.tcp.sink import TcpSink
 
-__all__ = ["Fig8Result", "run_fig8", "run_fig8_cell"]
-
-#: Sim-seconds per ``Simulator.run`` slice of a cell.  Whatever is simulated
-#: after the last flow completes is noise-only traffic nobody reads, and the
-#: slice is the most of it a cell can pay; the result, ``max(completions)``,
-#: does not depend on the slicing.
-COMPLETION_POLL_S = 0.010
+__all__ = ["Fig8Result", "fig8_spec", "run_fig8", "run_fig8_cell"]
 
 
 @dataclass
@@ -93,46 +87,51 @@ class Fig8Result:
         return text
 
 
-def run_fig8_cell(
-    n_flows: int,
-    rtt: float,
-    seed: int,
-    scale: Optional[Scale] = None,
-    sender_cls: Type = NewRenoSender,
-    with_noise: bool = True,
-    buffer_bdp_fraction: float = 0.5,
-) -> float:
-    """One repetition of one (flows, RTT) cell: normalized latency."""
-    sc = current_scale(scale)
-    streams = RngStreams(seed)
-    sim = Simulator()
+def fig8_spec(n_flows: int, rtt: float, sc: Scale) -> Scenario:
+    """One (flows, RTT) cell: the payload split into ``n_flows`` equal
+    finite NewReno transfers (pairs ``pt{i}``, flow ids ``1000 + i``, whole
+    1000-byte packets rounded up) on a half-BDP bottleneck with a quarter
+    of the noise fleet.  Starts are jittered by up to 10 ms on the
+    ``"start-jitter"`` stream, modelling process-launch skew in a real
+    cluster.  The run stops once every transfer has finished, or at 60x
+    the lower bound."""
+    if n_flows < 1:
+        raise ValueError(f"n_flows must be at least 1, got {n_flows}")
+    per_flow = math.ceil(sc.fig8_total_bytes / n_flows / 1000)
     cfg = DumbbellConfig(bottleneck_rate_bps=sc.fig8_capacity_bps)
-    cfg.buffer_pkts = max(4, int(cfg.bdp_packets(max(rtt, 0.010)) * buffer_bdp_fraction))
-    db = build_dumbbell(sim, cfg)
-    if with_noise:
-        add_noise_fleet(sim, db, streams, max(2, sc.n_noise_flows // 4), sc.noise_load)
 
-    pt_cfg = ParallelTransferConfig(
-        total_bytes=sc.fig8_total_bytes, n_flows=n_flows, sender_cls=sender_cls
+    def transfers(sim, db, streams, flows):
+        jitter = streams.stream("start-jitter")
+        for i in range(n_flows):
+            pair = db.add_pair(rtt=rtt, name=f"pt{i}")
+            snd = NewRenoSender(sim, pair.left, 1000 + i, pair.right.node_id,
+                                total_packets=per_flow)
+            flows.append((snd, TcpSink(sim, pair.right, 1000 + i, pair.left.node_id)))
+            snd.start(float(jitter.uniform(0.0, 0.01)))
+
+    return Scenario(
+        classes=(),
+        capacity_bps=sc.fig8_capacity_bps,
+        buffer_pkts=max(4, int(cfg.bdp_packets(max(rtt, 0.010)) * 0.5)),
+        duration=60.0 * lower_bound(sc.fig8_total_bytes, sc.fig8_capacity_bps),
+        noise_flows=max(2, sc.n_noise_flows // 4),
+        noise_load=sc.noise_load,
+        bin_width=None,
+        on_build=transfers,
     )
-    pt = ParallelTransfer(sim, db, rtt=rtt, config=pt_cfg)
-    # Small start jitter models process-launch skew in a real cluster.
-    jitter = streams.stream("start-jitter")
-    for snd in pt.senders:
-        snd.start(float(jitter.uniform(0.0, 0.01)))
-    from repro.apps.latency import lower_bound
 
-    bound = lower_bound(sc.fig8_total_bytes, sc.fig8_capacity_bps)
-    # Run in slices so the background noise stops as soon as the slowest
-    # flow finishes, instead of simulating the full horizon.
-    horizon = 60.0 * bound
-    t = 0.0
-    while t < horizon and len(pt._completions) < n_flows:
-        t += COMPLETION_POLL_S
-        sim.run(until=t)
-    if len(pt._completions) < n_flows:
+
+def run_fig8_cell(n_flows: int, rtt: float, seed: int, scale: Optional[Scale] = None) -> float:
+    """One repetition of one (flows, RTT) cell: the slowest transfer's
+    finish time over the lower bound (``inf`` if one never finished)."""
+    sc = current_scale(scale)
+    run = run_scenario(fig8_spec(n_flows, rtt, sc), seed,
+                       f"fig8.n{n_flows}.rtt{rtt * 1e3:g}ms.s{seed}",
+                       manifest={"n_flows": n_flows, "rtt": rtt, "scale": sc.name})
+    finish = [snd.stats.finish_time for snd, _ in run.flows]
+    if None in finish:
         return float("inf")
-    return max(pt._completions) / bound
+    return max(finish) / lower_bound(sc.fig8_total_bytes, sc.fig8_capacity_bps)
 
 
 def _run_cell_args(args: tuple) -> tuple[tuple[int, float], float]:
@@ -157,7 +156,6 @@ def run_fig8(
     lands in ``result.failures`` and its cell aggregates the survivors.
     """
     sc = current_scale(scale)
-    from repro.apps.latency import lower_bound
     from repro.experiments.parallel import parallel_map
 
     if on_error is None:

@@ -23,7 +23,12 @@ The construction rules live here and nowhere else:
 * ``on_build`` runs after the flows, then the noise fleet is added;
 * :func:`~repro.obs.runtime.observe_run` is wired in (metrics, invariant
   sweeps, fault injection, flight record) with ``setup`` / ``run`` /
-  ``analyze`` spans.
+  ``analyze`` spans;
+* a run with finite flows (a ``total_packets`` bound) stops once every
+  one of them has finished, at the end of a :data:`COMPLETION_POLL_S`
+  slice, or at ``duration``; any other run is one ``sim.run`` to
+  ``duration``.  Utilization and the flow summaries are over the time
+  actually run (``sim.now``).
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.fluid import FluidScenario
 
 __all__ = ["FlowClass", "Scenario", "ScenarioRun", "Detection", "run_scenario"]
+
+#: Sim-seconds per ``Simulator.run`` slice of a run with finite flows.
+#: Whatever is simulated after the last of them finishes is traffic nobody
+#: reads, and the slice is the most of it a run can pay; finish times do
+#: not depend on the slicing.
+COMPLETION_POLL_S = 0.010
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,9 @@ class Scenario:
     flows)`` runs once the flow classes are built, before the noise
     fleet, and adds what a class cannot say (a probe, an in-run sampler,
     a churn workload); its return value is :attr:`ScenarioRun.extra`.
+    A ``(sender, sink)`` it appends to ``flows`` is observed like a class
+    flow and lands in :attr:`ScenarioRun.flows`; a finite one (built with
+    ``total_packets``) ends the run early once all have finished.
     """
 
     classes: tuple[FlowClass, ...]
@@ -152,8 +166,8 @@ class ScenarioRun:
     drop_times: np.ndarray  # forward-bottleneck drops
     drop_fids: np.ndarray  # flow id of every forward-bottleneck record
     queue: Queue  # the forward bottleneck discipline, for its counters
-    utilization: float  # forward bottleneck over the run
-    flows: list  # (sender, sink) per class flow, in class order
+    utilization: float  # forward bottleneck over the time run
+    flows: list  # (sender, sink) per class flow in class order, then on_build's
     extra: Any  # what spec.on_build returned
 
     def detection(self, rtt: float) -> Detection:
@@ -220,24 +234,32 @@ def run_scenario(
         extra = spec.on_build(sim, db, streams, flows) if spec.on_build is not None else None
         add_noise_fleet(sim, db, streams, spec.noise_flows, spec.noise_load)
         obs = observe_run(sim, db=db, name=name, flows=flows, flight=flight)
+    finite = [snd for snd, _ in flows if snd.total_packets is not None]
     with flight.span("run", until=spec.duration), obs.profiled():
-        sim.run(until=spec.duration)
+        if finite:
+            t = 0.0
+            while t < spec.duration and not all(s.finished for s in finite):
+                t = min(t + COMPLETION_POLL_S, spec.duration)
+                sim.run(until=t)
+        else:
+            sim.run(until=spec.duration)
 
     with flight.span("analyze"):
+        end = sim.now
         times = mbps = mean_mbps = None
         if tp is not None:
             groups = range(len(spec.classes))
-            series = [tp.series(k, until=spec.duration - 1e-9) for k in groups]
+            series = [tp.series(k, until=end - 1e-9) for k in groups]
             times, mbps = series[0][0], tuple(s[1] for s in series)
-            mean_mbps = tuple(tp.mean_mbps(k, spec.duration) for k in groups)
+            mean_mbps = tuple(tp.mean_mbps(k, end) for k in groups)
         run = ScenarioRun(
             spec, times, mbps, mean_mbps,
             drop_times=db.drop_trace.drop_times(),
             drop_fids=db.drop_trace.flow_ids,
             queue=db.forward_queue,
-            utilization=db.bottleneck_fwd.utilization(spec.duration),
+            utilization=db.bottleneck_fwd.utilization(end),
             flows=flows,
             extra=extra,
         )
-    obs.finalize(duration=spec.duration)
+    obs.finalize(duration=end)
     return run

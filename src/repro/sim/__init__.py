@@ -35,11 +35,10 @@ from repro.sim.topology import (
     build_dumbbell,
     build_star,
 )
-from repro.sim.trace import DelayTrace, DropTrace, FlowStats, ThroughputTrace
+from repro.sim.trace import DropTrace, FlowStats, ThroughputTrace
 from repro.sim.tracefile import LoadedDropTrace, load_drop_trace, save_drop_trace
 
 __all__ = [
-    "DelayTrace",
     "DropTailQueue",
     "DropTrace",
     "LoadedDropTrace",

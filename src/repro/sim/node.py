@@ -9,7 +9,7 @@ because the paper's topologies (dumbbell, probe paths) never reroute.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.sim.packet import Packet
 
@@ -17,21 +17,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.link import Link
 
-__all__ = ["Agent", "Node", "Host", "Router"]
+__all__ = ["Node", "Host", "Router"]
 
 _node_ids = itertools.count()
-
-
-class Agent(Protocol):
-    """Protocol endpoint attached to a host.
-
-    Implementations (TCP senders, sinks, CBR sources, ...) receive packets
-    addressed to their flow and send via ``host.send``.
-    """
-
-    def receive(self, pkt: Packet) -> None:  # pragma: no cover - protocol
-        """Agent/node entry point: process an incoming packet."""
-        ...
 
 
 class Node:
@@ -94,12 +82,14 @@ class Host(Node):
 
     def __init__(self, sim: "Simulator", name: Optional[str] = None):
         super().__init__(sim, name=name)
-        self.agents: dict[int, Agent] = {}
+        self.agents: dict[int, Any] = {}
         self.uplink: Optional["Link"] = None
         self.unclaimed_packets = 0
 
-    def attach(self, flow_id: int, agent: Agent) -> None:
-        """Register ``agent`` as the endpoint for ``flow_id`` on this host."""
+    def attach(self, flow_id: int, agent: Any) -> None:
+        """Register ``agent`` (a sender, sink or source: anything with a
+        ``receive(pkt)`` method) as the endpoint for ``flow_id`` on this
+        host."""
         if flow_id in self.agents:
             raise ValueError(f"flow {flow_id} already attached to {self.name}")
         self.agents[flow_id] = agent

@@ -27,7 +27,6 @@ __all__ = [
     "ThroughputTrace",
     "FlowStats",
     "ArrivalTrace",
-    "DelayTrace",
 ]
 
 #: Kind codes in a drop trace's ``kinds`` column.
@@ -255,46 +254,6 @@ class ArrivalTrace:
     def times(self) -> np.ndarray:
         """Record timestamps (seconds) in event order."""
         return _col_f64(self._times)
-
-    @property
-    def flow_ids(self) -> np.ndarray:
-        """Per-record flow ids as an int64 array."""
-        return _col_i64(self._flow_ids)
-
-
-class DelayTrace:
-    """Per-packet one-way delays observed at a receiver.
-
-    Records ``arrival_time - pkt.created``; the queueing component is the
-    excess over the observed minimum (propagation + serialization floor).
-    The direct observable behind bufferbloat and the delay-based control
-    of :mod:`repro.tcp.fast`.  Columnar storage, like :class:`DropTrace`.
-    """
-
-    def __init__(self, name: str = "delay"):
-        self.name = name
-        self._times = array("d")
-        self._delays = array("d")
-        self._flow_ids = array("q")
-
-    def record(self, pkt: Packet, now: float) -> None:
-        """Append one record at the given timestamp."""
-        self._times.append(now)
-        self._delays.append(now - pkt.created)
-        self._flow_ids.append(pkt.flow_id)
-
-    def __len__(self) -> int:
-        return len(self._delays)
-
-    @property
-    def times(self) -> np.ndarray:
-        """Record timestamps (seconds) in event order."""
-        return _col_f64(self._times)
-
-    @property
-    def delays(self) -> np.ndarray:
-        """Per-packet one-way delays (seconds)."""
-        return _col_f64(self._delays)
 
     @property
     def flow_ids(self) -> np.ndarray:

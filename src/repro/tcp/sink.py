@@ -12,7 +12,7 @@ from typing import Callable, Optional
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
 from repro.sim.packet import ACK, DATA, Packet
-from repro.sim.trace import DelayTrace, FlowStats, ThroughputTrace
+from repro.sim.trace import FlowStats, ThroughputTrace
 
 __all__ = ["TcpSink", "UdpSink", "ProbeSink"]
 
@@ -48,7 +48,6 @@ class TcpSink:
         delack_timeout: float = 0.040,
         sack: bool = False,
         max_sack_blocks: int = 3,
-        delay_trace: Optional[DelayTrace] = None,
     ):
         if delack_timeout <= 0:
             raise ValueError(f"delack_timeout must be positive, got {delack_timeout}")
@@ -72,7 +71,6 @@ class TcpSink:
         self.delack_timeout = float(delack_timeout)
         self.sack = bool(sack)
         self.max_sack_blocks = int(max_sack_blocks)
-        self.delay_trace = delay_trace
         self._unacked_count = 0
         self._delack_timer = None
         self.acks_sent = 0
@@ -86,8 +84,6 @@ class TcpSink:
         now = self.sim.now
         self.packets_arrived += 1
         self.bytes_arrived += pkt.size
-        if self.delay_trace is not None:
-            self.delay_trace.record(pkt, now)
         if pkt.seq >= self.next_expected and pkt.seq not in self._out_of_order:
             self.stats.packets_received += 1
             self.stats.bytes_received += pkt.size

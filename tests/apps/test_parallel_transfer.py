@@ -1,16 +1,20 @@
-"""Tests for the parallel-transfer application model."""
+"""Tests for Figure 8's parallel transfer: the payload split over N
+finite flows (:func:`repro.experiments.fig8_parallel.fig8_spec`) and the
+lower bound that normalizes its latency."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.apps import (
-    ParallelTransfer,
-    ParallelTransferConfig,
-    lower_bound,
-    summarize_latencies,
-)
-from repro.sim import DumbbellConfig, Simulator, build_dumbbell
-from repro.tcp import PacedSender
+from repro.apps import lower_bound, summarize_latencies
+from repro.experiments import FAST, run_fig8_cell
+from repro.experiments.fig8_parallel import fig8_spec
+from repro.experiments.scenario import run_scenario
+
+
+def _scale(total):
+    return replace(FAST, fig8_capacity_bps=20e6, fig8_total_bytes=total)
 
 
 class TestLowerBound:
@@ -50,78 +54,55 @@ class TestSummarize:
 
 class TestConfig:
     def test_packets_per_flow_rounds_up(self):
-        cfg = ParallelTransferConfig(total_bytes=10_000, n_flows=3, packet_size=1000)
-        assert cfg.packets_per_flow == 4  # ceil(3333.3 / 1000)
+        run = run_scenario(fig8_spec(3, 0.02, _scale(10_000)), 1, "t")
+        # ceil(3333.3 / 1000) whole packets per flow.
+        assert [snd.total_packets for snd, _ in run.flows] == [4, 4, 4]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ParallelTransferConfig(total_bytes=0)
+            fig8_spec(2, 0.02, _scale(0))
         with pytest.raises(ValueError):
-            ParallelTransferConfig(n_flows=0)
+            fig8_spec(0, 0.02, _scale(10_000))
 
 
 class TestTransfer:
-    def _run(self, n_flows, total=2 * 2**20, sender_cls=None, buffer_pkts=200):
-        sim = Simulator()
-        db = build_dumbbell(
-            sim, DumbbellConfig(bottleneck_rate_bps=20e6, buffer_pkts=buffer_pkts)
-        )
-        kwargs = {"sender_kwargs": {"base_rtt": 0.02}} if sender_cls is PacedSender else {}
-        cfg = ParallelTransferConfig(
-            total_bytes=total, n_flows=n_flows,
-            sender_cls=sender_cls or ParallelTransferConfig().sender_cls, **kwargs,
-        )
-        pt = ParallelTransfer(sim, db, rtt=0.02, config=cfg)
-        return pt.run(horizon=120.0)
+    def _run(self, n_flows, total=2 * 2**20, buffer_pkts=200, seed=1):
+        spec = replace(fig8_spec(n_flows, 0.02, _scale(total)), buffer_pkts=buffer_pkts)
+        run = run_scenario(spec, seed, "t")
+        finish = [snd.stats.finish_time for snd, _ in run.flows]
+        assert None not in finish
+        return run, np.array(finish) / lower_bound(total, 20e6)
 
     def test_completes_and_normalized_above_one(self):
-        res = self._run(4)
-        assert res.finished
-        assert res.normalized_latency >= 1.0
-        spread = max(res.completion_times) - min(res.completion_times)
-        assert res.makespan >= spread >= 0.0
+        _, finish = self._run(4)
+        assert finish.max() >= 1.0
+        spread = finish.max() - finish.min()
+        assert finish.max() >= spread >= 0.0
 
     def test_makespan_is_slowest_flow(self):
-        res = self._run(4)
-        assert res.makespan == pytest.approx(
-            max(res.completion_times) - res.start_time
-        )
+        """A Figure 8 cell's latency is its slowest flow's finish time."""
+        sc = _scale(2**19)
+        run = run_scenario(fig8_spec(4, 0.02, sc), 7, "t")
+        finish = [snd.stats.finish_time for snd, _ in run.flows]
+        bound = lower_bound(sc.fig8_total_bytes, sc.fig8_capacity_bps)
+        assert run_fig8_cell(4, 0.02, seed=7, scale=sc) == max(finish) / bound
 
     def test_all_bytes_delivered(self):
-        sim = Simulator()
-        db = build_dumbbell(
-            sim, DumbbellConfig(bottleneck_rate_bps=20e6, buffer_pkts=200)
-        )
-        cfg = ParallelTransferConfig(total_bytes=1_000_000, n_flows=3)
-        pt = ParallelTransfer(sim, db, rtt=0.02, config=cfg)
-        res = pt.run(horizon=60.0)
-        assert res.finished
-        delivered = sum(s.stats.bytes_received for s in pt.sinks)
-        assert delivered >= cfg.n_flows * cfg.packets_per_flow * cfg.packet_size
+        run, _ = self._run(3, total=1_000_000)
+        per_flow = run.flows[0][0].total_packets
+        delivered = sum(sink.stats.bytes_received for _, sink in run.flows)
+        assert delivered >= 3 * per_flow * 1000
 
     def test_unfinished_is_inf(self):
-        res = self._run(2, total=64 * 2**20)  # horizon too short on purpose?
-        # 64MB over 20Mbps ideal = 26.8s; horizon 120 s: it should finish.
-        # Use a genuinely impossible horizon instead:
-        sim = Simulator()
-        db = build_dumbbell(sim, DumbbellConfig(bottleneck_rate_bps=1e6, buffer_pkts=50))
-        cfg = ParallelTransferConfig(total_bytes=64 * 2**20, n_flows=2)
-        pt = ParallelTransfer(sim, db, rtt=0.02, config=cfg)
-        res2 = pt.run(horizon=5.0)
-        assert not res2.finished
-        assert res2.makespan == float("inf")
+        # 10 kB at 20 Mbps: the run gives up at 60x the 4 ms bound, before
+        # the first ACK of a 500 ms path can return.
+        assert run_fig8_cell(2, 0.5, seed=1, scale=_scale(10_000)) == float("inf")
 
     def test_single_flow(self):
-        res = self._run(1)
-        assert res.finished
-        assert len(res.completion_times) == 1
-
-    def test_paced_senders_supported(self):
-        res = self._run(2, total=1_000_000, sender_cls=PacedSender)
-        assert res.finished
+        run, finish = self._run(1)
+        assert len(run.flows) == len(finish) == 1
 
     def test_small_buffer_still_completes_with_recovery(self):
-        res = self._run(8, buffer_pkts=6)
-        assert res.finished
-        assert res.retransmissions > 0  # losses forced recovery
-        assert res.normalized_latency > 1.1  # and cost real time
+        run, finish = self._run(8, buffer_pkts=6)
+        assert sum(snd.stats.retransmissions for snd, _ in run.flows) > 0  # losses forced recovery
+        assert finish.max() > 1.1  # and cost real time

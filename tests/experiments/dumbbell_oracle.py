@@ -7,20 +7,24 @@ are all :func:`repro.experiments.scenario.run_scenario` now, so a test
 comparing two drivers would compare the builder with itself.  These are
 the old loops — the Figure 7 / zoo competition, the ECN leg, the RED leg,
 the Figure 2 fleet with or without noise, the Figure 3 Dummynet pipe,
-the methodology probe, the delay-based signal, the many-flows packet leg
-and the short-flow churn leg — spelled out from public pieces only, so
+the methodology probe, the delay-based signal, the many-flows packet leg,
+the short-flow churn leg and the Figure 8 parallel transfer — spelled
+out from public pieces only, so
 ``tests/experiments/test_scenario.py`` can hold the builder to them bit
 for bit.
 
 Each returns ``(drop_times, drop_flow_ids, times, per_class_mbps)``;
 the last two are ``None`` where the old driver kept no throughput trace.
-The last five return that tuple plus what the old driver read besides
+The last six return that tuple plus what the old driver read besides
 the drop trace.
 """
+
+import math
 
 import numpy as np
 
 from repro.apps.churn import ChurnConfig, FlowChurn
+from repro.apps.latency import lower_bound
 from repro.experiments.common import add_noise_fleet, random_rtts
 from repro.extensions.ecn import PersistentEcnQueue
 from repro.sim.engine import Simulator
@@ -286,3 +290,34 @@ def churn(seed, sc):
     sim.run(until=sc.measure_duration)
     extra = (workload.flows_started, workload.flows_completed)
     return (*_measure(db, None, sc.measure_duration), extra)
+
+
+def parallel_transfer(seed, sc, n_flows, rtt):
+    """``run_fig8_cell``: the noise fleet first, then ``n_flows`` finite
+    NewReno transfers (flows 1000+, pairs ``pt{i}``) started within 10 ms
+    on ``"start-jitter"``, run in 10 ms slices until all have finished or
+    60x the lower bound has passed.  Extra: each transfer's finish time
+    (``None`` if unfinished) and flow id."""
+    streams = RngStreams(seed)
+    sim = Simulator()
+    cfg = DumbbellConfig(bottleneck_rate_bps=sc.fig8_capacity_bps)
+    cfg.buffer_pkts = max(4, int(cfg.bdp_packets(max(rtt, 0.010)) * 0.5))
+    db = build_dumbbell(sim, cfg)
+    add_noise_fleet(sim, db, streams, max(2, sc.n_noise_flows // 4), sc.noise_load)
+    per_flow = max(1, math.ceil(sc.fig8_total_bytes / n_flows / cfg.packet_size))
+    senders = []
+    for i in range(n_flows):
+        pair = db.add_pair(rtt=rtt, name=f"pt{i}")
+        senders.append(NewRenoSender(sim, pair.left, 1000 + i, pair.right.node_id,
+                                     total_packets=per_flow))
+        TcpSink(sim, pair.right, 1000 + i, pair.left.node_id)
+    jitter = streams.stream("start-jitter")
+    for snd in senders:
+        snd.start(float(jitter.uniform(0.0, 0.01)))
+    horizon = 60.0 * lower_bound(sc.fig8_total_bytes, sc.fig8_capacity_bps)
+    t = 0.0
+    while t < horizon and not all(s.finished for s in senders):
+        t += 0.010
+        sim.run(until=t)
+    extra = ([s.stats.finish_time for s in senders], [s.flow_id for s in senders])
+    return (*_measure(db, None, horizon), extra)

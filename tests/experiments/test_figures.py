@@ -4,6 +4,9 @@ These use a TINY scale (smaller than FAST) so the whole module runs in
 well under a minute; the benchmarks exercise FAST/PAPER scales.
 """
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro.experiments import (
     run_fig3,
     run_fig4,
     run_fig7,
+    run_fig8,
     run_fig8_cell,
     run_table1,
 )
@@ -143,14 +147,13 @@ class TestFig8:
         assert lat >= 1.0
 
     def test_result_is_independent_of_the_run_slicing(self, monkeypatch):
-        """A cell's result is ``max(completions)``: the coarse slices it
-        used to advance in (``max(0.5, bound / 4)`` sim-s) and the 10 ms
-        ones must return the identical float for every cell, and the
-        10 ms ones must stop within one slice of the last completion."""
-        from dataclasses import replace
-
+        """A cell's result is its slowest flow's finish time: coarse
+        slices (``max(0.5, bound / 4)`` sim-s) and the 10 ms
+        ``scenario.COMPLETION_POLL_S`` ones must return the identical float
+        for every cell, and the 10 ms ones must stop within one slice of
+        the last completion."""
         from repro.apps.latency import lower_bound
-        from repro.experiments import fig8_parallel
+        from repro.experiments import scenario
         from repro.sim.engine import Simulator
 
         scale = replace(TINY, fig8_total_bytes=2**18)
@@ -163,18 +166,37 @@ class TestFig8:
             return run(sim, until, max_events)
 
         monkeypatch.setattr(Simulator, "run", recording_run)
-        poll = fig8_parallel.COMPLETION_POLL_S
+        poll = scenario.COMPLETION_POLL_S
         assert poll < 0.5  # the coarse stepping below really is coarser
         for rtt in scale.fig8_rtts:
             for n in scale.fig8_flow_counts:
                 fine = run_fig8_cell(n, rtt, seed=13, scale=scale)
                 stopped_at = last_until[0]
                 with monkeypatch.context() as coarse:
-                    coarse.setattr(fig8_parallel, "COMPLETION_POLL_S",
-                                   max(0.5, bound / 4.0))
+                    coarse.setattr(scenario, "COMPLETION_POLL_S", max(0.5, bound / 4.0))
                     assert run_fig8_cell(n, rtt, seed=13, scale=scale) == fine
                 assert np.isfinite(fine)
                 assert 0.0 <= stopped_at - fine * bound <= poll + 1e-9
+
+    def test_every_cell_is_observed(self, tmp_path, monkeypatch):
+        """Each repetition is a named run: its own metrics file, the
+        conservation sweeps over its finite transfers, the fault plan's
+        link flaps armed on its bottleneck."""
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "11")
+        monkeypatch.setenv("REPRO_METRICS_OUT", str(tmp_path / "m.json"))
+        scale = replace(TINY, fig8_total_bytes=2**18)
+        result = run_fig8(seed=1, scale=scale, workers=1)
+        assert not result.failures
+        jobs = [f"m.fig8.n{n}.rtt{rtt * 1e3:g}ms.s{10_000 + rep * 100 + n}.json"
+                for rtt in scale.fig8_rtts for n in scale.fig8_flow_counts
+                for rep in range(scale.fig8_repetitions)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(jobs)
+        for name in jobs:
+            data = json.loads((tmp_path / name).read_text())
+            assert data["gauges"]["invariants.checks_run"] > 0
+            assert data["gauges"]["invariants.violations"] == 0
+            assert data["faults"]["plan"]["seed"] == 11
 
 
 class TestEq12:

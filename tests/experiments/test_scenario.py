@@ -18,12 +18,14 @@ from repro.experiments import FAST
 from repro.experiments.fig2_ns2 import fleet_spec
 from repro.experiments.fig3_dummynet import fig3_spec, quantize, run_fig3
 from repro.experiments.fig7_competition import fig7_spec
+from repro.experiments.fig8_parallel import fig8_spec
 from repro.experiments.manyflows import packet_scenario
 from repro.experiments.methodology import methodology_spec
-from repro.experiments.scenario import FlowClass, run_scenario
+from repro.experiments.scenario import COMPLETION_POLL_S, FlowClass, run_scenario
 from repro.experiments.shortflows import churn_spec
 from repro.extensions import run_ecn_fairness
 from repro.extensions.delay_based import delay_spec
+from repro.sim.engine import Simulator
 from repro.sim.queues import REDParams
 from tests.experiments import dumbbell_oracle as oracle
 
@@ -31,6 +33,7 @@ TINY = replace(
     FAST,
     capacity_bps=10e6, n_tcp_flows=4, n_noise_flows=2, measure_duration=3.0,
     fig7_capacity_bps=10e6, fig7_flows_per_class=2, fig7_duration=3.0,
+    fig8_capacity_bps=10e6, fig8_total_bytes=2**19,
 )
 SEED = 5
 
@@ -128,6 +131,15 @@ class TestBuilderMatchesHandBuiltDumbbells:
         assert run.flows == []
         assert (run.extra.flows_started, run.extra.flows_completed) == (started, completed)
 
+    @pytest.mark.parametrize("n_flows,rtt", [(4, 0.05), (2, 0.2)])
+    def test_parallel_transfer(self, n_flows, rtt):
+        run = run_scenario(fig8_spec(n_flows, rtt, TINY), SEED, "t")
+        *expected, (finish, fids) = oracle.parallel_transfer(SEED, TINY, n_flows, rtt)
+        _assert_same(run, expected)
+        assert None not in finish
+        assert [snd.stats.finish_time for snd, _ in run.flows] == finish
+        assert [snd.flow_id for snd, _ in run.flows] == fids
+
 
 class TestViews:
     def test_detection_counts_each_class_by_its_flow_ids(self):
@@ -165,6 +177,44 @@ class TestViews:
     def test_shared_pair_needs_one_rtt(self):
         with pytest.raises(ValueError):
             FlowClass("newreno", (0.1, 0.2), "c", shared_pair=True)
+
+
+class TestStopRule:
+    def test_an_early_stopped_run_reports_over_the_time_run(self, tmp_path, monkeypatch):
+        """The transfers finish long before ``duration`` (60x the bound):
+        utilization, the link gauge and the flow summaries' goodput are
+        over the time run, which ends within a slice of the last finish."""
+        monkeypatch.setenv("REPRO_METRICS_OUT", str(tmp_path / "m.json"))
+        monkeypatch.setenv("REPRO_TELEMETRY_OUT", str(tmp_path / "d"))
+        spec = fig8_spec(4, 0.02, TINY)
+        run = run_scenario(spec, SEED, "t")
+        last = max(snd.stats.finish_time for snd, _ in run.flows)
+        ran = json.loads((tmp_path / "d" / "manifest.json").read_text())["duration"]
+        assert last <= ran <= last + COMPLETION_POLL_S + 1e-9
+        assert ran < spec.duration / 10
+        gauges = json.loads((tmp_path / "m.json").read_text())["gauges"]
+        assert gauges["link.bottleneck.utilization"] == run.utilization > 0.5
+        summaries = json.loads((tmp_path / "d" / "telemetry.json").read_text())["flows"]
+        acked = sum(snd.highest_acked * snd.packet_size for snd, _ in run.flows)
+        goodput = sum(row["goodput_mbps"] for row in summaries)
+        assert goodput == pytest.approx(acked * 8.0 / ran / 1e6, rel=1e-5)
+        assert goodput > 0.5 * spec.capacity_bps / 1e6
+
+    @pytest.mark.parametrize("spec", [fig7_spec(TINY, 0.05, 1.0, 0.5), churn_spec(TINY)[0]],
+                             ids=["long-lived", "churn"])
+    def test_a_run_without_finite_flows_is_one_sim_run(self, spec, monkeypatch):
+        """Churn's transfers are finite but not in ``flows``: its run, like
+        every long-lived one, is a single ``sim.run`` to ``duration``."""
+        calls = []
+        run = Simulator.run
+
+        def counting_run(sim, until=float("inf"), max_events=None):
+            calls.append(until)
+            return run(sim, until, max_events)
+
+        monkeypatch.setattr(Simulator, "run", counting_run)
+        run_scenario(spec, SEED, "t")
+        assert calls == [spec.duration]
 
 
 def test_fleet_spec_fields_override_every_field():

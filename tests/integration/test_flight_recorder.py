@@ -82,6 +82,13 @@ class TestRunDirArtifacts:
         # one recorded span per grid cell (2 counts x 2 rtts x 1 rep)
         assert len(cells) == 4
         assert all(r["attrs"]["ok"] for r in cells)
+        # Each cell is a named run of its own, recorded below the grid's.
+        runs = sorted(p for p in d.iterdir() if p.is_dir())
+        assert [p.name for p in runs] == sorted(
+            f"fig8.n{n}.rtt{rtt * 1e3:g}ms.s{30_000 + n}"
+            for n in TINY.fig8_flow_counts for rtt in TINY.fig8_rtts)
+        for run in runs:
+            assert json.loads((run / "manifest.json").read_text())["n_flows"] > 0
 
 
 class TestByteIdenticalReports:

@@ -8,7 +8,6 @@ from repro.sim.trace import (
     KIND_DROP,
     KIND_MARK,
     ArrivalTrace,
-    DelayTrace,
     DropRecord,
     DropTrace,
 )
@@ -81,19 +80,11 @@ def test_drop_times_excludes_marks():
     np.testing.assert_array_equal(tr.drop_times(), [1.0, 3.0])
 
 
-def test_arrival_and_delay_traces_columnar():
+def test_arrival_trace_columnar():
     ar = ArrivalTrace()
     ar.record(_pkt(flow_id=4), 1.25)
     np.testing.assert_array_equal(ar.times, [1.25])
     np.testing.assert_array_equal(ar.flow_ids, [4])
-
-    dl = DelayTrace()
-    p = _pkt(flow_id=5)
-    p.created = 1.0
-    dl.record(p, 1.75)
-    np.testing.assert_array_equal(dl.times, [1.75])
-    np.testing.assert_array_equal(dl.delays, [0.75])
-    np.testing.assert_array_equal(dl.flow_ids, [5])
 
 
 def test_tracefile_roundtrip_of_columnar_trace(tmp_path):

@@ -336,8 +336,6 @@ UNREACHED_ON_PURPOSE = {
         "ROADMAP 12 (b): IDC growth across scales on planted truth",
     "repro.core.poisson.poisson_process":
         "ROADMAP 7 (d): the planted Poisson drop stream eta is checked on",
-    "repro.sim.trace.DelayTrace.delays":
-        "ROADMAP 3 (a): per-class delay including queueing",
     "repro.core.fairness.time_to_fair":
         "ROADMAP 1 (d): shares among BBR flows converge",
     "repro.internet.shards.GapHistogram.to_interval_pdf":
@@ -348,12 +346,24 @@ UNREACHED_ON_PURPOSE = {
 }
 
 
+#: The field of each node kind that holds an annotation.
+_ANNOTATION_FIELD = {ast.arg: "annotation", ast.AnnAssign: "annotation",
+                     ast.FunctionDef: "returns", ast.AsyncFunctionDef: "returns"}
+
+
+def _code_children(node):
+    """``node``'s child nodes, its annotation left out: a name that only
+    annotations mention is never called, built or read."""
+    annotation = getattr(node, _ANNOTATION_FIELD.get(type(node), ""), None)
+    return [c for c in ast.iter_child_nodes(node) if c is not annotation]
+
+
 def _names(node, tracked=lambda n: False):
     """Names ``node`` uses (``ast.Name`` ids and attribute names), and the
-    nested defs ``tracked`` picks out, which are left unread.  Imports and
-    ``__all__`` are not uses."""
+    nested defs ``tracked`` picks out, which are left unread.  Imports,
+    ``__all__`` and annotations are not uses."""
     named, nested = set(), []
-    stack = list(ast.iter_child_nodes(node))
+    stack = _code_children(node)
     while stack:
         n = stack.pop()
         if isinstance(n, (ast.Import, ast.ImportFrom)) or _is_all(n):
@@ -366,7 +376,7 @@ def _names(node, tracked=lambda n: False):
             named.add(n.id)
         elif isinstance(n, ast.Attribute):
             named.add(n.attr)
-        stack.extend(ast.iter_child_nodes(n))
+        stack.extend(_code_children(n))
     return named, nested
 
 
