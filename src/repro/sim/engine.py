@@ -1,57 +1,47 @@
 """Event scheduler for the discrete-event network simulator.
 
-The engine is a hierarchical timer wheel in front of a binary-heap
-overflow, with two hot-path refinements carried over from the pure-heap
-engine (see ``docs/PERFORMANCE.md``):
+The engine is one binary heap of plain tuples, with two hot-path
+refinements over the original ``Event``-object heap (see
+``docs/PERFORMANCE.md``):
 
-* **Tuple-keyed entries.**  Pending events are plain tuples
+* **Tuple-keyed entries.**  Pending events are tuples
   ``(time, seq, payload, ...)`` instead of ``Event`` objects, so every
   ordering comparison is a C-level tuple comparison; the scheduling
   sequence number is unique, which makes the ``(time, seq)`` prefix a
   total order and guarantees the payload slots are never compared.  This
   is the "precomputed sort key": it is built once at schedule time,
   never per comparison.
-* **A slot-free fast path.**  :meth:`Simulator.schedule_fast` covers the
-  dominant "delay from now, will never be cancelled" case (packet
-  transmission/delivery timers) with no handle allocation at all, while
+* **Frame-free primitives for the per-hop path.**  :attr:`Simulator.push`
+  (``heappush`` bound to the heap) and :attr:`Simulator.reserve_seq` (an
+  ``itertools.count``) are C callables: a link pushes its delivery entry
+  ``(time, seq, fn, args)`` with no Python frame and no handle, while
   :meth:`Simulator.schedule` keeps returning a cancellable
   :class:`Event` drawn from a per-simulator free list.
 
-The **timer wheel** replaces per-event heap sifts for the near-future
-timers that dominate ``schedule_fast`` traffic: an entry lands in an
-unsorted bucket (O(1) append, no sift), level 0 spanning ~1 s at
-~122 µs resolution and level 1 spanning ~256 s beyond it; anything
-farther overflows to the binary heap.  When the dispatcher reaches a
-bucket it sorts it once (C timsort over tuple keys) and **batch-
-dequeues** the whole same-tick run through a cursor — no compare-and-
-sift per event.  Ties still break by ``seq``: buckets hold the same
-``(time, seq, ...)`` tuples, so a sorted bucket fires in exactly the
-order the pure heap would have produced.
-
-``schedule_fast`` routes its two common cases itself, in one frame: a
-timer inside the current level-0 span is appended to its bucket, and a
-timer for a tick the wheel has already released — a packet transmission
-is shorter than one tick, so on a dumbbell this is the *majority* of
-calls (~55%) — is ``insort``-ed into the batch being drained, at or
-after the cursor.  Only level-1, overflow and re-anchoring entries (and
-every slotted ``schedule_at`` entry) take the general ``_push`` route.
+A link puts one entry on the heap per hop (see :mod:`repro.sim.link`):
+the delivery, scheduled when the transmission starts, plus one dequeue
+entry per packet that waited in its queue.  :attr:`Simulator.dispatch_seq`
+tells it where in the ``(time, seq)`` order the clock stands, so an
+offer at the very instant a transmission ends resolves as it would
+against a completion event.
 
 Determinism matters for reproducing the paper's traces, so events
 scheduled for the same timestamp are executed in scheduling order (the
-monotonically increasing sequence number breaks ties — identically on
-both the fast and the slotted path, which share one counter), and all
-randomness lives in named RNG streams (:mod:`repro.sim.rng`), never in
-the engine.  A reference implementation of the original, pre-optimization
-engine is kept in :mod:`repro.sim.reference` as the benchmark baseline
-and the oracle for scheduler-equivalence tests.
+monotonically increasing sequence number breaks ties — identically for
+slotted and raw entries, which share one counter), and all randomness
+lives in named RNG streams (:mod:`repro.sim.rng`), never in the engine.
+A reference implementation of the original, pre-optimization engine is
+kept in :mod:`repro.sim.reference` as the oracle for the
+scheduler-equivalence tests.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import heapq
+import itertools
 import math
-from bisect import insort
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
@@ -71,24 +61,6 @@ COMPACT_MIN_HEAP = 64
 #: cannot pin an unbounded amount of memory after it drains.
 EVENT_POOL_MAX = 4096
 PACKET_POOL_MAX = 4096
-
-# Timer-wheel geometry.  Ticks are ``int(time * _TICK_HZ)`` with a
-# power-of-two rate, so the scaling multiply is exact.  Level 0 holds the
-# current ~1 s at one bucket per tick; level 1 holds the next ~256 s at
-# one bucket per level-0 span ("group"); anything farther overflows to
-# the binary heap.  Bucket choice never affects ordering — dispatch
-# always orders by the ``(time, seq)`` tuple prefix — so resolution is a
-# performance knob, not a semantic one.  The level-0 span is sized to
-# cover WAN-RTT-scale timers (propagation deliveries up to hundreds of
-# ms) on the inline ``schedule_fast`` route: with a 0.25 s span those
-# mostly landed in level 1 and paid the cascade, which made the wheel a
-# net loss on RTT-dominated scenarios.
-_TICK_HZ = 8192.0  # 2**13 ticks/sec (~122 us per tick)
-_W0_BITS = 13
-_W0 = 1 << _W0_BITS  # 8192 level-0 buckets (~1 s span)
-_W0_MASK = _W0 - 1
-_W1 = 256  # level-1 groups (~256 s horizon)
-_W1_MASK = _W1 - 1
 
 _INF = math.inf
 
@@ -157,7 +129,8 @@ class RepeatingEvent:
     sum would accumulate one float rounding per firing, so a sampler's
     millionth timestamp would depend on the engine's dispatch history.
     Anchoring keeps telemetry sampler output byte-identical across
-    engines (the timer wheel and :class:`~repro.sim.reference.ReferenceSimulator`).
+    engines (:class:`Simulator` and
+    :class:`~repro.sim.reference.ReferenceSimulator`).
 
     The underlying event re-arms itself after every firing *only while the
     simulator has other pending work*, so a recurring sampler or checker
@@ -210,23 +183,13 @@ class RepeatingEvent:
 class Simulator:
     """Discrete-event simulator clock and event queue.
 
-    Queue entries are 4-tuples.  ``(time, seq, fn, args)`` is a slot-free
-    fast-path entry; ``(time, seq, event, None)`` carries a cancellable
-    :class:`Event` (the ``None`` in the args slot is the discriminator).
-    Both kinds share one sequence counter, so the ``(time, seq)`` prefix
-    orders all entries exactly as the pre-optimization engine did.
-
-    Entries live in one of four places, all ordered by the same key:
-
-    * ``_due`` — the sorted batch currently being drained (a released
-      wheel bucket), consumed through the ``_due_i`` cursor;
-    * ``_w0`` — level-0 wheel buckets (one per tick, current ~1 s);
-    * ``_w1`` — level-1 wheel buckets (one per level-0 span, next ~256 s);
-    * ``_heap`` — binary-heap overflow for far timers (past the level-1
-      horizon, or scheduled while the wheel sits behind the clock).
-
-    :meth:`run` is the one dispatcher: it merges the due batch with the
-    heap by key, so the four places fire as one ``(time, seq)`` order.
+    Queue entries are 4-tuples on one binary heap.  ``(time, seq, fn,
+    args)`` is a raw entry (pushed by links through :attr:`push`);
+    ``(time, seq, event, None)`` carries a cancellable :class:`Event`
+    (the ``None`` in the args slot is the discriminator).  Both kinds
+    draw ``seq`` from one counter, so the ``(time, seq)`` prefix orders
+    all entries exactly as the pre-optimization engine did.  :meth:`run`
+    is the one dispatcher.
 
     Example
     -------
@@ -241,30 +204,29 @@ class Simulator:
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
-        self._seq = 0
+        #: ``push(entry)`` heap-pushes a ``(time, seq, fn, args)`` entry,
+        #: and ``reserve_seq()`` draws the next sequence number: C
+        #: callables, so the per-hop path spends no Python frame on them.
+        #: A raw entry cannot be cancelled; ``time`` must be finite and
+        #: not in the past (the caller's duty: nothing checks it here).
+        self.push: Callable[[tuple], None] = functools.partial(heapq.heappush, self._heap)
+        self.reserve_seq: Callable[[], int] = itertools.count().__next__
+        #: Sequence number of the entry being dispatched; infinite outside
+        #: dispatch, where ``now`` counts as after every entry at ``now``
+        #: (after a ``max_events`` stop: the last entry dispatched).
+        self.dispatch_seq: float = _INF
         self.now: float = 0.0
         self.events_processed: int = 0
         self._running = False
-        # Cancelled events still sitting in the queues; kept exact so
+        # Cancelled events still sitting in the heap; kept exact so
         # ``pending`` is O(1) and compaction triggers deterministically.
         self._cancelled = 0
         self.compactions = 0
-        #: Cancelled corpses popped off a queue (compaction sweeps are not
-        #: pops); ``RunObservation`` and ``EventLoopProfile`` read deltas.
+        #: Cancelled corpses popped off the heap (compaction sweeps are
+        #: not pops); ``RunObservation`` and ``EventLoopProfile`` read deltas.
         self.cancelled_popped = 0
         self._profiler: Optional["EventLoopProfile"] = None
         self.metrics: Optional["MetricsRegistry"] = None
-        # Timer wheel.  ``_pos`` is the last tick consumed (wheel entries
-        # always have tick > _pos); ``_w0_group`` is the level-0 span
-        # (tick >> _W0_BITS) the w0 buckets currently cover.
-        self._w0: list[list] = [[] for _ in range(_W0)]
-        self._w1: list[list] = [[] for _ in range(_W1)]
-        self._w0_count = 0
-        self._w1_count = 0
-        self._pos = -1
-        self._w0_group = 0
-        self._due: list[tuple] = []
-        self._due_i = 0
         # Free lists (object pools).  Recycled Events come back through
         # the run loop; recycled Packets through free_packet() at their
         # terminal consumer (sink delivery / drop).
@@ -297,8 +259,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule in the past: t={time:.9f} < now={self.now:.9f}"
             )
-        seq = self._seq
-        self._seq = seq + 1
+        seq = self.reserve_seq()
         pool = self._event_pool
         if pool:
             ev = pool.pop()
@@ -310,71 +271,8 @@ class Simulator:
         else:
             ev = Event(time, seq, fn, args)
         ev.owner = self
-        self._push((time, seq, ev, None), time)
+        self.push((time, seq, ev, None))
         return ev
-
-    def schedule_fast(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Slot-free scheduling for the dominant hot-path case.
-
-        Semantically ``schedule(delay, fn, *args)`` minus the handle: no
-        :class:`Event` is allocated and the callback cannot be cancelled.
-        Packet transmission and delivery timers — the per-packet bulk of
-        any scenario — use this path.  ``delay`` must be finite and
-        non-negative.
-        """
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(f"fast-path delay must be finite and >= 0: {delay!r}")
-        seq = self._seq
-        self._seq = seq + 1
-        time = self.now + delay
-        tick = int(time * _TICK_HZ)
-        if tick <= self._pos:
-            # The wheel already released this tick (a transmission is
-            # shorter than one tick): join the batch being drained;
-            # _push says why the cursor bounds the search.
-            insort(self._due, (time, seq, fn, args), self._due_i)
-            return
-        if (tick >> _W0_BITS) == self._w0_group:
-            self._w0[tick & _W0_MASK].append((time, seq, fn, args))
-            self._w0_count += 1
-            return
-        self._push((time, seq, fn, args), time)
-
-    def _push(self, entry: tuple, time: float) -> None:
-        """Route one entry to the wheel level covering its timestamp (or
-        the overflow heap)."""
-        tick = int(time * _TICK_HZ)
-        while True:
-            if tick > self._pos:
-                goff = (tick >> _W0_BITS) - self._w0_group
-                if goff == 0:
-                    self._w0[tick & _W0_MASK].append(entry)
-                    self._w0_count += 1
-                    return
-                if 0 < goff <= _W1:
-                    self._w1[(tick >> _W0_BITS) & _W1_MASK].append(entry)
-                    self._w1_count += 1
-                    return
-                if not (self._w0_count or self._w1_count):
-                    # An empty wheel whose position fell behind the clock
-                    # (it idled while far timers drained off the heap):
-                    # re-anchor at now — nothing can be orphaned — and
-                    # re-route, so near timers re-engage the wheel
-                    # instead of overflowing to the heap forever.
-                    tick_now = int(self.now * _TICK_HZ)
-                    if tick_now - 1 > self._pos:
-                        self._pos = tick_now - 1
-                        self._w0_group = tick_now >> _W0_BITS
-                        continue
-                heapq.heappush(self._heap, entry)
-                return
-            # The wheel already advanced past this tick (same-tick
-            # scheduling from inside the dispatch loop): join the batch
-            # being drained, keeping it sorted.  The insertion point is
-            # always at/after the cursor — a new entry's time is >= now
-            # and its seq is newer than everything already released.
-            insort(self._due, entry, self._due_i)
-            return
 
     def schedule_every(self, interval: float, fn: Callable[..., Any], *args: Any) -> RepeatingEvent:
         """Run ``fn(*args)`` every ``interval`` sim-seconds while the
@@ -408,15 +306,16 @@ class Simulator:
         Uids are drawn from a per-simulator sequence, so pooling (and
         whatever ran earlier in the process) never perturbs the uid
         assignment of a seeded run — back-to-back identical runs allocate
-        identical uid streams.
+        identical uid streams.  A rejected ``size`` draws no uid and takes
+        nothing from the pool.
         """
+        if size <= 0:
+            raise ValueError(f"packet size must be positive, got {size}")
         uid = self._packet_uid
         self._packet_uid = uid + 1
         pool = self._packet_pool
         if pool:
             pkt = pool.pop()
-            if size <= 0:
-                raise ValueError(f"packet size must be positive, got {size}")
             pkt.uid = uid
             pkt.flow_id = flow_id
             pkt.seq = seq
@@ -431,11 +330,10 @@ class Simulator:
             pkt.tx_id = tx_id
             pkt.meta = meta
             return pkt
-        pkt = Packet(
+        return Packet(
             flow_id, seq, size, kind=kind, src=src, dst=dst, created=created,
             ecn_capable=ecn_capable, tx_id=tx_id, meta=meta, uid=uid,
         )
-        return pkt
 
     def free_packet(self, pkt: Packet) -> None:
         """Return a packet to the free list.
@@ -455,62 +353,29 @@ class Simulator:
     # cancelled-event bookkeeping
     # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` for events still queued.
-
-        Wheel-resident and heap-resident corpses share this one counter
-        (an Event's ``owner`` is set wherever its tuple lives), so the
-        cancelled-ratio gauge and ``pending`` stay exact regardless of
-        which structure holds the corpse.
-        """
+        """Called by :meth:`Event.cancel` for events still queued."""
         self._cancelled += 1
-        total = self.queued
+        total = len(self._heap)
         if total >= COMPACT_MIN_HEAP and self._cancelled * 2 > total:
             self._compact()
 
-    def _sweep_live(self, entries: list) -> list:
-        """The entries that are not cancelled corpses; corpses are
-        recycled."""
-        out = []
-        recycle = self._recycle_event
-        for entry in entries:
-            if entry[3] is None and entry[2].cancelled:
-                entry[2].owner = None
-                recycle(entry[2])
-            else:
-                out.append(entry)
-        return out
-
-    def _sweep_buckets(self, buckets: list[list]) -> int:
-        """Sweep corpses out of wheel buckets in place; returns the live
-        entries left."""
-        held = 0
-        for bucket in buckets:
-            if bucket:
-                live = self._sweep_live(bucket)
-                if len(live) != len(bucket):
-                    bucket[:] = live
-                held += len(bucket)
-        return held
-
     def _compact(self) -> None:
-        """Drop cancelled corpses from every queue and rebuild, in place.
+        """Drop cancelled corpses from the heap and rebuild it, in place.
 
-        In place matters: the run loop holds local aliases of the heap
-        and due lists, and compaction can fire from inside a callback (a
-        retransmit timer cancelling en masse).  Wheel buckets and the
-        unconsumed due tail are swept alongside the heap, so a cancel
-        storm against wheel-resident timers is reclaimed just the same.
+        In place matters: :attr:`push` and the run loop hold the heap
+        list itself, and compaction can fire from inside a callback (a
+        retransmit timer cancelling en masse).
         """
         heap = self._heap
-        heap[:] = self._sweep_live(heap)
+        live = []
+        recycle = self._recycle_event
+        for entry in heap:
+            if entry[3] is None and entry[2].cancelled:
+                recycle(entry[2])
+            else:
+                live.append(entry)
+        heap[:] = live
         heapq.heapify(heap)
-        self._w0_count = self._sweep_buckets(self._w0)
-        self._w1_count = self._sweep_buckets(self._w1)
-        due = self._due
-        if self._due_i < len(due):
-            tail = self._sweep_live(due[self._due_i:])
-            del due[self._due_i:]
-            due.extend(tail)
         self._cancelled = 0
         self.compactions += 1
 
@@ -527,66 +392,6 @@ class Simulator:
             pool.append(ev)
 
     # ------------------------------------------------------------------
-    # wheel dispatch
-    # ------------------------------------------------------------------
-    def _advance_wheel(self) -> None:
-        """Release the next nonempty wheel bucket into the due batch.
-
-        Precondition: the due batch is fully consumed and the wheel holds
-        at least one entry.  Scans level 0 forward from the wheel
-        position (the scan is monotone, so empty buckets are visited at
-        most once per span) and cascades the next nonempty level-1 group
-        down when the current span is exhausted.  The released bucket is
-        sorted once — C timsort over ``(time, seq)`` tuple keys — and
-        then drained via the cursor: the batch-dequeue that replaces a
-        compare-and-sift per event.
-        """
-        due = self._due
-        due.clear()
-        self._due_i = 0
-        w0 = self._w0
-        while True:
-            if self._w0_count:
-                base = self._w0_group << _W0_BITS
-                tick = self._pos + 1
-                if tick < base:
-                    tick = base
-                end = base + _W0
-                while tick < end:
-                    bucket = w0[tick & _W0_MASK]
-                    if bucket:
-                        due.extend(bucket)
-                        bucket.clear()
-                        self._w0_count -= len(due)
-                        if len(due) > 1:
-                            due.sort()
-                        self._pos = tick
-                        return
-                    tick += 1
-                raise SimulationError("timer wheel inconsistency (level 0)")
-            if not self._w1_count:
-                raise SimulationError("_advance_wheel called on an empty wheel")
-            g = self._w0_group
-            w1 = self._w1
-            for step in range(1, _W1 + 1):
-                ng = g + step
-                bucket = w1[ng & _W1_MASK]
-                if bucket:
-                    self._w0_group = ng
-                    npos = (ng << _W0_BITS) - 1
-                    if npos > self._pos:
-                        self._pos = npos
-                    for e in bucket:
-                        w0[int(e[0] * _TICK_HZ) & _W0_MASK].append(e)
-                    n = len(bucket)
-                    bucket.clear()
-                    self._w1_count -= n
-                    self._w0_count += n
-                    break
-            else:
-                raise SimulationError("timer wheel inconsistency (level 1)")
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, until: float = math.inf, max_events: Optional[int] = None) -> None:
@@ -599,38 +404,19 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        heap = self._heap
+        budget = math.inf if max_events is None else max_events
         try:
-            heap = self._heap
             heappop = heapq.heappop
-            due = self._due
             # The profiler cannot change mid-run (profile() brackets the
             # whole run), so bind it once outside the dispatch loop.
             prof = self._profiler
-            budget = math.inf if max_events is None else max_events
-            while budget > 0:
-                i = self._due_i
-                if i < len(due):
-                    entry = due[i]
-                    if heap and heap[0] < entry:
-                        # A far timer overflowed to the heap and is now
-                        # nearer than the wheel batch: merge by key.
-                        if heap[0][0] > until:
-                            break
-                        entry = heappop(heap)
-                    else:
-                        if entry[0] > until:
-                            break
-                        self._due_i = i + 1
-                elif self._w0_count or self._w1_count:
-                    self._advance_wheel()
-                    continue
-                elif heap:
-                    entry = heap[0]
-                    if entry[0] > until:
-                        break
-                    heappop(heap)
-                else:
+            while heap and budget > 0:
+                entry = heap[0]
+                time = entry[0]
+                if time > until:
                     break
+                heappop(heap)
                 args = entry[3]
                 if args is None:
                     # Slotted entry: unwrap the Event handle.
@@ -645,36 +431,37 @@ class Simulator:
                     self._recycle_event(ev)
                 else:
                     fn = entry[2]
-                self.now = entry[0]
+                self.now = time
+                self.dispatch_seq = entry[1]
                 if prof is None:
                     fn(*args)
                 else:
                     t0 = perf_counter()
                     fn(*args)
-                    prof.record_event(fn, perf_counter() - t0, self.queued)
+                    prof.record_event(fn, perf_counter() - t0, len(heap))
                 self.events_processed += 1
                 budget -= 1
-            if math.isfinite(until) and self.now < until and not (self.queued and budget <= 0):
+            if math.isfinite(until) and self.now < until and not (heap and budget <= 0):
                 self.now = until
         finally:
+            if not (heap and budget <= 0):
+                self.dispatch_seq = _INF
             self._running = False
 
     @property
     def queued(self) -> int:
-        """Total queued entries across heap, wheel, and due batch
-        (cancelled corpses included).  O(1)."""
-        return (len(self._heap) + self._w0_count + self._w1_count
-                + len(self._due) - self._due_i)
+        """Entries on the heap, cancelled corpses included.  O(1)."""
+        return len(self._heap)
 
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue.  O(1)."""
-        return self.queued - self._cancelled
+        return len(self._heap) - self._cancelled
 
     @property
     def cancelled_ratio(self) -> float:
         """Fraction of the queue occupied by cancelled corpses."""
-        total = self.queued
+        total = len(self._heap)
         if not total:
             return 0.0
         return self._cancelled / total
@@ -711,7 +498,6 @@ class Simulator:
         self.metrics = registry
         registry.gauge("engine.events_processed", fn=lambda: self.events_processed)
         registry.gauge("engine.heap_size", fn=lambda: len(self._heap))
-        registry.gauge("engine.wheel_size", fn=lambda: self._w0_count + self._w1_count)
         registry.gauge("engine.queued", fn=lambda: self.queued)
         registry.gauge("engine.pending", fn=lambda: self.pending)
         registry.gauge("engine.cancelled_in_heap", fn=lambda: self._cancelled)

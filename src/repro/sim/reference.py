@@ -13,10 +13,10 @@ slice (``tests/sim/test_scheduler_fuzz.py``), and the sender x queue
 matrix holds every zoo cell to it
 (``tests/integration/test_zoo_matrix.py``).
 
-The optimized API surface (``schedule_fast``, ``alloc_packet``,
-``free_packet``) is shimmed onto the reference semantics — same observable
-behaviour, original cost model — so any scenario built for ``Simulator``
-runs unchanged on ``ReferenceSimulator``.
+The optimized API surface (``push``, ``reserve_seq``, ``dispatch_seq``,
+``alloc_packet``, ``free_packet``) is shimmed onto the reference
+semantics — same observable behaviour, original cost model — so any
+scenario built for ``Simulator`` runs unchanged on ``ReferenceSimulator``.
 
 Do not use this class for real experiments; it is deliberately slow.
 """
@@ -49,7 +49,8 @@ class ReferenceSimulator:
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
-        self._seq = itertools.count()
+        self.reserve_seq = itertools.count().__next__
+        self.dispatch_seq: float = math.inf
         self.now: float = 0.0
         self.events_processed: int = 0
         self._running = False
@@ -84,17 +85,18 @@ class ReferenceSimulator:
             raise SimulationError(
                 f"cannot schedule in the past: t={time:.9f} < now={self.now:.9f}"
             )
-        ev = Event(time, next(self._seq), fn, args)
+        ev = Event(time, self.reserve_seq(), fn, args)
         ev.owner = self
         heapq.heappush(self._heap, ev)
         return ev
 
-    def schedule_fast(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Shim: the reference engine has no fast path, so this is plain
-        ``schedule`` with the handle discarded (original cost model)."""
-        if not 0.0 <= delay < math.inf:
-            raise SimulationError(f"fast-path delay must be finite and >= 0: {delay!r}")
-        self.schedule_at(self.now + delay, fn, *args)
+    def push(self, entry: tuple) -> None:
+        """Shim for ``Simulator.push``: the raw ``(time, seq, fn, args)``
+        entry becomes a fresh ``Event`` on the object heap."""
+        time, seq, fn, args = entry
+        ev = Event(time, seq, fn, args)
+        ev.owner = self
+        heapq.heappush(self._heap, ev)
 
     def schedule_every(self, interval: float, fn: Callable[..., Any], *args: Any) -> RepeatingEvent:
         """Run ``fn(*args)`` every ``interval`` sim-seconds while other
@@ -118,7 +120,10 @@ class ReferenceSimulator:
         meta: Optional[object] = None,
     ) -> Packet:
         """Allocate a fresh :class:`~repro.sim.packet.Packet` (never pooled),
-        with the same per-simulator uid sequence as the optimized engine."""
+        with the same per-simulator uid sequence as the optimized engine
+        (a rejected ``size`` draws no uid)."""
+        if size <= 0:
+            raise ValueError(f"packet size must be positive, got {size}")
         return Packet(
             flow_id, seq, size, kind=kind, src=src, dst=dst, created=created,
             ecn_capable=ecn_capable, tx_id=tx_id, meta=meta,
@@ -153,9 +158,9 @@ class ReferenceSimulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        heap = self._heap
+        budget = math.inf if max_events is None else max_events
         try:
-            heap = self._heap
-            budget = math.inf if max_events is None else max_events
             while heap and budget > 0:
                 ev = heap[0]
                 if ev.time > until:
@@ -167,6 +172,7 @@ class ReferenceSimulator:
                     self.cancelled_popped += 1
                     continue
                 self.now = ev.time
+                self.dispatch_seq = ev.seq
                 fn, args = ev.fn, ev.args
                 ev.fn, ev.args = None, ()  # release references
                 assert fn is not None
@@ -182,6 +188,8 @@ class ReferenceSimulator:
             if math.isfinite(until) and self.now < until and not (heap and budget <= 0):
                 self.now = until
         finally:
+            if not (heap and budget <= 0):
+                self.dispatch_seq = math.inf
             self._running = False
 
     @property

@@ -2,13 +2,14 @@
 
 The performance ledger's traced pass (``benchmarks/e2e/tracing.py``)
 attributes time by replacing ``Link.send``, ``Queue.push`` / ``pop``,
-``Node.receive``, ``Host.send`` and ``Simulator.schedule_fast`` with
-timing wrappers at class level *before* a scenario is built.  The hot
+``Node.receive`` and ``Host.send`` with timing wrappers at class level
+*before* a scenario is built.  The hot
 path is spelled flat (no ``_transmit`` / ``route_for`` / ``_fits`` helper
 frames), and flat code is tempted to cache a bound method or inline a
 neighbour's body; either would route around the wrappers and silently
 zero a layer's counts.  This test installs counting wrappers the same
-way and holds each count to the objects' own counters.
+way and holds each count to the objects' own counters, and counts the
+raw entries links push to show one event per hop.
 """
 
 import functools
@@ -57,10 +58,19 @@ def test_wrapper_counts_equal_the_objects_own_counters(monkeypatch):
     pops = _count_calls(monkeypatch, Queue, "pop")
     router_receives = _count_calls(monkeypatch, Router, "receive")
     host_sends = _count_calls(monkeypatch, Host, "send")
-    fast = _count_calls(monkeypatch, Simulator, "schedule_fast")
 
-    # Built after the wrappers went in, as the traced pass does.
+    # Built after the wrappers went in, as the traced pass does.  Links
+    # take the engine's push when they are built, so counting it here
+    # sees every entry; raw ones (args not None) come only from links.
     sim = Simulator()
+    heap_push = sim.push
+    raw = [0]
+
+    def counting_push(entry):
+        raw[0] += entry[3] is not None
+        heap_push(entry)
+
+    sim.push = counting_push
     cfg = DumbbellConfig(bottleneck_rate_bps=10e6, buffer_pkts=12)
     db = build_dumbbell(sim, cfg)
     senders, sinks = [], []
@@ -81,17 +91,23 @@ def test_wrapper_counts_equal_the_objects_own_counters(monkeypatch):
     assert db.forward_queue.dropped > 0  # the busy and the drop path both ran
     assert sends[0] == sum(link.packets_offered for link in links)
     assert pushes[0] == sum(q.arrived for q in queues)
-    # One pop per finished transmission; the ones that found the queue
-    # empty returned None, the rest are the queues' dequeues.
-    assert pops[0] == sum(link.packets_forwarded for link in links)
-    assert pops[0] - pops[1] == sum(q.dequeued for q in queues)
-    assert pops[1] > 0
+    # A pop per dequeue entry, and one owed empty pop per busy period,
+    # paid before the packet that starts the next one is queued: the pops
+    # that returned a packet are the queues' dequeues, and each empty one
+    # preceded a packet that was dequeued or is still waiting.
+    dequeued = sum(q.dequeued for q in queues)
+    assert pops[0] - pops[1] == dequeued
+    assert 0 < pops[1] <= dequeued + sum(bool(q) for q in queues)
     assert router_receives[0] == sum(r.packets_forwarded for r in routers)
     assert all(r.no_route_drops == 0 for r in routers)
     # Every packet a host emits enters its uplink, and nothing else does.
     assert host_sends[0] == sum(link.packets_offered for link in uplinks)
     assert host_sends[0] >= (sum(s.stats.packets_sent for s in senders)
                              + sum(k.acks_sent for k in sinks))
-    # Links are the only schedule_fast callers: one timer per transmission
-    # started and one per delivery.
-    assert fast[0] == sum(2 * link.packets_forwarded + link.busy for link in links)
+    # One event per hop: a delivery per transmission started, plus one
+    # dequeue per packet that waited in a (DropTail) queue, or is still
+    # waiting at the head of one.
+    started = sum(link.packets_forwarded + link.busy for link in links)
+    waiting = sum(bool(q) for q in queues)
+    assert raw[0] == started + sum(q.dequeued for q in queues) + waiting
+    assert raw[0] < 1.3 * sum(link.packets_offered for link in links)

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.reference import ReferenceSimulator
 
 
 def test_events_run_in_time_order():
@@ -283,68 +282,3 @@ class TestRepeatingEventAnchoring:
         sim.schedule(3.0, lambda: None)
         sim.run()
         assert times == [0.25 + (k + 1) * 0.5 for k in range(6)]
-
-
-class TestWheelCancelBookkeeping:
-    """Satellite: cancel accounting must hold for wheel-resident timers,
-    not just heap ones — the supervisor's cancelled-ratio gauge and the
-    ``pending`` property read through both."""
-
-    def test_wheel_cancel_counts_and_pending_exact(self):
-        sim = Simulator()
-        handles = [sim.schedule(0.001 * (i + 1), lambda: None) for i in range(10)]
-        assert sim._w0_count > 0  # they actually live in the wheel
-        for ev in handles[:4]:
-            ev.cancel()
-        assert sim._cancelled == 4
-        assert sim.pending == 6
-        assert sim.cancelled_ratio == pytest.approx(0.4)
-        sim.run()
-        assert sim.events_processed == 6
-        assert sim.pending == 0
-
-    def test_mass_cancellation_compacts_wheel_buckets(self):
-        sim = Simulator()
-        keep = [sim.schedule(0.002 * (i + 1), lambda: None) for i in range(10)]
-        doomed = [sim.schedule(0.05, lambda: None) for _ in range(190)]
-        assert sim._w0_count >= 190
-        for ev in doomed:
-            ev.cancel()
-        assert sim.compactions >= 1
-        assert sim.queued < 64  # corpses swept out of the buckets
-        assert sim.pending == 10
-        sim.run()
-        assert sim.events_processed == 10
-
-    def test_overflow_heap_cancel_still_counted(self):
-        sim = Simulator()
-        near = sim.schedule(0.01, lambda: None)
-        far = sim.schedule(1e6, lambda: None)  # beyond wheel horizon -> heap
-        assert len(sim._heap) == 1
-        far.cancel()
-        near.cancel()
-        assert sim._cancelled == 2
-        assert sim.pending == 0
-
-    def test_cancel_churn_equivalence_wheel_vs_heap(self):
-        """Heavy cancel/reschedule churn: the wheel and the pure-heap
-        reference engine must agree on every firing and on final
-        bookkeeping."""
-        import numpy as np
-
-        def churn(sim):
-            rng = np.random.default_rng(42)
-            log, handles = [], []
-            def fire(tag):
-                log.append((sim.now, tag))
-                if handles and tag % 3 == 0:
-                    handles[int(rng.integers(0, len(handles)))].cancel()
-            for i in range(600):
-                delay = float(rng.integers(0, 64)) * 0.004
-                handles.append(sim.schedule(delay, fire, i))
-                if rng.random() < 0.4:
-                    handles[int(rng.integers(0, len(handles)))].cancel()
-            sim.run()
-            return log, sim.events_processed, sim.pending
-
-        assert churn(Simulator()) == churn(ReferenceSimulator())

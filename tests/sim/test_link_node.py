@@ -205,7 +205,7 @@ def test_utilization_returns_raw_ratio_and_warns_past_one():
 
 # ----------------------------------------------------------------------
 # One transmit step: the Dummynet noise and the reorder lag are draws
-# inside Link.send / Link._transmission_done, off unless asked for
+# inside Link.send / Link._dequeue, off unless asked for
 # ----------------------------------------------------------------------
 #: (time, burst length): 10 ms apart singles find the link idle; the
 #: bursts queue, and the 7-packet one overflows (1 in service + 3).
@@ -300,7 +300,7 @@ def test_flat_transmit_paths_agree_across_link_classes():
 
 def test_noisy_link_draws_once_per_transmission():
     """The noise draw sits in the transmit step — in ``send`` for an idle
-    transmitter, in ``_transmission_done`` for a queued packet — so a run
+    transmitter, in ``_dequeue`` for a queued packet — so a run
     consumes exactly one draw per transmission started, in transmission
     order."""
     import numpy as np
@@ -311,7 +311,7 @@ def test_noisy_link_draws_once_per_transmission():
     host.attach(1, col)
     link = Link(sim, host, 8e6, 0.0, rng=np.random.default_rng(7), max_noise=300e-6)
     link.send(mkpkt(seq=0))        # idle: drawn in send
-    link.send(mkpkt(seq=1))        # queued: drawn in _transmission_done
+    link.send(mkpkt(seq=1))        # queued: drawn in _dequeue
     link.send(mkpkt(seq=2))
     sim.schedule_at(0.010, link.send, mkpkt(seq=3))  # idle again
     sim.run()

@@ -1,12 +1,13 @@
-"""Pooled/fast-path scheduler vs the reference pure-heap scheduler.
+"""Pooled/tuple-heap scheduler vs the reference pure-heap scheduler.
 
 The optimized :class:`~repro.sim.engine.Simulator` (tuple-keyed heap,
-pooled Event/Packet objects, slot-free ``schedule_fast``) must be
-observationally identical to :class:`~repro.sim.reference.ReferenceSimulator`
-(the pre-optimization engine, kept verbatim): same firing order, same
-timestamps, same tie-break behavior, for any workload.  These tests drive
-both engines with the same seeded random workloads and assert the event
-logs match exactly.
+pooled Event/Packet objects, raw entries pushed through ``push`` /
+``reserve_seq``) must be observationally identical to
+:class:`~repro.sim.reference.ReferenceSimulator` (the pre-optimization
+engine, kept verbatim): same firing order, same timestamps, same
+tie-break behavior, for any workload.  These tests drive both engines
+with the same seeded random workloads and assert the event logs match
+exactly.  ``schedule_fast`` is the raw-entry route a link takes.
 """
 
 import numpy as np
@@ -14,11 +15,12 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.reference import ReferenceSimulator
+from tests.sim.two_event_link import schedule_fast
 
 
 def _random_workload(sim, rng_seed: int, n_ops: int = 400, spread: float = 1.0):
-    """Drive ``sim`` with a seeded mix of schedule/schedule_at/
-    schedule_fast/cancel operations (duplicate times included, so the
+    """Drive ``sim`` with a seeded mix of schedule/schedule_at/raw
+    entry/cancel operations (duplicate times included, so the
     (time, seq) tie-break is exercised) and return the firing log.
     ``spread`` scales every delay (about 1 s at 1.0)."""
     rng = np.random.default_rng(rng_seed)
@@ -29,7 +31,7 @@ def _random_workload(sim, rng_seed: int, n_ops: int = 400, spread: float = 1.0):
         log.append((sim.now, tag))
         # Some callbacks schedule more work, from inside the dispatch loop.
         if tag % 7 == 0:
-            sim.schedule_fast(float(rng.integers(0, 4)) * 0.125 * spread, fire, tag + 10_000)
+            schedule_fast(sim, float(rng.integers(0, 4)) * 0.125 * spread, fire, tag + 10_000)
         if tag % 11 == 0:
             handles.append(sim.schedule(float(rng.integers(0, 4)) * 0.25 * spread, fire,
                                         tag + 20_000))
@@ -39,13 +41,13 @@ def _random_workload(sim, rng_seed: int, n_ops: int = 400, spread: float = 1.0):
         delay = float(rng.integers(0, 16)) * 0.0625 * spread
         kind = int(rng.integers(0, 4))
         if kind == 0:
-            sim.schedule_fast(delay, fire, i)
+            schedule_fast(sim, delay, fire, i)
         elif kind == 1:
             handles.append(sim.schedule(delay, fire, i))
         elif kind == 2:
             handles.append(sim.schedule_at(sim.now + delay, fire, i))
         else:
-            sim.schedule_fast(delay, fire, i)
+            schedule_fast(sim, delay, fire, i)
             if handles and rng.random() < 0.5:
                 victim = int(rng.integers(0, len(handles)))
                 handles[victim].cancel()
@@ -166,6 +168,25 @@ def test_packet_pool_reuse_resets_fields():
     assert p2.ecn_marked is False and p2.meta is None
 
 
+@pytest.mark.parametrize("engine", [Simulator, ReferenceSimulator])
+def test_rejected_packet_size_draws_no_uid_and_keeps_the_pool(engine):
+    """A caught ``ValueError`` from ``alloc_packet`` leaves no trace: the
+    uids that follow and the free list are those of a run without the
+    call."""
+
+    def after(reject):
+        sim = engine()
+        for pkt in [sim.alloc_packet(1, k, 100) for k in range(3)]:
+            sim.free_packet(pkt)
+        if reject:
+            with pytest.raises(ValueError):
+                sim.alloc_packet(1, 9, 0)
+        pooled = len(getattr(sim, "_packet_pool", ()))
+        return pooled, [sim.alloc_packet(1, k, 100).uid for k in range(5)]
+
+    assert after(reject=True) == after(reject=False)
+
+
 def test_packet_uids_are_per_simulator():
     a, b = Simulator(), Simulator()
     ua = [a.alloc_packet(1, i, 100).uid for i in range(4)]
@@ -173,31 +194,20 @@ def test_packet_uids_are_per_simulator():
     assert ua == ub  # independent sequences, same start
 
 
-def test_schedule_fast_validates_delay():
-    from repro.sim.engine import SimulationError
-
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule_fast(-0.001, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.schedule_fast(float("inf"), lambda: None)
-
-
 # ----------------------------------------------------------------------
-# Timer wheel vs the pure heap, and same-timestamp batch dequeue
+# Long horizons, more seeds, and same-timestamp runs in schedule order
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
 def test_wheel_engine_matches_heap_engine(seed):
-    """With delays spread over ~300 s the workload fills every wheel
-    level — level-0 slots, level-1 groups that cascade down, and the
-    overflow heap past the 256 s horizon — and must still fire exactly
-    as the pure-heap reference engine does: same order, same timestamps,
-    same tie-breaks."""
-    wheel_log = _random_workload(Simulator(), seed, spread=300.0)
-    heap_log = _random_workload(ReferenceSimulator(), seed, spread=300.0)
-    assert len(wheel_log) > 400
-    assert max(t for t, _ in wheel_log) > 256.0
-    assert wheel_log == heap_log
+    """Delays spread over ~300 s (the span the deleted timer wheel split
+    into levels and an overflow heap) put near and far timers on one
+    heap; it must fire exactly as the reference engine does: same
+    order, same timestamps, same tie-breaks."""
+    got = _random_workload(Simulator(), seed, spread=300.0)
+    want = _random_workload(ReferenceSimulator(), seed, spread=300.0)
+    assert len(got) > 400
+    assert max(t for t, _ in got) > 256.0
+    assert got == want
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -207,9 +217,9 @@ def test_wheel_engine_matches_reference(seed):
 
 
 def test_same_timestamp_batches_dequeue_in_schedule_order():
-    """Batch dequeue of a same-timestamp run must preserve the (time,
-    seq) contract: FIFO within a timestamp, across every scheduling API
-    and across events that append to a batch currently being drained."""
+    """A same-timestamp run must keep the (time, seq) contract: FIFO
+    within a timestamp, across every scheduling API and across events
+    that append to the timestamp currently being dispatched."""
     sim = Simulator()
     ref = ReferenceSimulator()
     def drive(s):
@@ -218,46 +228,20 @@ def test_same_timestamp_batches_dequeue_in_schedule_order():
             log.append((s.now, tag))
             # extend the *current* timestamp's batch mid-drain
             if tag == 3:
-                s.schedule_fast(0.0, fire, 100)
+                schedule_fast(s, 0.0, fire, 100)
                 s.schedule(0.0, fire, 101)
         for t in (0.5, 0.5, 0.25, 0.5, 0.25):
             for i in range(6):
                 if i % 2:
-                    s.schedule_fast(t, fire, int(t * 100) + i)
+                    schedule_fast(s, t, fire, int(t * 100) + i)
                 else:
                     s.schedule(t, fire, int(t * 100) + i)
-        # a large homogeneous batch (exercises the due-run sort path)
+        # a large homogeneous same-timestamp run
         for i in range(200):
-            s.schedule_fast(1.0, fire, 1000 + i)
+            schedule_fast(s, 1.0, fire, 1000 + i)
         s.run()
         return log
     assert drive(sim) == drive(ref)
-
-
-def test_far_timers_overflow_to_heap_and_cascade_back():
-    """Timers beyond the wheel horizon start in the overflow heap but
-    must still fire in exact order with near timers, including after the
-    clock jumps far forward through heap-only regions."""
-    sim = Simulator()
-    log = []
-    for t in (1e5, 2.0, 1e5 + 0.001, 0.001, 3e5):
-        sim.schedule_at(t, log.append, t)
-    # near timers scheduled *from* a far-future callback re-engage the wheel
-    sim.schedule_at(1e5, lambda: sim.schedule_fast(0.01, log.append, "near-after-jump"))
-    sim.run()
-    assert log == [0.001, 2.0, 1e5, 1e5 + 0.001, "near-after-jump", 3e5]
-
-
-def test_run_until_with_wheel_resident_timers():
-    sim = Simulator()
-    fired = []
-    for k in range(100):
-        sim.schedule_fast(0.001 * (k + 1), fired.append, k)
-    sim.run(until=0.05)
-    assert fired == list(range(50))
-    assert sim.now == 0.05
-    sim.run()
-    assert fired == list(range(100))
 
 
 # ----------------------------------------------------------------------
@@ -303,27 +287,20 @@ def test_fig2_shape_matches_reference():
 
 
 # ----------------------------------------------------------------------
-# Same-tick schedule_fast: entries that join the batch being drained
+# Raw entries a few microseconds apart, from inside dispatch and between
+# run slices
 # ----------------------------------------------------------------------
-#: Delays shorter than one wheel tick (1/8192 s ~ 122 us): a
-#: ``schedule_fast`` with one of these from inside a draining bucket lands
-#: at or before the wheel position and is inserted into the due batch.
-SUB_TICK = (0.0, 1e-6, 30e-6, 100e-6, 121e-6)
-
-
-def _census(sim):
-    """Entries actually held by every queue structure, counted the slow
-    way (the engine's ``queued`` is bookkeeping; this is the truth)."""
-    return (len(sim._heap) + len(sim._due) - sim._due_i
-            + sum(len(b) for b in sim._w0) + sum(len(b) for b in sim._w1))
+#: Zero and packet-scale delays (a 1000-byte packet at 100 Mbps takes
+#: 80 us): raw entries pushed with these from inside dispatch land at or
+#: just after the timestamp being dispatched.
+SHORT_DELAYS = (0.0, 1e-6, 30e-6, 100e-6, 121e-6)
 
 
 def _same_tick_workload(sim, base):
-    """Callbacks that ``schedule_fast`` zero and sub-tick delays from
-    inside the dispatch loop, around clock ``base``, interleaved with
-    timers that were scheduled ``base`` seconds ahead (beyond the wheel's
-    256 s horizon they sit in the heap overflow) and with calls made from
-    outside, between two ``run(until=...)`` slices.  Returns the firing
+    """Callbacks that push raw entries at zero and microsecond delays
+    from inside the dispatch loop, around clock ``base``, interleaved
+    with timers that were scheduled ``base`` seconds ahead and with
+    calls made from outside, between two ``run(until=...)`` slices.  Returns the firing
     log with ``pending`` read at every callback and around every slice."""
     log = []
     optimized = isinstance(sim, Simulator)
@@ -331,16 +308,15 @@ def _same_tick_workload(sim, base):
     def note(tag):
         log.append((sim.now, tag, sim.pending))
         if optimized:
-            assert sim.queued == _census(sim)
-            assert sim.pending == sim.queued - sim._cancelled
+            assert sim.pending == len(sim._heap) - sim._cancelled
 
     def burst(tag, depth):
         note(tag)
         if depth:
-            for k, delay in enumerate(SUB_TICK):
-                sim.schedule_fast(delay, burst, tag * 10 + k, depth - 1)
-            # A slotted entry for the same tick takes the _push route
-            # into the same batch; one of the pair is cancelled.
+            for k, delay in enumerate(SHORT_DELAYS):
+                schedule_fast(sim, delay, burst, tag * 10 + k, depth - 1)
+            # Slotted entries for the same instant; one of the pair is
+            # cancelled.
             keep = sim.schedule(50e-6, note, -tag)
             sim.schedule(50e-6, note, -tag - 1).cancel()
             assert not keep.cancelled
@@ -353,14 +329,14 @@ def _same_tick_workload(sim, base):
     sim.schedule_at(base + 200e-6, burst, 2, 2)
     sim.schedule_at(base + 0.5, burst, 3, 2)
 
-    # Slices that end inside a tick that still has entries to drain; the
-    # calls between them come from outside the dispatch loop.
+    # Slices that end between entries microseconds apart; the calls
+    # between them come from outside the dispatch loop.
     for k, until in enumerate((base + 15e-6, base + 110e-6, base + 260e-6)):
         sim.run(until=until)
         log.append(("slice", sim.now, sim.pending))
-        sim.schedule_fast(0.0, note, 7000 + 10 * k)
-        sim.schedule_fast(20e-6, burst, 7001 + 10 * k, 1)
-        sim.schedule_fast(121e-6, note, 7002 + 10 * k)
+        schedule_fast(sim, 0.0, note, 7000 + 10 * k)
+        schedule_fast(sim, 20e-6, burst, 7001 + 10 * k, 1)
+        schedule_fast(sim, 121e-6, note, 7002 + 10 * k)
         log.append(("armed", sim.now, sim.pending))
     sim.run()
     log.append(("idle", sim.now, sim.pending))
@@ -375,8 +351,3 @@ def test_same_tick_schedule_fast_matches_reference(base):
     assert len(got) > 300
     assert got == want
     assert sim.pending == 0 and sim.queued == 0
-    if base > 256.0:
-        # The far timers really did wait in the overflow heap.
-        probe = Simulator()
-        probe.schedule_at(base, lambda: None)
-        assert len(probe._heap) == 1

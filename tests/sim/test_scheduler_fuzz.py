@@ -1,14 +1,15 @@
-"""Stateful fuzz: the timer-wheel ``Simulator`` against ``ReferenceSimulator``.
+"""Stateful fuzz: the tuple-heap ``Simulator`` against ``ReferenceSimulator``.
 
 Hypothesis drives both engines through one random sequence of scheduler
-calls — fast-path timers at zero, sub-tick and past-the-span delays,
-slotted timers beyond the level-1 horizon, cancels of live and of fired
-handles (enough of them to cross the compaction threshold), callbacks
-that schedule from inside dispatch, and ``run`` slices bounded by a
-clock or by an event budget — and after every step asserts that both
-engines fired the same callbacks at the same times and agree on the
-clock and on every counter.  The reference engine is the plain heap the
-wheel's ``(time, seq)`` order must reproduce.
+calls — raw entries (the ``push`` / ``reserve_seq`` route a link takes)
+at zero, sub-tick and past-the-span delays, slotted timers out to
+thousands of seconds, cancels of live and of fired handles (enough of
+them to cross the compaction threshold), callbacks that schedule from
+inside dispatch, and ``run`` slices bounded by a clock or by an event
+budget — and after every step asserts that both engines fired the same
+callbacks at the same times and agree on the clock and on every counter.
+The reference engine is the original ``Event``-object heap whose
+``(time, seq)`` order the tuple heap must reproduce.
 """
 
 from hypothesis import settings
@@ -17,16 +18,19 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.sim.engine import COMPACT_MIN_HEAP, Simulator
 from repro.sim.reference import ReferenceSimulator
+from tests.sim.two_event_link import schedule_fast
 
-#: One timer-wheel tick, the wheel's level-0 span and its level-1 horizon.
+#: The delay classes the timer wheel this engine replaced routed apart
+#: (one 1/8192 s tick, its ~1 s level-0 span, its 256 s level-1
+#: horizon), kept because they span packet-scale to campaign-scale
+#: timers: zero and sub-tick delays land among the entries at the
+#: instant being dispatched; whole ticks up to the span are the near
+#: future; beyond it, seconds to minutes; past the horizon, the far
+#: future.  Whole-tick values make exact time collisions common.
 TICK = 1.0 / 8192
 SPAN = 1.0
 HORIZON = 256.0
 
-#: Delays that exercise every route of the wheel: zero and sub-tick
-#: delays join the batch being drained; whole ticks and the rest of the
-#: span land in level 0; past the span in level 1; past the horizon in
-#: the overflow heap.  Whole-tick values make same-tick collisions common.
 ZERO = st.just(0.0)
 SUB_TICK = st.floats(0.0, TICK, exclude_max=True)
 NEAR = st.one_of(st.integers(1, 16).map(lambda k: k * TICK), st.floats(TICK, SPAN))
@@ -64,7 +68,7 @@ class SchedulerMachine(RuleBasedStateMachine):
     def _schedule(self, e, api, delay, label, children):
         sim = self.engines[e]
         if api == "fast":
-            sim.schedule_fast(delay, self._fire, e, label, children)
+            schedule_fast(sim, delay, self._fire, e, label, children)
             return
         if api == "schedule":
             ev = sim.schedule(delay, self._fire, e, label, children)
@@ -130,6 +134,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         sim, ref = self.engines
         assert self.logs[0] == self.logs[1]
         assert sim.now == ref.now
+        assert sim.dispatch_seq == ref.dispatch_seq
         assert sim.pending == ref.pending
         assert sim.events_processed == ref.events_processed
         assert sim.cancelled_popped == ref.cancelled_popped
